@@ -13,6 +13,11 @@ stage="${1:-all}"
 
 build_test() {
     cargo build --release
+    # The benchmark harness is a workspace of its own that calls the
+    # crates' public API; building it here turns an API break into a
+    # tier-1 failure. Path dependencies only, so it builds offline.
+    cargo build --release --offline --manifest-path perfbench/Cargo.toml \
+        --target-dir target/perfbench
     # The whole workspace: the crates' own tests (scheduler, shard
     # proptests, figures) are not reached from the root package.
     cargo test -q --workspace

@@ -1,69 +1,42 @@
-//! Checkpoint/resume for long figure sweeps.
+//! The on-disk backend of the cell store ([`crate::memo::CellStore::Dir`]),
+//! for checkpoint/resume of long figure sweeps.
 //!
 //! Every completed cell's [`SimReport`] is written to
 //! `<dir>/<key>.json`, where `<key>` is an FNV-1a content hash of the
 //! cell's full identity — label, config JSON, workload, seed and
-//! instruction budgets ([`cell_key`], shared with the grid scheduler). On
-//! restart the runner reloads every cell whose file exists and parses,
+//! instruction budgets ([`cell_key`], shared with the shard partitioner).
+//! On restart the store reloads every cell whose file exists and parses,
 //! and re-runs only the missing, corrupt or previously failed ones
 //! (failures are deliberately never checkpointed: a resume is exactly the
 //! retry the operator asked for). A config change produces different
-//! keys, so stale results can never leak into a new sweep.
+//! keys, so stale results can never leak into a new sweep. The directory
+//! holds exactly one file per completed cell and nothing else.
 //!
 //! Writes stream from the worker threads as cells finish (write to a
 //! `.tmp` sibling, then rename), so a crash mid-sweep loses at most the
 //! cells still in flight.
-//!
-//! Each run also feeds observed per-cell wall-times back into a
-//! [`CostModel`] persisted *beside* the checkpoint directory (at
-//! `<dir>.timings.json` — a sibling, never inside `dir`, whose contents
-//! are exactly one file per completed cell). The next run loads it so the
-//! scheduler starts the longest cells first.
 
-use ppf_sim::experiments::{
-    fan_seeds, merge_seed_outcomes, run_grid_outcomes_traced, CellOutcome, RunSpec,
-};
+use ppf_sim::experiments::RunSpec;
 pub use ppf_sim::schedule::cell_key;
-use ppf_sim::schedule::CostModel;
 use ppf_sim::SimReport;
 use ppf_types::{FromJson, PpfError, ToJson};
 use std::path::{Path, PathBuf};
-use std::sync::Mutex;
 
 /// Path of a cell's checkpoint file under `dir`.
 pub fn cell_path(dir: &Path, spec: &RunSpec) -> PathBuf {
-    dir.join(format!("{}.json", cell_key(spec)))
+    key_path(dir, &cell_key(spec))
 }
 
-/// Where the cost model for checkpoint directory `dir` is persisted: a
-/// *sibling* file (`ckpt/fig6` → `ckpt/fig6.timings.json`). It must not
-/// live inside `dir`, whose contents are exactly one JSON file per
-/// completed cell.
-pub fn timings_path(dir: &Path) -> PathBuf {
-    dir.with_extension("timings.json")
+fn key_path(dir: &Path, key: &str) -> PathBuf {
+    dir.join(format!("{key}.json"))
 }
 
-/// The result of one checkpointed grid execution.
-#[derive(Debug)]
-pub struct CheckpointedRun {
-    /// Per-cell outcomes, in input order (seed-merged for the seeds form).
-    pub outcomes: Vec<CellOutcome>,
-    /// Cells reloaded from the checkpoint directory (not re-run).
-    pub loaded: usize,
-    /// Cells actually executed this invocation.
-    pub executed: usize,
-    /// Checkpoint files that existed but did not parse (counted as
-    /// missing and re-run).
-    pub corrupt: usize,
-    /// Non-fatal failures writing checkpoint files (the sweep's results
-    /// are still returned; only their persistence failed).
-    pub write_errors: Vec<PpfError>,
-}
-
-/// Load one cell's checkpoint entry, distinguishing "not there" (`Ok(None)`)
-/// from "there but unreadable" (`Err`, kind `checkpoint-corrupt`).
-fn load_cell(path: &Path) -> Result<Option<SimReport>, PpfError> {
-    let text = match std::fs::read_to_string(path) {
+/// Load the entry stored under `key`, distinguishing "not there"
+/// (`Ok(None)`) from "there but unreadable" (`Err`, kind
+/// `checkpoint-corrupt`).
+pub(crate) fn load(dir: &Path, key: &str) -> Result<Option<SimReport>, PpfError> {
+    let path = key_path(dir, key);
+    let text = match std::fs::read_to_string(&path) {
         Ok(t) => t,
         Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
         Err(e) => {
@@ -75,103 +48,11 @@ fn load_cell(path: &Path) -> Result<Option<SimReport>, PpfError> {
         .map_err(|e| PpfError::checkpoint_corrupt(e).context(format!("parsing {}", path.display())))
 }
 
-/// Write one cell's report atomically (tmp + rename).
-fn store_cell(path: &Path, report: &SimReport) -> Result<(), PpfError> {
+/// Write one cell's report under `key` atomically (tmp + rename).
+pub(crate) fn save(dir: &Path, key: &str, report: &SimReport) -> Result<(), PpfError> {
+    let path = key_path(dir, key);
     let tmp = path.with_extension("json.tmp");
     std::fs::write(&tmp, report.to_json_pretty())
-        .and_then(|()| std::fs::rename(&tmp, path))
+        .and_then(|()| std::fs::rename(&tmp, &path))
         .map_err(|e| PpfError::io(e.to_string()).context(format!("writing {}", path.display())))
-}
-
-/// Run `specs` with per-cell checkpointing under `dir`: reload completed
-/// cells, execute the rest (streaming each completed cell to disk), and
-/// return outcomes in input order. Dispatch of the executed cells is
-/// ordered by the persisted cost model beside `dir`, which this run's
-/// observed wall-times then refresh. Only directory creation fails hard;
-/// unreadable entries are re-run and unwritable ones are reported in
-/// [`CheckpointedRun::write_errors`].
-pub fn run_grid_checkpointed(specs: Vec<RunSpec>, dir: &Path) -> Result<CheckpointedRun, PpfError> {
-    std::fs::create_dir_all(dir).map_err(|e| {
-        PpfError::io(e.to_string()).context(format!("creating checkpoint dir {}", dir.display()))
-    })?;
-    let n = specs.len();
-    let mut outcomes: Vec<Option<CellOutcome>> = (0..n).map(|_| None).collect();
-    let mut pending: Vec<(usize, RunSpec)> = Vec::new();
-    let mut loaded = 0usize;
-    let mut corrupt = 0usize;
-    for (idx, spec) in specs.into_iter().enumerate() {
-        match load_cell(&cell_path(dir, &spec)) {
-            Ok(Some(report)) => {
-                loaded += 1;
-                outcomes[idx] = Some(CellOutcome::Ok(Box::new(report)));
-            }
-            Ok(None) => pending.push((idx, spec)),
-            Err(_) => {
-                corrupt += 1;
-                pending.push((idx, spec));
-            }
-        }
-    }
-    let executed = pending.len();
-    let write_errors: Mutex<Vec<PpfError>> = Mutex::new(Vec::new());
-    let (indices, to_run): (Vec<usize>, Vec<RunSpec>) = pending.into_iter().unzip();
-    let paths: Vec<PathBuf> = to_run.iter().map(|s| cell_path(dir, s)).collect();
-    let mut model = CostModel::load(&timings_path(dir));
-    let insts: Vec<u64> = to_run.iter().map(|s| s.warmup + s.n_instructions).collect();
-    let (ran, trace) = run_grid_outcomes_traced(to_run, &model, |i, outcome| {
-        if let CellOutcome::Ok(report) = outcome {
-            if let Err(e) = store_cell(&paths[i], report) {
-                write_errors
-                    .lock()
-                    .unwrap_or_else(std::sync::PoisonError::into_inner)
-                    .push(e);
-            }
-        }
-    });
-    // Feed observed wall-times back into the persisted model (successful
-    // cells only; a failed cell's time measures the failure, not the
-    // work). Persistence is advisory: a write error is reported, never
-    // fatal.
-    for (i, outcome) in ran.iter().enumerate() {
-        if outcome.is_ok() && trace.cell_micros[i] > 0 {
-            model.record(&trace.keys[i], insts[i], trace.cell_micros[i]);
-        }
-    }
-    if executed > 0 {
-        if let Err(e) = model.save(&timings_path(dir)) {
-            write_errors
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner)
-                .push(e);
-        }
-    }
-    for (slot, outcome) in indices.into_iter().zip(ran) {
-        outcomes[slot] = Some(outcome);
-    }
-    Ok(CheckpointedRun {
-        outcomes: outcomes
-            .into_iter()
-            .map(|o| o.expect("every cell loaded or ran"))
-            .collect(),
-        loaded,
-        executed,
-        corrupt,
-        write_errors: write_errors.into_inner().unwrap_or_default(),
-    })
-}
-
-/// The multi-seed form: checkpoints the full (cell × seed) fan-out (each
-/// fanned cell gets its own key), then merges outcomes per input cell
-/// exactly like `run_grid_seeds`.
-pub fn run_grid_seeds_checkpointed(
-    specs: Vec<RunSpec>,
-    seeds: u32,
-    dir: &Path,
-) -> Result<CheckpointedRun, PpfError> {
-    assert!(seeds >= 1);
-    let n = specs.len();
-    let fanned = fan_seeds(&specs, seeds);
-    let mut run = run_grid_checkpointed(fanned, dir)?;
-    run.outcomes = merge_seed_outcomes(run.outcomes, n, seeds);
-    Ok(run)
 }

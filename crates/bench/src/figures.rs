@@ -1,65 +1,141 @@
 //! Turn experiment grids into the paper's tables and figures.
 //!
-//! Every public figure function takes the instruction budget, runs its grid
-//! (in parallel), and renders an aligned text table with the same rows and
-//! series the paper's figure plots, plus the mean the paper quotes in its
-//! prose. [`run_experiment`] dispatches by name for the `figures` binary.
+//! [`EXPERIMENTS`] is the registry: one `(name, grid, render)` entry per
+//! experiment, read by `figures --list`, `all` and name validation.
+//! [`run_experiment_full`] runs an entry's grid through the cell store and
+//! renders an aligned text table with the same rows and series the paper's
+//! figure plots, plus the mean the paper quotes in its prose.
 
 // The figure formatters walk several per-label report vectors in lock-step
 // by benchmark index; an iterator rewrite would zip four-plus vectors and
 // read worse than the index.
 #![allow(clippy::needless_range_loop)]
 
-use crate::checkpoint;
-use crate::memo;
+use crate::checkpoint::cell_key;
+use crate::memo::CellStore;
 use crate::shard::{
     ExperimentFragment, FragmentEntry, ManifestExperiment, ShardSpec, SHARD_SCHEMA_VERSION,
 };
-use ppf_sim::experiments::{self, CellOutcome, PORT_COUNTS, TABLE_SIZES};
+use ppf_sim::experiments::{
+    self, ablations, CellOutcome, RunSpec, TelemetrySpec, PORT_COUNTS, TABLE_SIZES,
+};
 use ppf_sim::report::{f3, geomean, mean, pct, TextTable};
 use ppf_sim::{CellFailure, SimReport};
-use ppf_types::telemetry::TelemetryConfig;
-use ppf_types::{json_struct, PpfError};
+use ppf_types::telemetry::{TelemetryConfig, DEFAULT_INTERVAL_CYCLES};
+use ppf_types::{json_struct, PpfError, ToJson};
 use ppf_workloads::{AttackKind, FaultSpec, Workload};
 use std::fmt::Write as _;
 use std::path::PathBuf;
 
-/// All experiment names accepted by [`run_experiment`].
-pub const EXPERIMENTS: [&str; 33] = [
-    "table1",
-    "table2",
-    "calibrate",
-    "fig1",
-    "fig2",
-    "fig4",
-    "fig5",
-    "fig6",
-    "fig7",
-    "fig8",
-    "fig9",
-    "fig10",
-    "fig11",
-    "fig12",
-    "fig13",
-    "fig14",
-    "fig15",
-    "fig16",
-    "nsp-sdp",
-    "cache-vs-table",
-    "ablate-counter",
-    "ablate-init",
-    "ablate-split",
-    "ablate-recovery",
-    "ablate-adaptive",
-    "ablate-assoc",
-    "ablate-victim",
-    "ablate-degree",
-    "ablate-banks",
-    "ablate-hybrid",
-    "ablate-mix",
-    "filter-family",
-    "attack-matrix",
+/// One registry entry: the name `figures` accepts, the grid it runs at a
+/// given instruction budget (`None` for the static `table1`), and the
+/// renderer for a grid whose every cell completed.
+pub struct Experiment {
+    /// The command-line name, also the stem of the JSON document.
+    pub name: &'static str,
+    grid: Option<fn(u64) -> Vec<RunSpec>>,
+    render: fn(&[SimReport]) -> String,
+}
+
+/// A grid experiment.
+const fn exp(
+    name: &'static str,
+    grid: fn(u64) -> Vec<RunSpec>,
+    render: fn(&[SimReport]) -> String,
+) -> Experiment {
+    Experiment {
+        name,
+        grid: Some(grid),
+        render,
+    }
+}
+
+/// Every experiment, in `--list` and `all` order.
+pub static EXPERIMENTS: &[Experiment] = &[
+    Experiment {
+        name: "table1",
+        grid: None,
+        render: |_| table1(),
+    },
+    exp("table2", experiments::table2, table2),
+    exp("calibrate", experiments::calibration, calibrate),
+    exp("fig1", experiments::fig1_2, fig1),
+    exp("fig2", experiments::fig1_2, fig2),
+    exp("fig4", experiments::fig4_5_6, |r| fig4_style(r, "8KB")),
+    exp("fig5", experiments::fig4_5_6, |r| fig5_style(r, "8KB")),
+    exp("fig6", experiments::fig4_5_6, |r| fig6_style(r, "8KB")),
+    exp("fig7", experiments::fig7_8_9, |r| fig4_style(r, "32KB")),
+    exp("fig8", experiments::fig7_8_9, |r| fig5_style(r, "32KB")),
+    exp("fig9", experiments::fig7_8_9, |r| fig6_style(r, "32KB")),
+    exp("fig10", experiments::fig10_11_12, fig10),
+    exp("fig11", experiments::fig10_11_12, fig11),
+    exp("fig12", experiments::fig10_11_12, fig12),
+    exp("fig13", experiments::fig13_14, fig13),
+    exp("fig14", experiments::fig13_14, fig14),
+    exp("fig15", experiments::fig15_16, fig15),
+    exp("fig16", experiments::fig15_16, fig16),
+    exp("nsp-sdp", experiments::nsp_sdp_solo, nsp_sdp),
+    exp(
+        "cache-vs-table",
+        experiments::cache_vs_table,
+        cache_vs_table,
+    ),
+    exp("ablate-counter", ablations::counter_width, |r| {
+        ablation_summary(r, "Ablation: saturating-counter width (PA filter)")
+    }),
+    exp("ablate-init", ablations::counter_init, |r| {
+        ablation_summary(
+            r,
+            "Ablation: counter initialization (assumed-good vs alternatives)",
+        )
+    }),
+    exp("ablate-split", ablations::split_tables, |r| {
+        ablation_summary(r, "Ablation: shared vs per-source history tables")
+    }),
+    exp("ablate-recovery", ablations::recovery, |r| {
+        ablation_summary(
+            r,
+            "Ablation: misprediction recovery vs strict (absorbing) filter",
+        )
+    }),
+    exp("ablate-adaptive", ablations::adaptive, |r| {
+        ablation_summary(
+            r,
+            "Ablation: adaptive filter engagement (section 5.2.1 remark)",
+        )
+    }),
+    exp("ablate-assoc", ablations::associativity, |r| {
+        ablation_summary(r, "Ablation: L1 associativity (no filter)")
+    }),
+    exp("ablate-victim", ablations::victim_cache, |r| {
+        ablation_summary(r, "Ablation: victim cache vs pollution filter")
+    }),
+    exp("ablate-degree", ablations::nsp_degree, |r| {
+        ablation_summary(r, "Ablation: NSP aggressiveness (prefetch degree)")
+    }),
+    exp("ablate-banks", ablations::dram_banks, |r| {
+        ablation_summary(r, "Ablation: DRAM banking (memory-level-parallelism limit)")
+    }),
+    exp("ablate-hybrid", ablations::hybrid, |r| {
+        ablation_summary(
+            r,
+            "Ablation: PA vs PC vs tournament hybrid (same counter budget)",
+        )
+    }),
+    exp("ablate-mix", ablations::prefetcher_mix, |r| {
+        ablation_summary(
+            r,
+            "Ablation: prefetcher mix (stride RPT, Markov correlation)",
+        )
+    }),
+    exp("filter-family", experiments::filter_family, filter_family),
+    exp("attack-matrix", experiments::attack_matrix, attack_matrix),
 ];
+
+/// The registry entry named `name`.
+pub fn experiment(name: &str) -> Option<&'static Experiment> {
+    EXPERIMENTS.iter().find(|e| e.name == name)
+}
 
 /// Options for one experiment invocation beyond the instruction budget.
 #[derive(Debug, Clone)]
@@ -100,22 +176,18 @@ impl Default for ExperimentOptions {
 }
 
 /// The result of one experiment invocation.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct ExperimentOutput {
-    /// Rendered table — the figure's table when every cell completed, or
-    /// a partial-results grid plus failure appendix otherwise.
+    /// Rendered table — the figure's table when every cell completed, a
+    /// partial-results grid when some failed, or a one-line coverage
+    /// summary in sharded mode.
     pub body: String,
-    /// Grid cells attempted (after seed fan-out and merge: one per
-    /// label×workload cell).
-    pub total_cells: usize,
-    /// Cells that failed every attempt.
-    pub failed_cells: usize,
-    /// Raw (cell × seed) runs reloaded from the checkpoint directory.
+    /// Raw (cell × seed) runs served from the cell store: reloaded from the
+    /// checkpoint directory, or hits in the in-process memo.
     pub loaded_cells: usize,
     /// Raw (cell × seed) runs executed this invocation.
     pub executed_cells: usize,
-    /// Structured failures of the cells counted in `failed_cells` (the
-    /// machine-readable form of the text appendix).
+    /// Structured failures of the cells that failed every attempt.
     pub failures: Vec<CellFailure>,
     /// Sharded mode only: this experiment's coverage record, for the
     /// caller to accumulate into the shard's `MANIFEST.json`. `None` when
@@ -123,188 +195,140 @@ pub struct ExperimentOutput {
     pub manifest: Option<ManifestExperiment>,
 }
 
-impl ExperimentOutput {
-    /// Did every cell complete?
-    pub fn is_complete(&self) -> bool {
-        self.failed_cells == 0
-    }
-}
-
-/// Run one named experiment; returns its rendered table. With `json_dir`
-/// set, raw reports are also dumped to `<json_dir>/<name>.json`.
-pub fn run_experiment(name: &str, insts: u64, json_dir: Option<&str>) -> Result<String, String> {
-    run_experiment_seeds(name, insts, json_dir, 1)
-}
-
-/// [`run_experiment`] averaged over `seeds` workload seeds (counters are
-/// summed per cell, so rates become instruction-weighted averages).
-pub fn run_experiment_seeds(
-    name: &str,
-    insts: u64,
-    json_dir: Option<&str>,
-    seeds: u32,
-) -> Result<String, String> {
-    let opts = ExperimentOptions {
-        seeds,
-        json_dir: json_dir.map(str::to_string),
-        ..ExperimentOptions::default()
-    };
-    run_experiment_full(name, insts, &opts)
-        .map(|out| out.body)
-        .map_err(|e| e.to_string())
-}
-
-/// The full-fat entry point: seeds, JSON dump, checkpoint/resume, and a
-/// structured [`ExperimentOutput`] whose cell counts the caller can turn
-/// into a partial-failure exit code.
+/// Run one named experiment: build its grid, apply `--telemetry` and
+/// `--inject-fault`, keep this shard's cells (all of them when unsharded),
+/// run them through the cell store (the checkpoint directory when one is
+/// set, else the in-process memo), and render the figure, the
+/// partial-results table or the shard summary. With `json_dir` set, the
+/// experiment's document — or, sharded, its fragment — is written too.
 pub fn run_experiment_full(
     name: &str,
     insts: u64,
     opts: &ExperimentOptions,
 ) -> Result<ExperimentOutput, PpfError> {
-    CTX.with(|c| {
-        *c.borrow_mut() = RunContext {
-            seeds: opts.seeds.max(1),
-            checkpoint: opts.checkpoint.clone(),
-            telemetry: opts.telemetry.clone(),
-            inject_fault: opts.inject_fault,
-            shard: opts.shard,
-            counts: CellCounts::default(),
-            fragment: None,
-        }
-    });
-    let dispatched: Result<(String, Vec<SimReport>, String), PpfError> = match name {
-        "table1" => {
-            // Static table: no grid, no cells, nothing to checkpoint and
-            // nothing to shard (every shard prints it; none claims it).
-            return Ok(ExperimentOutput {
-                body: table1(),
-                total_cells: 0,
-                failed_cells: 0,
-                loaded_cells: 0,
-                executed_cells: 0,
-                failures: Vec::new(),
-                manifest: None,
+    let exp = experiment(name)
+        .ok_or_else(|| PpfError::config_invalid(format!("unknown experiment '{name}'")))?;
+    let Some(grid) = exp.grid else {
+        // Static table: no grid, no cells, nothing to checkpoint and
+        // nothing to shard (every shard prints it; none claims it).
+        return Ok(ExperimentOutput {
+            body: (exp.render)(&[]),
+            ..ExperimentOutput::default()
+        });
+    };
+    let mut grid = grid(insts);
+    if let Some(base) = &opts.telemetry {
+        let dir = base.join(name);
+        for spec in &mut grid {
+            spec.telemetry = Some(TelemetrySpec {
+                config: TelemetryConfig::every(DEFAULT_INTERVAL_CYCLES),
+                dir: dir.clone(),
             });
         }
-        "table2" => run_and(name, experiments::table2(insts), table2),
-        "calibrate" => run_and(name, experiments::calibration(insts), calibrate),
-        "fig1" => run_and(name, experiments::fig1_2(insts), fig1),
-        "fig2" => run_and(name, experiments::fig1_2(insts), fig2),
-        "fig4" => run_and(name, experiments::fig4_5_6(insts), |r| fig4_style(r, "8KB")),
-        "fig5" => run_and(name, experiments::fig4_5_6(insts), |r| fig5_style(r, "8KB")),
-        "fig6" => run_and(name, experiments::fig4_5_6(insts), |r| fig6_style(r, "8KB")),
-        "fig7" => run_and(name, experiments::fig7_8_9(insts), |r| {
-            fig4_style(r, "32KB")
-        }),
-        "fig8" => run_and(name, experiments::fig7_8_9(insts), |r| {
-            fig5_style(r, "32KB")
-        }),
-        "fig9" => run_and(name, experiments::fig7_8_9(insts), |r| {
-            fig6_style(r, "32KB")
-        }),
-        "fig10" => run_and(name, experiments::fig10_11_12(insts), fig10),
-        "fig11" => run_and(name, experiments::fig10_11_12(insts), fig11),
-        "fig12" => run_and(name, experiments::fig10_11_12(insts), fig12),
-        "fig13" => run_and(name, experiments::fig13_14(insts), fig13),
-        "fig14" => run_and(name, experiments::fig13_14(insts), fig14),
-        "fig15" => run_and(name, experiments::fig15_16(insts), fig15),
-        "fig16" => run_and(name, experiments::fig15_16(insts), fig16),
-        "nsp-sdp" => run_and(name, experiments::nsp_sdp_solo(insts), nsp_sdp),
-        "cache-vs-table" => run_and(name, experiments::cache_vs_table(insts), cache_vs_table),
-        "ablate-counter" => run_and(name, experiments::ablations::counter_width(insts), |r| {
-            ablation_summary(r, "Ablation: saturating-counter width (PA filter)")
-        }),
-        "ablate-init" => run_and(name, experiments::ablations::counter_init(insts), |r| {
-            ablation_summary(
-                r,
-                "Ablation: counter initialization (assumed-good vs alternatives)",
-            )
-        }),
-        "ablate-split" => run_and(name, experiments::ablations::split_tables(insts), |r| {
-            ablation_summary(r, "Ablation: shared vs per-source history tables")
-        }),
-        "ablate-recovery" => run_and(name, experiments::ablations::recovery(insts), |r| {
-            ablation_summary(
-                r,
-                "Ablation: misprediction recovery vs strict (absorbing) filter",
-            )
-        }),
-        "ablate-adaptive" => run_and(name, experiments::ablations::adaptive(insts), |r| {
-            ablation_summary(
-                r,
-                "Ablation: adaptive filter engagement (section 5.2.1 remark)",
-            )
-        }),
-        "ablate-assoc" => run_and(name, experiments::ablations::associativity(insts), |r| {
-            ablation_summary(r, "Ablation: L1 associativity (no filter)")
-        }),
-        "ablate-victim" => run_and(name, experiments::ablations::victim_cache(insts), |r| {
-            ablation_summary(r, "Ablation: victim cache vs pollution filter")
-        }),
-        "ablate-degree" => run_and(name, experiments::ablations::nsp_degree(insts), |r| {
-            ablation_summary(r, "Ablation: NSP aggressiveness (prefetch degree)")
-        }),
-        "ablate-banks" => run_and(name, experiments::ablations::dram_banks(insts), |r| {
-            ablation_summary(r, "Ablation: DRAM banking (memory-level-parallelism limit)")
-        }),
-        "ablate-hybrid" => run_and(name, experiments::ablations::hybrid(insts), |r| {
-            ablation_summary(
-                r,
-                "Ablation: PA vs PC vs tournament hybrid (same counter budget)",
-            )
-        }),
-        "ablate-mix" => run_and(name, experiments::ablations::prefetcher_mix(insts), |r| {
-            ablation_summary(
-                r,
-                "Ablation: prefetcher mix (stride RPT, Markov correlation)",
-            )
-        }),
-        "filter-family" => run_and(name, experiments::filter_family(insts), filter_family),
-        "attack-matrix" => run_and(name, experiments::attack_matrix(insts), attack_matrix),
-        other => Err(PpfError::config_invalid(format!(
-            "unknown experiment '{other}'"
-        ))),
+    }
+    if let (Some(at), Some(first)) = (opts.inject_fault, grid.first_mut()) {
+        first.fault = Some(FaultSpec::panic_at(at));
+    }
+    // This shard's cells, chosen by content-hash key so the partition is
+    // machine- and order-independent.
+    let total = grid.len() as u64;
+    let mut owned: Vec<(u64, String)> = Vec::new();
+    let mut cells = Vec::new();
+    for (index, spec) in (0..).zip(grid) {
+        let key = cell_key(&spec);
+        if opts.shard.is_none_or(|shard| shard.contains(&key)) {
+            owned.push((index, key));
+            cells.push(spec);
+        }
+    }
+    let store_dir = opts.checkpoint.as_ref().map(|dir| dir.join(name));
+    let store = store_dir.as_deref().map_or(CellStore::Memo, CellStore::Dir);
+    let run = store.run(cells, opts.seeds.max(1))?;
+    for e in &run.write_errors {
+        eprintln!("warning: {e}");
+    }
+    let failures: Vec<CellFailure> = run
+        .outcomes
+        .iter()
+        .filter_map(CellOutcome::failure)
+        .cloned()
+        .collect();
+    let reports: Vec<SimReport> = run
+        .outcomes
+        .iter()
+        .filter_map(|o| o.report().cloned())
+        .collect();
+    let body = match opts.shard {
+        // A shard holds an arbitrary subset of rows, which no figure
+        // formatter can typeset.
+        Some(shard) => header(&format!(
+            "{name}: shard {shard} — ran {}/{total} cells, {} failed",
+            owned.len(),
+            failures.len()
+        )),
+        None if failures.is_empty() => (exp.render)(&reports),
+        None => partial_results(name, &run.outcomes),
     };
-    let (title, reports, body) = dispatched?;
-    let counts = CTX.with(|c| c.borrow().counts.clone());
-    let fragment = CTX.with(|c| c.borrow_mut().fragment.take());
     let mut manifest = None;
     if let Some(dir) = &opts.json_dir {
         std::fs::create_dir_all(dir)
             .map_err(|e| PpfError::io(e.to_string()).context(format!("creating json dir {dir}")))?;
-        if let Some((frag, man)) = fragment {
+        let (path, json) = match opts.shard {
             // Sharded mode: this invocation owns only part of the grid, so
             // it writes a self-describing fragment for `figures merge`
             // instead of posing as the full experiment document.
-            let path = format!("{dir}/{title}.fragment.json");
-            let json = ppf_types::ToJson::to_json_pretty(&frag);
-            std::fs::write(&path, json)
-                .map_err(|e| PpfError::io(e.to_string()).context(format!("writing {path}")))?;
-            manifest = Some(man);
-        } else {
-            let path = format!("{dir}/{title}.json");
+            Some(shard) => {
+                let entries = owned
+                    .iter()
+                    .zip(&run.outcomes)
+                    .map(|((index, key), o)| FragmentEntry {
+                        index: *index,
+                        key: key.clone(),
+                        report: o.report().cloned(),
+                        failure: o.failure().cloned(),
+                    })
+                    .collect();
+                let fragment = ExperimentFragment {
+                    schema_version: SHARD_SCHEMA_VERSION,
+                    experiment: name.to_string(),
+                    shard_index: shard.index,
+                    shard_count: shard.count,
+                    total_cells: total,
+                    entries,
+                };
+                let (indices, keys) = owned.into_iter().unzip();
+                manifest = Some(ManifestExperiment {
+                    experiment: name.to_string(),
+                    total_cells: total,
+                    indices,
+                    keys,
+                });
+                (
+                    format!("{dir}/{name}.fragment.json"),
+                    fragment.to_json_pretty(),
+                )
+            }
             // One self-describing document per experiment: reports of the
             // surviving cells plus structured failures — so a partial run
             // still dumps machine-parseable JSON instead of a bare array
             // missing rows with no explanation.
-            let doc = ExperimentDoc {
-                experiment: title.clone(),
-                reports,
-                failures: counts.failures.clone(),
-            };
-            let json = ppf_types::ToJson::to_json_pretty(&doc);
-            std::fs::write(&path, json)
-                .map_err(|e| PpfError::io(e.to_string()).context(format!("writing {path}")))?;
-        }
+            None => {
+                let doc = ExperimentDoc {
+                    experiment: name.to_string(),
+                    reports,
+                    failures: failures.clone(),
+                };
+                (format!("{dir}/{name}.json"), doc.to_json_pretty())
+            }
+        };
+        std::fs::write(&path, json)
+            .map_err(|e| PpfError::io(e.to_string()).context(format!("writing {path}")))?;
     }
     Ok(ExperimentOutput {
         body,
-        total_cells: counts.total,
-        failed_cells: counts.failed,
-        loaded_cells: counts.loaded,
-        executed_cells: counts.executed,
-        failures: counts.failures,
+        loaded_cells: run.hits,
+        executed_cells: run.executed,
+        failures,
         manifest,
     })
 }
@@ -327,193 +351,6 @@ json_struct!(ExperimentDoc {
     reports,
     failures,
 });
-
-/// Cell accounting accumulated over one `run_experiment_full` invocation.
-#[derive(Debug, Clone, Default)]
-struct CellCounts {
-    total: usize,
-    failed: usize,
-    loaded: usize,
-    executed: usize,
-    failures: Vec<CellFailure>,
-}
-
-/// Per-invocation context for the current experiment — thread-local
-/// plumbing keeps every figure closure's signature flat.
-#[derive(Debug)]
-struct RunContext {
-    seeds: u32,
-    checkpoint: Option<PathBuf>,
-    telemetry: Option<PathBuf>,
-    inject_fault: Option<u64>,
-    shard: Option<ShardSpec>,
-    counts: CellCounts,
-    /// Sharded mode: the fragment + manifest record the grid runner built
-    /// for the current experiment, consumed by `run_experiment_full`.
-    fragment: Option<(ExperimentFragment, ManifestExperiment)>,
-}
-
-thread_local! {
-    static CTX: std::cell::RefCell<RunContext> = std::cell::RefCell::new(RunContext {
-        seeds: 1,
-        checkpoint: None,
-        telemetry: None,
-        inject_fault: None,
-        shard: None,
-        counts: CellCounts::default(),
-        fragment: None,
-    });
-}
-
-/// Run a grid and apply a formatter, returning (name, reports, rendered).
-/// A grid with failed cells renders as [`partial_results`] instead of the
-/// figure-specific table (whose lock-step label groups cannot tolerate
-/// holes); the reports vector then carries the surviving cells only.
-fn run_and(
-    name: &str,
-    mut grid: Vec<experiments::RunSpec>,
-    format: impl Fn(&[SimReport]) -> String,
-) -> Result<(String, Vec<SimReport>, String), PpfError> {
-    let (seeds, ckpt, telemetry, inject_fault, shard) = CTX.with(|c| {
-        let c = c.borrow();
-        (
-            c.seeds,
-            c.checkpoint.clone(),
-            c.telemetry.clone(),
-            c.inject_fault,
-            c.shard,
-        )
-    });
-    if let Some(base) = &telemetry {
-        let dir = base.join(name);
-        for spec in &mut grid {
-            spec.telemetry = Some(experiments::TelemetrySpec {
-                config: TelemetryConfig::every(ppf_types::telemetry::DEFAULT_INTERVAL_CYCLES),
-                dir: dir.clone(),
-            });
-        }
-    }
-    if let Some(at) = inject_fault {
-        if let Some(first) = grid.first_mut() {
-            first.fault = Some(FaultSpec::panic_at(at));
-        }
-    }
-    if let Some(shard) = shard {
-        return run_shard(name, grid, seeds, ckpt, shard);
-    }
-    let outcomes = run_cells(name, grid, seeds, ckpt)?;
-    let reports: Vec<SimReport> = outcomes
-        .iter()
-        .filter_map(|o| o.report().cloned())
-        .collect();
-    let body = if outcomes.iter().all(CellOutcome::is_ok) {
-        format(&reports)
-    } else {
-        partial_results(name, &outcomes)
-    };
-    Ok((name.to_string(), reports, body))
-}
-
-/// Run `grid` from the checkpoint directory when one is set, else through
-/// the in-process memo, and add its cells to the run context's
-/// [`CellCounts`].
-fn run_cells(
-    name: &str,
-    grid: Vec<experiments::RunSpec>,
-    seeds: u32,
-    ckpt: Option<PathBuf>,
-) -> Result<Vec<CellOutcome>, PpfError> {
-    let total = grid.len();
-    let (outcomes, loaded, executed) = match ckpt {
-        Some(dir) => {
-            let run = checkpoint::run_grid_seeds_checkpointed(grid, seeds, &dir.join(name))?;
-            for e in &run.write_errors {
-                eprintln!("warning: {e}");
-            }
-            (run.outcomes, run.loaded, run.executed)
-        }
-        None => {
-            let run = memo::run_grid_seeds_memoized(grid, seeds);
-            (run.outcomes, run.hits, run.executed)
-        }
-    };
-    let failed = outcomes.iter().filter(|o| !o.is_ok()).count();
-    CTX.with(|c| {
-        let mut c = c.borrow_mut();
-        c.counts.total += total;
-        c.counts.failed += failed;
-        c.counts.loaded += loaded;
-        c.counts.executed += executed;
-        c.counts
-            .failures
-            .extend(outcomes.iter().filter_map(CellOutcome::failure).cloned());
-    });
-    Ok(outcomes)
-}
-
-/// The sharded form of [`run_and`]: run only the cells this shard owns
-/// (by content-hash key, so the partition is machine- and order-
-/// independent), record a fragment + manifest in the run context, and
-/// render a one-line coverage summary instead of the figure table — a
-/// shard holds an arbitrary subset of rows, which no figure formatter
-/// can typeset.
-fn run_shard(
-    name: &str,
-    grid: Vec<experiments::RunSpec>,
-    seeds: u32,
-    ckpt: Option<PathBuf>,
-    shard: ShardSpec,
-) -> Result<(String, Vec<SimReport>, String), PpfError> {
-    let full_total = grid.len() as u64;
-    let mut indices: Vec<u64> = Vec::new();
-    let mut keys: Vec<String> = Vec::new();
-    let mut selected: Vec<experiments::RunSpec> = Vec::new();
-    for (i, spec) in grid.into_iter().enumerate() {
-        let key = checkpoint::cell_key(&spec);
-        if shard.contains(&key) {
-            indices.push(i as u64);
-            keys.push(key);
-            selected.push(spec);
-        }
-    }
-    let owned = selected.len();
-    let outcomes = run_cells(name, selected, seeds, ckpt)?;
-    let failed = outcomes.iter().filter(|o| !o.is_ok()).count();
-    let entries: Vec<FragmentEntry> = indices
-        .iter()
-        .zip(&keys)
-        .zip(&outcomes)
-        .map(|((&index, key), o)| FragmentEntry {
-            index,
-            key: key.clone(),
-            report: o.report().cloned(),
-            failure: o.failure().cloned(),
-        })
-        .collect();
-    let fragment = ExperimentFragment {
-        schema_version: SHARD_SCHEMA_VERSION,
-        experiment: name.to_string(),
-        shard_index: shard.index,
-        shard_count: shard.count,
-        total_cells: full_total,
-        entries,
-    };
-    let manifest = ManifestExperiment {
-        experiment: name.to_string(),
-        total_cells: full_total,
-        indices,
-        keys,
-    };
-    CTX.with(|c| c.borrow_mut().fragment = Some((fragment, manifest)));
-    let reports: Vec<SimReport> = outcomes
-        .iter()
-        .filter_map(|o| o.report().cloned())
-        .collect();
-    let body = header(&format!(
-        "{name}: shard {shard} — ran {owned}/{full_total} cells, {failed} failed"
-    ));
-    Ok((name.to_string(), reports, body))
-}
 
 /// Rendering for a grid with failed cells. The figure formatters walk
 /// per-label report groups in lock-step by workload index and cannot
@@ -1518,18 +1355,33 @@ mod tests {
 
     const N: u64 = 4_000;
 
+    /// Run `name` at budget `N`, returning its rendered body.
+    fn run_experiment(name: &str, json_dir: Option<&str>) -> Result<String, PpfError> {
+        let opts = ExperimentOptions {
+            json_dir: json_dir.map(str::to_string),
+            ..ExperimentOptions::default()
+        };
+        run_experiment_full(name, N, &opts).map(|out| out.body)
+    }
+
     #[test]
     fn experiments_list_is_dispatchable() {
-        for name in EXPERIMENTS {
+        for (i, exp) in EXPERIMENTS.iter().enumerate() {
+            let name = exp.name;
+            assert!(
+                EXPERIMENTS[..i].iter().all(|e| e.name != name),
+                "{name} listed twice"
+            );
             // table1 is static; everything else runs a tiny grid.
-            let out = run_experiment(name, N, None).unwrap_or_else(|e| panic!("{name}: {e}"));
+            let out = run_experiment(name, None).unwrap_or_else(|e| panic!("{name}: {e}"));
             assert!(out.contains("=="), "{name} missing header");
         }
     }
 
     #[test]
     fn unknown_experiment_errors() {
-        assert!(run_experiment("fig99", N, None).is_err());
+        assert!(experiment("fig99").is_none());
+        assert!(run_experiment("fig99", None).is_err());
     }
 
     #[test]
@@ -1545,7 +1397,7 @@ mod tests {
     fn json_dump_written() {
         let dir = std::env::temp_dir().join("ppf-fig-test");
         let dir_s = dir.to_str().unwrap();
-        run_experiment("fig2", N, Some(dir_s)).unwrap();
+        run_experiment("fig2", Some(dir_s)).unwrap();
         let data = std::fs::read_to_string(dir.join("fig2.json")).unwrap();
         assert!(data.contains("\"workload\""));
         std::fs::remove_dir_all(&dir).ok();

@@ -1,6 +1,7 @@
-//! Shared experiment-to-table formatting for the `figures` binary and the
-//! Criterion benches ([`figures`]), plus checkpoint/resume for long sweeps
-//! ([`checkpoint`]).
+//! The `figures` and `bench` harness: the experiment registry and its
+//! table formatting ([`figures`]), the cell store with its in-memory and
+//! on-disk backends ([`memo`], [`checkpoint`]), sharded sweeps ([`shard`]),
+//! and the throughput and timeline tools ([`throughput`], [`timeline`]).
 
 pub mod checkpoint;
 pub mod figures;

@@ -8,8 +8,9 @@
 //! figures --list
 //! ```
 //!
-//! Experiments: `table1 table2 fig1 fig2 fig4 ... fig16 nsp-sdp
-//! cache-vs-table` and the `ablate-*` grids (`--list` enumerates them).
+//! Experiments: `table1 table2 calibrate fig1 fig2 fig4 ... fig16 nsp-sdp
+//! cache-vs-table`, the `ablate-*` grids, `filter-family` and
+//! `attack-matrix` (`--list` enumerates them).
 //! Each prints an aligned text table with the same rows/series as the
 //! paper's figure, plus the mean the paper quotes in its prose. With
 //! `--json DIR` the raw reports are also written as JSON. With
@@ -48,7 +49,8 @@ const USAGE: &str = "usage: figures [--insts N] [--seeds K] [--json DIR] [--chec
 const EXIT_PARTIAL: u8 = 2;
 
 fn print_experiments() {
-    println!("experiments: {}", figures::EXPERIMENTS.join(" "));
+    let names: Vec<&str> = figures::EXPERIMENTS.iter().map(|e| e.name).collect();
+    println!("experiments: {}", names.join(" "));
     println!("             all");
 }
 
@@ -198,8 +200,8 @@ fn main() -> ExitCode {
                 }
             }
             "--list" => {
-                for name in figures::EXPERIMENTS {
-                    println!("{name}");
+                for experiment in figures::EXPERIMENTS {
+                    println!("{}", experiment.name);
                 }
                 return ExitCode::SUCCESS;
             }
@@ -227,13 +229,16 @@ fn main() -> ExitCode {
         return ExitCode::FAILURE;
     }
     if names.iter().any(|n| n == "all") {
-        names = figures::EXPERIMENTS.iter().map(|s| s.to_string()).collect();
+        names = figures::EXPERIMENTS
+            .iter()
+            .map(|e| e.name.to_string())
+            .collect();
     }
     // Validate every name before running anything: a typo must not waste a
     // sweep on the experiments listed before it.
     let unknown: Vec<&String> = names
         .iter()
-        .filter(|n| !figures::EXPERIMENTS.contains(&n.as_str()))
+        .filter(|n| figures::experiment(n).is_none())
         .collect();
     if !unknown.is_empty() {
         for n in unknown {
@@ -258,7 +263,7 @@ fn main() -> ExitCode {
                         out.loaded_cells, out.executed_cells
                     );
                 }
-                failed_cells += out.failed_cells;
+                failed_cells += out.failures.len();
                 manifest_experiments.extend(out.manifest);
             }
             Err(e) => {

@@ -1,26 +1,31 @@
-//! In-process cell memoization for multi-experiment sweeps.
+//! The cell store: serve finished cells, run the rest, store each result as
+//! it finishes, then merge seeds.
 //!
-//! The 31 experiments of `figures all` share grids heavily: fig1/fig2
-//! render one grid two ways, fig4–6, fig7–9, fig10–12, fig13/14 and
-//! fig15/16 each share a sweep, and most ablations re-run the paper's
-//! no-filter/PA baseline cells verbatim. A cell is a pure function of its
-//! [`RunSpec`] (the determinism suite asserts exactly this), so within one
-//! process a spec identical to one already completed can reuse the
-//! finished [`SimReport`] instead of re-simulating — same bytes out,
-//! roughly half the cells actually run.
+//! The 33 experiments of `figures all` (32 of them with a grid) share grids
+//! heavily: fig1/fig2 render one grid two ways, fig4–6, fig7–9, fig10–12,
+//! fig13/14 and fig15/16 each share a sweep, and most ablations re-run the
+//! paper's no-filter/PA baseline cells verbatim. A cell is a pure function
+//! of its [`RunSpec`] (the determinism suite asserts exactly this), so a
+//! spec identical to one already completed can reuse the finished
+//! [`SimReport`] instead of re-simulating — same bytes out, roughly half
+//! the cells actually run.
 //!
-//! Keys extend the checkpoint content hash ([`cell_key`]) with the
-//! watchdog bounds (not part of the on-disk key, but they decide whether
-//! a cell errors). Fault-injected cells are never memoized, and failures
-//! are never cached — mirroring the checkpoint layer's "a resume is the
-//! retry the operator asked for".
+//! [`CellStore::run`] is the one routine, over two backends: the
+//! process-wide in-memory memo, keyed by [`memo_key`], and a checkpoint
+//! directory ([`crate::checkpoint`]), keyed by [`cell_key`]. Both follow one
+//! bypass rule: fault-injected and telemetry cells always execute and are
+//! never stored. Failures are never stored either — a re-run is the retry
+//! the operator asked for.
 
-use crate::checkpoint::cell_key;
+use crate::checkpoint::{self, cell_key};
 use ppf_sim::experiments::{
     fan_seeds, merge_seed_outcomes, run_grid_outcomes_traced, CellOutcome, RunSpec,
 };
+use ppf_sim::schedule::lock;
 use ppf_sim::{CostModel, SimReport};
+use ppf_types::PpfError;
 use std::collections::HashMap;
+use std::path::Path;
 use std::sync::{Mutex, OnceLock, PoisonError};
 
 /// The process-wide memo table.
@@ -29,11 +34,18 @@ fn memo() -> &'static Mutex<HashMap<String, SimReport>> {
     MEMO.get_or_init(|| Mutex::new(HashMap::new()))
 }
 
-/// The memo key of a cell, or `None` when the cell must not be memoized.
-/// Fault injection and telemetry streaming are outside the key's identity
-/// (neither changes the report's bytes, but a faulted cell must always
-/// execute and a telemetry cell must always write its side-channel stream),
-/// so both run unconditionally.
+/// The bypass rule shared by both backends. Fault injection and telemetry
+/// streaming are outside a cell's key (neither changes the report's bytes,
+/// but a faulted cell must always execute and a telemetry cell must always
+/// write its side-channel stream), so such cells never touch the store.
+fn always_executes(spec: &RunSpec) -> bool {
+    spec.fault.is_some() || spec.telemetry.is_some()
+}
+
+/// The memo key of a cell, or `None` when the cell must not be memoized
+/// (see the bypass rule above). Keys extend the checkpoint content hash
+/// ([`cell_key`]) with the watchdog bounds (not part of the on-disk key,
+/// but they decide whether a cell errors).
 ///
 /// The key is *label-independent*: the label is presentation (copied
 /// verbatim into the report and never fed back into the machine), so
@@ -42,7 +54,7 @@ fn memo() -> &'static Mutex<HashMap<String, SimReport>> {
 /// paper baseline under many names. A hit patches the caller's label onto
 /// the cached report.
 pub fn memo_key(spec: &RunSpec) -> Option<String> {
-    if spec.fault.is_some() || spec.telemetry.is_some() {
+    if always_executes(spec) {
         return None;
     }
     let mut unlabeled = spec.clone();
@@ -55,80 +67,130 @@ pub fn memo_key(spec: &RunSpec) -> Option<String> {
     ))
 }
 
-/// The result of one memoized grid execution.
-#[derive(Debug)]
-pub struct MemoizedRun {
-    /// Per-cell outcomes, in input order (seed-merged for the seeds form).
-    pub outcomes: Vec<CellOutcome>,
-    /// Cells served from the in-process memo (not re-run).
-    pub hits: usize,
-    /// Cells actually executed this call.
-    pub executed: usize,
+/// Where a sweep's finished cells are kept.
+#[derive(Debug, Clone, Copy)]
+pub enum CellStore<'a> {
+    /// The process-wide in-memory memo, keyed by [`memo_key`].
+    Memo,
+    /// A checkpoint directory, keyed by [`cell_key`], which also names the
+    /// files.
+    Dir(&'a Path),
 }
 
-/// Run `specs`, serving any cell whose key was already completed this
-/// process from the memo and executing the rest (which then populate it).
-pub fn run_grid_memoized(specs: Vec<RunSpec>) -> MemoizedRun {
-    let n = specs.len();
-    let mut outcomes: Vec<Option<CellOutcome>> = (0..n).map(|_| None).collect();
-    let mut pending: Vec<(usize, RunSpec, Option<String>)> = Vec::new();
-    let mut hits = 0usize;
-    {
-        let table = memo().lock().unwrap_or_else(PoisonError::into_inner);
-        for (idx, spec) in specs.into_iter().enumerate() {
-            match memo_key(&spec) {
-                Some(key) => match table.get(&key) {
-                    Some(report) => {
-                        hits += 1;
-                        // The cached report carries the donor cell's label;
-                        // everything else is identical by key construction.
-                        let mut report = report.clone();
-                        report.label = spec.label.clone();
-                        outcomes[idx] = Some(CellOutcome::Ok(Box::new(report)));
-                    }
-                    None => pending.push((idx, spec, Some(key))),
-                },
-                None => pending.push((idx, spec, None)),
+/// The result of one grid execution through a [`CellStore`].
+#[derive(Debug)]
+pub struct StoredRun {
+    /// Per-cell outcomes, in input order, merged across seeds.
+    pub outcomes: Vec<CellOutcome>,
+    /// (cell × seed) runs served from the store (not re-run).
+    pub hits: usize,
+    /// (cell × seed) runs actually executed this call.
+    pub executed: usize,
+    /// Checkpoint files that existed but did not parse (counted as
+    /// missing and re-run).
+    pub corrupt: usize,
+    /// Non-fatal failures writing checkpoint files (the sweep's results
+    /// are still returned; only their persistence failed).
+    pub write_errors: Vec<PpfError>,
+}
+
+impl CellStore<'_> {
+    /// The key `spec` is stored under, or `None` when it always executes.
+    fn key(self, spec: &RunSpec) -> Option<String> {
+        match self {
+            CellStore::Memo => memo_key(spec),
+            CellStore::Dir(_) if always_executes(spec) => None,
+            CellStore::Dir(_) => Some(cell_key(spec)),
+        }
+    }
+
+    /// The stored report for `key`: `Ok(None)` when there is none, `Err`
+    /// when a checkpoint file exists but is unreadable.
+    fn load(self, key: &str) -> Result<Option<SimReport>, PpfError> {
+        match self {
+            CellStore::Memo => Ok(lock(memo()).get(key).cloned()),
+            CellStore::Dir(dir) => checkpoint::load(dir, key),
+        }
+    }
+
+    fn save(self, key: &str, report: &SimReport) -> Result<(), PpfError> {
+        match self {
+            CellStore::Memo => {
+                lock(memo()).insert(key.to_string(), report.clone());
+                Ok(())
+            }
+            CellStore::Dir(dir) => checkpoint::save(dir, key, report),
+        }
+    }
+
+    /// Run every cell of `specs` under `seeds` fanned seeds: serve each
+    /// stored (cell × seed) run, execute the rest in one grid call (storing
+    /// each result from the worker as it finishes, so a crash mid-sweep
+    /// loses at most the cells in flight), and merge the seeds per input
+    /// cell. Only creating the checkpoint directory fails hard; unreadable
+    /// entries are re-run and unwritable ones are reported in
+    /// [`StoredRun::write_errors`].
+    pub fn run(self, specs: Vec<RunSpec>, seeds: u32) -> Result<StoredRun, PpfError> {
+        assert!(seeds >= 1);
+        if let CellStore::Dir(dir) = self {
+            std::fs::create_dir_all(dir).map_err(|e| {
+                PpfError::io(e.to_string())
+                    .context(format!("creating checkpoint dir {}", dir.display()))
+            })?;
+        }
+        let fanned = fan_seeds(&specs, seeds);
+        let keys: Vec<Option<String>> = fanned.iter().map(|spec| self.key(spec)).collect();
+        let mut outcomes: Vec<Option<CellOutcome>> = vec![None; fanned.len()];
+        let (mut hits, mut corrupt) = (0, 0);
+        for ((slot, spec), key) in outcomes.iter_mut().zip(&fanned).zip(&keys) {
+            match key.as_deref().map(|key| self.load(key)) {
+                Some(Ok(Some(mut report))) => {
+                    hits += 1;
+                    // A memo entry carries the donor cell's label; everything
+                    // else is identical by key construction.
+                    report.label = spec.label.clone();
+                    *slot = Some(CellOutcome::Ok(Box::new(report)));
+                }
+                Some(Err(_)) => corrupt += 1,
+                Some(Ok(None)) | None => {}
             }
         }
-    }
-    let executed = pending.len();
-    let mut indices = Vec::with_capacity(executed);
-    let mut keys = Vec::with_capacity(executed);
-    let mut to_run = Vec::with_capacity(executed);
-    for (idx, spec, key) in pending {
-        indices.push(idx);
-        keys.push(key);
-        to_run.push(spec);
-    }
-    let (ran, _) = run_grid_outcomes_traced(to_run, &CostModel::default(), |i, outcome| {
-        if let (CellOutcome::Ok(report), Some(key)) = (outcome, &keys[i]) {
-            memo()
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner)
-                .insert(key.clone(), (**report).clone());
+        let (pending, to_run): (Vec<usize>, Vec<RunSpec>) = fanned
+            .into_iter()
+            .enumerate()
+            .filter(|(i, _)| outcomes[*i].is_none())
+            .unzip();
+        let write_errors = Mutex::new(Vec::new());
+        let (ran, _) = run_grid_outcomes_traced(to_run, &CostModel, |i, outcome| {
+            if let (CellOutcome::Ok(report), Some(key)) = (outcome, &keys[pending[i]]) {
+                if let Err(e) = self.save(key, report) {
+                    lock(&write_errors).push(e);
+                }
+            }
+        });
+        let executed = pending.len();
+        for (i, outcome) in pending.into_iter().zip(ran) {
+            outcomes[i] = Some(outcome);
         }
-    });
-    for (slot, outcome) in indices.into_iter().zip(ran) {
-        outcomes[slot] = Some(outcome);
-    }
-    MemoizedRun {
-        outcomes: outcomes
+        let outcomes = outcomes
             .into_iter()
             .map(|o| o.expect("every cell served or ran"))
-            .collect(),
-        hits,
-        executed,
+            .collect();
+        Ok(StoredRun {
+            outcomes: merge_seed_outcomes(outcomes, specs.len(), seeds),
+            hits,
+            executed,
+            corrupt,
+            write_errors: write_errors
+                .into_inner()
+                .unwrap_or_else(PoisonError::into_inner),
+        })
     }
 }
 
-/// The multi-seed form: memoizes the full (cell × seed) fan-out, then
-/// merges outcomes per input cell exactly like `run_grid_seeds`.
-pub fn run_grid_seeds_memoized(specs: Vec<RunSpec>, seeds: u32) -> MemoizedRun {
-    assert!(seeds >= 1);
-    let n = specs.len();
-    let fanned = fan_seeds(&specs, seeds);
-    let mut run = run_grid_memoized(fanned);
-    run.outcomes = merge_seed_outcomes(run.outcomes, n, seeds);
-    run
+/// [`CellStore::Memo`]'s run, which cannot fail.
+pub fn run_grid_seeds_memoized(specs: Vec<RunSpec>, seeds: u32) -> StoredRun {
+    CellStore::Memo
+        .run(specs, seeds)
+        .expect("the in-memory store never fails")
 }

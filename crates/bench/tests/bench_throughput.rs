@@ -143,11 +143,11 @@ fn memo_serves_repeat_cells_with_identical_reports() {
     };
     // Both copies execute on the first call: the memo only serves cells
     // that *completed* before the grid started.
-    let first = memo::run_grid_memoized(vec![spec(), spec()]);
+    let first = memo::run_grid_seeds_memoized(vec![spec(), spec()], 1);
     assert_eq!(first.executed, 2);
     assert_eq!(first.hits, 0);
     // The second call is served entirely from the memo, byte-for-byte.
-    let second = memo::run_grid_memoized(vec![spec()]);
+    let second = memo::run_grid_seeds_memoized(vec![spec()], 1);
     assert_eq!(second.executed, 0);
     assert_eq!(second.hits, 1);
     assert_eq!(

@@ -1,19 +1,27 @@
 //! Checkpoint/resume integration drills: fresh runs persist every healthy
 //! cell, resumes execute only the missing or failed ones, a config change
-//! invalidates the old entries, and corrupt files are re-run.
+//! invalidates the old entries, corrupt files are re-run, and fault or
+//! telemetry cells bypass both store backends.
 
-use ppf_bench::checkpoint::{cell_path, run_grid_checkpointed, run_grid_seeds_checkpointed};
+use ppf_bench::checkpoint::cell_path;
+use ppf_bench::memo::{CellStore, StoredRun};
 use ppf_sim::experiments::CellOutcome;
 use ppf_sim::{RunSpec, WatchdogConfig};
+use ppf_types::telemetry::TelemetryConfig;
 use ppf_types::{PpfErrorKind, SystemConfig};
 use ppf_workloads::{AdversarySpec, AttackKind, FaultSpec, Workload};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 const N: u64 = 4_000;
 
 /// A scratch checkpoint directory unique to this test process.
 fn scratch(name: &str) -> PathBuf {
     std::env::temp_dir().join(format!("ppf-ckpt-{}-{name}", std::process::id()))
+}
+
+/// Run `specs` at one seed through the checkpoint store under `dir`.
+fn checkpointed(specs: Vec<RunSpec>, dir: &Path) -> StoredRun {
+    CellStore::Dir(dir).run(specs, 1).unwrap()
 }
 
 /// The acceptance drill grid: 10 workloads, one panicking and one wedged.
@@ -62,8 +70,8 @@ fn resume_executes_only_failed_cells() {
     let dir = scratch("resume");
     std::fs::remove_dir_all(&dir).ok();
 
-    let first = run_grid_checkpointed(drill_grid(), &dir).unwrap();
-    assert_eq!(first.loaded, 0, "fresh directory has nothing to reload");
+    let first = checkpointed(drill_grid(), &dir);
+    assert_eq!(first.hits, 0, "fresh directory has nothing to reload");
     assert_eq!(first.executed, 10);
     assert_eq!(first.corrupt, 0);
     assert!(first.write_errors.is_empty());
@@ -79,8 +87,8 @@ fn resume_executes_only_failed_cells() {
     // Resume with the faults fixed: the 8 checkpointed cells reload, only
     // the 2 previously-failed cells execute. The wedged cell's config
     // changed when it was healed, so its old key never existed anyway.
-    let second = run_grid_checkpointed(healed_grid(), &dir).unwrap();
-    assert_eq!(second.loaded, 8);
+    let second = checkpointed(healed_grid(), &dir);
+    assert_eq!(second.hits, 8);
     assert_eq!(second.executed, 2);
     assert!(second.outcomes.iter().all(CellOutcome::is_ok));
 
@@ -95,8 +103,8 @@ fn resume_executes_only_failed_cells() {
     }
 
     // Third run: everything reloads, nothing executes.
-    let third = run_grid_checkpointed(healed_grid(), &dir).unwrap();
-    assert_eq!(third.loaded, 10);
+    let third = checkpointed(healed_grid(), &dir);
+    assert_eq!(third.hits, 10);
     assert_eq!(third.executed, 0);
 
     std::fs::remove_dir_all(&dir).ok();
@@ -115,8 +123,8 @@ fn config_change_invalidates_checkpoint() {
             RunSpec::new("base", SystemConfig::paper_default(), Workload::Mcf).instructions(N),
         ]
     };
-    let first = run_grid_checkpointed(grid(), &dir).unwrap();
-    assert_eq!((first.loaded, first.executed), (0, 2));
+    let first = checkpointed(grid(), &dir);
+    assert_eq!((first.hits, first.executed), (0, 2));
 
     let mut changed = grid();
     for spec in &mut changed {
@@ -128,9 +136,9 @@ fn config_change_invalidates_checkpoint() {
             "changed config must hash to fresh keys"
         );
     }
-    let second = run_grid_checkpointed(changed, &dir).unwrap();
+    let second = checkpointed(changed, &dir);
     assert_eq!(
-        (second.loaded, second.executed),
+        (second.hits, second.executed),
         (0, 2),
         "old entries must not satisfy the new sweep"
     );
@@ -147,17 +155,17 @@ fn corrupt_checkpoint_entry_is_rerun() {
 
     let grid =
         || vec![RunSpec::new("c", SystemConfig::paper_default(), Workload::Bh).instructions(N)];
-    run_grid_checkpointed(grid(), &dir).unwrap();
+    checkpointed(grid(), &dir);
     let path = cell_path(&dir, &grid()[0]);
     std::fs::write(&path, "{ not json").unwrap();
 
-    let rerun = run_grid_checkpointed(grid(), &dir).unwrap();
+    let rerun = checkpointed(grid(), &dir);
     assert_eq!(rerun.corrupt, 1);
-    assert_eq!((rerun.loaded, rerun.executed), (0, 1));
+    assert_eq!((rerun.hits, rerun.executed), (0, 1));
     assert!(rerun.outcomes[0].is_ok());
     // The re-run rewrote a valid entry.
-    let healed = run_grid_checkpointed(grid(), &dir).unwrap();
-    assert_eq!((healed.loaded, healed.executed), (1, 0));
+    let healed = checkpointed(grid(), &dir);
+    assert_eq!((healed.hits, healed.executed), (1, 0));
 
     std::fs::remove_dir_all(&dir).ok();
 }
@@ -171,8 +179,8 @@ fn seed_fanout_checkpoints_every_fanned_cell() {
 
     let grid =
         || vec![RunSpec::new("s", SystemConfig::paper_default(), Workload::Em3d).instructions(N)];
-    let first = run_grid_seeds_checkpointed(grid(), 3, &dir).unwrap();
-    assert_eq!((first.loaded, first.executed), (0, 3));
+    let first = CellStore::Dir(&dir).run(grid(), 3).unwrap();
+    assert_eq!((first.hits, first.executed), (0, 3));
     assert_eq!(
         first.outcomes.len(),
         1,
@@ -182,8 +190,8 @@ fn seed_fanout_checkpoints_every_fanned_cell() {
     assert!(merged.stats.instructions >= 3 * N);
     assert_eq!(std::fs::read_dir(&dir).unwrap().count(), 3);
 
-    let second = run_grid_seeds_checkpointed(grid(), 3, &dir).unwrap();
-    assert_eq!((second.loaded, second.executed), (3, 0));
+    let second = CellStore::Dir(&dir).run(grid(), 3).unwrap();
+    assert_eq!((second.hits, second.executed), (3, 0));
     assert_eq!(
         second.outcomes[0].report().unwrap().stats,
         merged.stats,
@@ -215,8 +223,7 @@ fn faulting_attack_cell_is_not_cached_poisoned() {
         }
     };
 
-    let faulted =
-        run_grid_checkpointed(vec![attacked(Some(FaultSpec::panic_at(1_500)))], &dir).unwrap();
+    let faulted = checkpointed(vec![attacked(Some(FaultSpec::panic_at(1_500)))], &dir);
     let failure = faulted.outcomes[0].failure().expect("attacked cell faults");
     assert_eq!(failure.error.kind, PpfErrorKind::CellPanic);
     assert_eq!(
@@ -226,23 +233,23 @@ fn faulting_attack_cell_is_not_cached_poisoned() {
     );
 
     // Healed re-run executes fresh (nothing to reload) and persists.
-    let healed = run_grid_checkpointed(vec![attacked(None)], &dir).unwrap();
-    assert_eq!((healed.loaded, healed.executed), (0, 1));
+    let healed = checkpointed(vec![attacked(None)], &dir);
+    assert_eq!((healed.hits, healed.executed), (0, 1));
     let healed_report = healed.outcomes[0].report().unwrap().clone();
 
     // A pristine directory gives the identical result: whatever the faulted
     // attempt computed before dying is invisible to the resume.
     let pristine_dir = scratch("attack-fault-pristine");
     std::fs::remove_dir_all(&pristine_dir).ok();
-    let pristine = run_grid_checkpointed(vec![attacked(None)], &pristine_dir).unwrap();
+    let pristine = checkpointed(vec![attacked(None)], &pristine_dir);
     assert_eq!(
         pristine.outcomes[0].report().unwrap().stats,
         healed_report.stats
     );
 
     // And the healed checkpoint reloads cleanly under the same attack key.
-    let resumed = run_grid_checkpointed(vec![attacked(None)], &dir).unwrap();
-    assert_eq!((resumed.loaded, resumed.executed), (1, 0));
+    let resumed = checkpointed(vec![attacked(None)], &dir);
+    assert_eq!((resumed.hits, resumed.executed), (1, 0));
     assert_eq!(
         resumed.outcomes[0].report().unwrap().stats,
         healed_report.stats
@@ -271,11 +278,45 @@ fn checkpointed_failures_are_structured() {
     let spec = RunSpec::new("f", SystemConfig::paper_default(), Workload::Gap)
         .instructions(N)
         .with_fault(FaultSpec::panic_at(50));
-    let run = run_grid_checkpointed(vec![spec], &dir).unwrap();
+    let run = checkpointed(vec![spec], &dir);
     let failure = run.outcomes[0].failure().expect("cell fails");
     assert_eq!(failure.error.kind, PpfErrorKind::CellPanic);
     assert_eq!(failure.attempts, 2);
     assert_eq!(std::fs::read_dir(&dir).unwrap().count(), 0);
 
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// The bypass rule, on both backends: a telemetry cell and a fault-injected
+/// cell (here one whose fault never fires, so it succeeds) execute on every
+/// call and are never stored, so a resume still writes telemetry streams.
+#[test]
+fn fault_and_telemetry_cells_bypass_both_backends() {
+    let dir = scratch("bypass");
+    let streams = scratch("bypass-telemetry");
+    std::fs::remove_dir_all(&dir).ok();
+    std::fs::remove_dir_all(&streams).ok();
+    let grid = || {
+        let spec =
+            RunSpec::new("bypass", SystemConfig::paper_default(), Workload::Bh).instructions(N);
+        vec![
+            spec.clone()
+                .with_telemetry(TelemetryConfig::every(1_000), &streams),
+            spec.with_fault(FaultSpec::panic_at(u64::MAX)),
+        ]
+    };
+    let stream = grid()[0].telemetry_path().unwrap();
+    for store in [CellStore::Dir(&dir), CellStore::Memo] {
+        for _ in 0..2 {
+            std::fs::remove_file(&stream).ok();
+            let run = store.run(grid(), 1).unwrap();
+            assert_eq!((run.hits, run.executed), (0, 2), "{store:?}");
+            assert!(run.outcomes.iter().all(CellOutcome::is_ok));
+            assert!(stream.exists(), "{store:?}: telemetry stream written");
+        }
+    }
+    assert_eq!(std::fs::read_dir(&dir).unwrap().count(), 0);
+
+    std::fs::remove_dir_all(&dir).ok();
+    std::fs::remove_dir_all(&streams).ok();
 }

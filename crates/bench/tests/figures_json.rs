@@ -4,7 +4,9 @@
 //! even when cells fail (exit code 2). The failure diagnostics go to
 //! stderr and into the JSON document's `failures` array — never interleaved
 //! into stdout or silently dropped from the dump. Fault injection
-//! (`--inject-fault`) drives the partial path deterministically.
+//! (`--inject-fault`) drives the partial path deterministically. A
+//! checkpointed resume must reproduce the same documents without
+//! re-running a cell, and must still stream telemetry.
 
 use ppf_bench::figures::ExperimentDoc;
 use ppf_types::{FromJson, PpfErrorKind};
@@ -102,4 +104,91 @@ fn telemetry_flag_streams_interval_records_per_cell() {
         assert!(!records.is_empty(), "{:?} is empty", entry.path());
     }
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// The `.jsonl` streams under `dir`.
+fn jsonl_count(dir: &std::path::Path) -> usize {
+    std::fs::read_dir(dir)
+        .map(|entries| {
+            entries
+                .filter_map(|e| e.ok())
+                .filter(|e| e.path().extension().is_some_and(|x| x == "jsonl"))
+                .count()
+        })
+        .unwrap_or(0)
+}
+
+/// Telemetry cells bypass the checkpoint store, so a resumed run that
+/// asks for telemetry still writes one stream per cell.
+#[test]
+fn checkpoint_resume_still_streams_telemetry() {
+    let root = temp_dir("ppf-figures-ckpt-telemetry-test");
+    for streams in ["T1", "T2"] {
+        let out = figures()
+            .args(["--insts", "5000", "--checkpoint"])
+            .arg(root.join("D"))
+            .arg("--telemetry")
+            .arg(root.join(streams))
+            .arg("fig2")
+            .output()
+            .expect("figures binary runs");
+        assert!(
+            out.status.success(),
+            "{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+    }
+    assert_eq!(jsonl_count(&root.join("T1/fig2")), 10, "first run");
+    assert_eq!(jsonl_count(&root.join("T2/fig2")), 10, "resumed run");
+    std::fs::remove_dir_all(&root).ok();
+}
+
+/// `--seeds` and `--checkpoint` through the binary: a resume executes no
+/// cell, and the fresh, resumed and uncheckpointed runs write byte-identical
+/// documents. The checkpoint directory holds only per-experiment cell
+/// directories.
+#[test]
+fn seeded_checkpoint_resume_reproduces_documents() {
+    let root = temp_dir("ppf-figures-seeds-ckpt-test");
+    let run = |json: &str, checkpoint: bool| {
+        let mut cmd = figures();
+        cmd.args(["--insts", "5000", "--seeds", "2", "--json"])
+            .arg(root.join(json));
+        if checkpoint {
+            cmd.arg("--checkpoint").arg(root.join("D"));
+        }
+        let out = cmd.args(["fig2", "table2"]).output().expect("figures runs");
+        assert!(
+            out.status.success(),
+            "{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        (out.stdout, String::from_utf8(out.stderr).unwrap())
+    };
+    let (first, _) = run("J1", true);
+    let (resumed, stderr) = run("J2", true);
+    let (plain, _) = run("J3", false);
+    for name in ["fig2", "table2"] {
+        assert!(
+            stderr.contains(&format!(
+                "[{name}] checkpoint: 20 cell runs reloaded, 0 executed"
+            )),
+            "{stderr}"
+        );
+        let doc = |json: &str| std::fs::read(root.join(json).join(format!("{name}.json"))).unwrap();
+        assert!(doc("J1") == doc("J2"), "{name}: resumed document differs");
+        assert!(
+            doc("J1") == doc("J3"),
+            "{name}: checkpointed document differs"
+        );
+    }
+    assert!(first == resumed && first == plain, "rendered tables differ");
+    let mut entries: Vec<String> = std::fs::read_dir(root.join("D"))
+        .unwrap()
+        .map(|e| e.unwrap().file_name().into_string().unwrap())
+        .collect();
+    entries.sort();
+    assert_eq!(entries, ["fig2", "table2"]);
+    assert!(root.join("D/fig2").is_dir() && root.join("D/table2").is_dir());
+    std::fs::remove_dir_all(&root).ok();
 }

@@ -2,22 +2,22 @@
 //! parallel sweep runner.
 //!
 //! Each `figN_*` function returns the grid of [`RunSpec`]s whose reports
-//! regenerate that figure's rows; the `figures` binary and the Criterion
-//! benches share these definitions so the paper index in DESIGN.md has a
-//! single source of truth. Grid cells are independent pure functions of
-//! `(config, workload, seed)`, so [`run_grid`] fans them out across threads
-//! with the scheduler in [`crate::schedule`]: workers take cells from one
-//! list sorted by predicted cost (longest first), and cells sharing an
-//! identical warm-up prefix reuse one warmed simulator snapshot instead of
-//! each warming up from scratch. Output order always matches input order
-//! regardless of schedule.
+//! regenerate that figure's rows; the `figures` binary's experiment
+//! registry is built from these definitions, so the paper index in
+//! DESIGN.md has a single source of truth. Grid cells are independent pure
+//! functions of `(config, workload, seed)`, so [`run_grid`] fans them out
+//! across threads with the scheduler in [`crate::schedule`]: workers take
+//! cells from one list sorted by predicted cost (longest first), and cells
+//! sharing an identical warm-up prefix reuse one warmed simulator snapshot
+//! instead of each warming up from scratch. Output order always matches
+//! input order regardless of schedule.
 //!
 //! The runner is fault tolerant: each cell executes under
 //! [`std::panic::catch_unwind`], a failed cell is retried once to
 //! distinguish deterministic from transient failure, and
 //! [`run_grid_outcomes`] reports per-cell [`CellOutcome`]s so one bad cell
-//! cannot take down a 300-cell sweep. The panicking [`run_grid`] /
-//! [`run_grid_seeds`] wrappers keep the original all-green semantics.
+//! cannot take down a 300-cell sweep. The panicking [`run_grid`] wrapper
+//! keeps the original all-green semantics.
 
 use crate::report::SimReport;
 use crate::schedule::{lock, CostModel};
@@ -458,9 +458,8 @@ pub fn fanned_seed(base: u64, s: u32) -> u64 {
 }
 
 /// The seed-major (cell × seed) product grid: all cells at fanned seed 0,
-/// then all at fanned seed 1, … Shared by [`run_grid_seeds_outcomes`] and
-/// the checkpointing layer in `ppf-bench`, which must key cells exactly as
-/// the runner executes them.
+/// then all at fanned seed 1, … The cell store in `ppf-bench` runs and
+/// keys this grid, so every fanned cell is stored under its own key.
 pub fn fan_seeds(specs: &[RunSpec], seeds: u32) -> Vec<RunSpec> {
     let mut fanned = Vec::with_capacity(specs.len() * seeds as usize);
     for s in 0..seeds {
@@ -496,29 +495,6 @@ pub fn merge_seed_outcomes(outcomes: Vec<CellOutcome>, n: usize, seeds: u32) -> 
     merged
 }
 
-/// Run every cell under `seeds` different workload seeds and merge the
-/// per-cell statistics (sums of counters — derived rates and ratios then
-/// behave as instruction-weighted averages). Seed 1 reduces to
-/// [`run_grid`]. Output order matches input order. Panics if any cell
-/// fails both attempts; [`run_grid_seeds_outcomes`] is the fault-tolerant
-/// form.
-pub fn run_grid_seeds(specs: Vec<RunSpec>, seeds: u32) -> Vec<SimReport> {
-    unwrap_outcomes(run_grid_seeds_outcomes(specs, seeds))
-}
-
-/// Fault-tolerant form of [`run_grid_seeds`]: per-cell outcomes instead of
-/// a panic on the first failure.
-pub fn run_grid_seeds_outcomes(specs: Vec<RunSpec>, seeds: u32) -> Vec<CellOutcome> {
-    assert!(seeds >= 1);
-    if seeds == 1 {
-        return run_grid_outcomes(specs);
-    }
-    // Fan the whole (cell × seed) product through one parallel pool.
-    let n = specs.len();
-    let fanned = fan_seeds(&specs, seeds);
-    merge_seed_outcomes(run_grid_outcomes(fanned), n, seeds)
-}
-
 fn unwrap_outcomes(outcomes: Vec<CellOutcome>) -> Vec<SimReport> {
     outcomes
         .into_iter()
@@ -540,12 +516,11 @@ pub fn run_grid(specs: Vec<RunSpec>) -> Vec<SimReport> {
 /// preserves input order. One bad cell yields one `Failed` outcome and
 /// every other cell still completes.
 pub fn run_grid_outcomes(specs: Vec<RunSpec>) -> Vec<CellOutcome> {
-    run_grid_outcomes_traced(specs, &CostModel::default(), |_, _| {}).0
+    run_grid_outcomes_traced(specs, &CostModel, |_, _| {}).0
 }
 
-/// Execution trace of one grid run: scheduling evidence for tests plus the
-/// per-cell timing observations the checkpoint layer feeds back into the
-/// persisted [`CostModel`].
+/// Execution trace of one grid run: scheduling evidence for tests and
+/// per-cell timings.
 #[derive(Debug, Default)]
 pub struct GridTrace {
     /// Cell indices in the order execution started (retried cells appear
@@ -559,10 +534,6 @@ pub struct GridTrace {
     pub retries: u64,
     /// Wall time of each cell's final attempt, in microseconds.
     pub cell_micros: Vec<u64>,
-    /// Each cell's content-hash key ([`crate::schedule::cell_key`]),
-    /// computed once for cost prediction and returned so callers can
-    /// record timings without re-hashing.
-    pub keys: Vec<String>,
     /// Warm-up snapshots shared between same-warm-prefix cells.
     pub snapshot_reuses: u64,
 }
@@ -571,9 +542,9 @@ pub struct GridTrace {
 /// predictions (longest cells start first), shared warm-up snapshots, panic
 /// isolation with scheduler-level retry, and a [`GridTrace`] of what
 /// actually happened. `observe(index, &outcome)` runs as each cell finishes,
-/// from the worker that ran it — the checkpoint layer's streaming-write
-/// hook, so completed cells survive a crash mid-sweep. Output order always
-/// matches input order regardless of schedule.
+/// from the worker that ran it — the cell store's streaming-write hook, so
+/// completed cells survive a crash mid-sweep. Output order always matches
+/// input order regardless of schedule.
 pub fn run_grid_outcomes_traced<F>(
     specs: Vec<RunSpec>,
     model: &CostModel,
@@ -586,18 +557,7 @@ where
     if n == 0 {
         return (Vec::new(), GridTrace::default());
     }
-    let keys: Vec<String> = specs.iter().map(crate::schedule::cell_key).collect();
-    let costs: Vec<u64> = specs
-        .iter()
-        .zip(&keys)
-        .map(|(spec, key)| {
-            model.predict(
-                key,
-                spec.warmup + spec.n_instructions,
-                config_weight(&spec.config),
-            )
-        })
-        .collect();
+    let costs: Vec<u64> = specs.iter().map(|spec| model.predict(spec)).collect();
     let workers = std::thread::available_parallelism()
         .map(|p| p.get())
         .unwrap_or(4)
@@ -626,29 +586,9 @@ where
         steals: 0,
         retries: trace.retries,
         cell_micros: trace.cell_micros,
-        keys,
         snapshot_reuses: cache.reuses(),
     };
     (outcomes, grid_trace)
-}
-
-/// Static relative cost weight of a configuration (100 = baseline
-/// no-prefetch machine). Used by the cost model's heuristic tier when no
-/// recorded wall-time exists for a cell: prefetching, filtering, miss
-/// classification and adversarial streams all add per-instruction work.
-fn config_weight(config: &SystemConfig) -> u64 {
-    let p = &config.prefetch;
-    let mut weight: u64 = 100;
-    if p.nsp || p.sdp || p.stride || p.correlation || p.software {
-        weight += 40;
-    }
-    if config.filter.kind != FilterKind::None {
-        weight += 15;
-    }
-    if config.diag.classify_misses {
-        weight += 25;
-    }
-    weight
 }
 
 fn all_workloads(label: &str, config: SystemConfig, n: u64) -> Vec<RunSpec> {
@@ -1161,7 +1101,8 @@ mod tests {
     fn seed_averaging_merges_counters() {
         let specs: Vec<RunSpec> = fig1_2(N).into_iter().take(2).collect();
         let single = run_grid(specs.clone());
-        let averaged = run_grid_seeds(specs, 3);
+        let fanned = run_grid_outcomes(fan_seeds(&specs, 3));
+        let averaged = unwrap_outcomes(merge_seed_outcomes(fanned, specs.len(), 3));
         assert_eq!(averaged.len(), single.len());
         for (a, s) in averaged.iter().zip(single.iter()) {
             assert_eq!(a.label, s.label);
@@ -1235,14 +1176,13 @@ mod tests {
     }
 
     #[test]
-    fn traced_grid_reports_in_input_order_with_keys_and_timings() {
+    fn traced_grid_reports_in_input_order_with_timings() {
         let specs: Vec<RunSpec> = fig1_2(N).into_iter().take(4).collect();
         let expected: Vec<String> = specs
             .iter()
             .map(|s| format!("{}/{}", s.label, s.workload.name()))
             .collect();
-        let (outcomes, trace) =
-            run_grid_outcomes_traced(specs.clone(), &CostModel::default(), |_, _| {});
+        let (outcomes, trace) = run_grid_outcomes_traced(specs, &CostModel, |_, _| {});
         let got: Vec<String> = outcomes
             .iter()
             .map(|o| {
@@ -1252,30 +1192,42 @@ mod tests {
             .collect();
         assert_eq!(got, expected, "output order is input order");
         assert_eq!(trace.start_order.len(), 4);
-        assert_eq!(trace.keys.len(), 4);
         assert_eq!(trace.cell_micros.len(), 4);
         assert!(trace.cell_micros.iter().all(|&m| m > 0));
         assert_eq!(trace.retries, 0);
-        // Keys match the checkpoint layer's content-hash identity.
-        for (spec, key) in specs.iter().zip(&trace.keys) {
-            assert_eq!(key, &crate::schedule::cell_key(spec));
-        }
     }
 
     #[test]
     fn cost_model_orders_traced_dispatch() {
-        // Record wall-times that invert the input order; with one cell per
-        // worker... we can't pin workers, so use the single-worker-visible
-        // property instead: predictions drive the cost-descending deal,
-        // which the scheduler trace exposes via start positions. Seed the
-        // model so cell 0 is predicted cheapest and cell 3 costliest, then
-        // check 3 starts no later than 0.
-        let specs: Vec<RunSpec> = fig1_2(N).into_iter().take(4).collect();
-        let mut model = CostModel::new();
-        for (i, spec) in specs.iter().enumerate() {
-            model.record(&crate::schedule::cell_key(spec), N, (i as u64 + 1) * 1000);
-        }
-        let (_, trace) = run_grid_outcomes_traced(specs, &model, |_, _| {});
+        // We can't pin workers, so use the property the scheduler trace
+        // exposes: predictions drive the cost-descending deal. Cell 0 gets
+        // the cheapest config (no prefetch, no filter) and each later cell
+        // adds a feature the cost model weighs, so cell 3 is predicted
+        // costliest; it must start no later than cell 0.
+        let mut config = SystemConfig::paper_default();
+        config.prefetch = PrefetchConfig {
+            nsp: false,
+            sdp: false,
+            stride: false,
+            correlation: false,
+            software: false,
+            ..config.prefetch
+        };
+        config.filter.kind = FilterKind::None;
+        let mut configs = vec![config.clone()];
+        config.prefetch.nsp = true;
+        configs.push(config.clone());
+        config.filter.kind = FilterKind::Pa;
+        configs.push(config.clone());
+        config.diag.classify_misses = true;
+        configs.push(config);
+        let specs: Vec<RunSpec> = configs
+            .into_iter()
+            .map(|c| RunSpec::new("w", c, Workload::Mcf).instructions(N))
+            .collect();
+        let costs: Vec<u64> = specs.iter().map(|s| CostModel.predict(s)).collect();
+        assert!(costs.windows(2).all(|w| w[0] < w[1]), "{costs:?}");
+        let (_, trace) = run_grid_outcomes_traced(specs, &CostModel, |_, _| {});
         let pos = |cell: usize| {
             trace
                 .start_order
@@ -1288,27 +1240,5 @@ mod tests {
             "costliest cell must not start after the cheapest (order {:?})",
             trace.start_order
         );
-    }
-
-    #[test]
-    fn config_weight_ranks_feature_cost() {
-        let baseline = {
-            let mut c = SystemConfig::paper_default();
-            c.prefetch = PrefetchConfig {
-                nsp: false,
-                sdp: false,
-                stride: false,
-                correlation: false,
-                software: false,
-                ..c.prefetch
-            };
-            c.filter.kind = FilterKind::None;
-            c
-        };
-        let full = SystemConfig::paper_default();
-        assert!(config_weight(&full) > config_weight(&baseline));
-        let mut classified = full.clone();
-        classified.diag.classify_misses = true;
-        assert!(config_weight(&classified) > config_weight(&full));
     }
 }

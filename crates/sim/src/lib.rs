@@ -21,8 +21,7 @@ pub mod schedule;
 pub mod simulator;
 
 pub use experiments::{
-    fanned_seed, run_grid, run_grid_outcomes, run_grid_seeds, run_grid_seeds_outcomes, CellFailure,
-    CellOutcome, RunSpec, TelemetrySpec,
+    fanned_seed, run_grid, run_grid_outcomes, CellFailure, CellOutcome, RunSpec, TelemetrySpec,
 };
 pub use report::SimReport;
 pub use schedule::{cell_key, CostModel};

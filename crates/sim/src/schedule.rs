@@ -1,4 +1,4 @@
-//! Grid scheduler with a persisted cost model.
+//! Grid scheduler with a cost-sorted job list.
 //!
 //! Jobs are sorted once by predicted cost, longest first (stable, so equal
 //! costs keep input order), and handed out through one atomic cursor over
@@ -23,17 +23,14 @@
 //! other deadlocked. `scheduler_survives_contention_stress` in
 //! `tests/determinism.rs` is the pinned repro.
 //!
-//! Dispatch order is driven by [`CostModel`]: exact per-cell wall times
-//! recorded by previous runs (persisted as `TIMINGS.json` beside the
-//! checkpoint directory), falling back to a calibrated micros-per-
-//! instruction mean, falling back to a static config-feature heuristic.
-//! The cost model only affects *order*; results are position-addressed,
-//! so any schedule produces byte-identical output.
+//! Dispatch order is driven by [`CostModel`]: a cell's instruction count
+//! scaled by a static config-feature weight. The cost model only affects
+//! *order*; results are position-addressed, so any schedule produces
+//! byte-identical output.
 
 use crate::experiments::RunSpec;
-use ppf_types::{json_struct, FromJson, PpfError, ToJson};
-use std::collections::{HashMap, VecDeque};
-use std::path::Path;
+use ppf_types::{FilterKind, SystemConfig, ToJson};
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
 
@@ -52,8 +49,8 @@ pub const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 /// The content-hash key of one cell: label, config JSON, workload, seed
 /// and instruction budgets. Any change to any of these yields a different
 /// key. The checkpoint layer uses it as the on-disk filename, the memo
-/// table and the cost model as lookup keys, and the shard partitioner as
-/// the stable identity a cell keeps across machines.
+/// key extends it, and the shard partitioner uses it as the stable
+/// identity a cell keeps across machines.
 pub fn cell_key(spec: &RunSpec) -> String {
     let mut h = FNV_OFFSET;
     // Attack-free cells keep their pre-adversary keys (empty part), so
@@ -75,140 +72,35 @@ pub fn cell_key(spec: &RunSpec) -> String {
     format!("{h:016x}")
 }
 
-/// Schema version of the persisted cost model. A bump discards old files
-/// (predictions are advisory, so silently starting cold is correct).
-const COST_MODEL_VERSION: u64 = 1;
-
-/// One recorded cell wall-time.
-#[derive(Debug, Clone, PartialEq)]
-pub struct CostEntry {
-    /// The cell's content-hash key ([`cell_key`]).
-    pub key: String,
-    /// Total instructions the cell executed (warm-up + measured).
-    pub insts: u64,
-    /// Recorded wall time in microseconds.
-    pub micros: u64,
-}
-
-json_struct!(CostEntry { key, insts, micros });
-
-/// The persisted form of a [`CostModel`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct CostModelDoc {
-    /// Schema version ([`CostModelDoc`] files with another version are
-    /// ignored).
-    pub version: u64,
-    /// Recorded cell wall-times.
-    pub entries: Vec<CostEntry>,
-}
-
-json_struct!(CostModelDoc { version, entries });
-
-/// Predicted-cost oracle for grid cells: exact recorded wall times by cell
-/// key, with a calibrated micros-per-instruction fallback for cells never
-/// seen before, and a pure config-feature heuristic when no history exists
-/// at all. Predictions only order dispatch; they never change results.
-#[derive(Debug, Clone, Default)]
-pub struct CostModel {
-    exact: HashMap<String, u64>,
-    total_micros: u64,
-    total_insts: u64,
-}
+/// Predicted-cost heuristic for grid cells: total instructions (warm-up
+/// included) scaled by a static configuration weight. Predictions only
+/// order dispatch; they never change results.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct CostModel;
 
 impl CostModel {
-    /// An empty model (heuristic-only predictions).
-    pub fn new() -> Self {
-        Self::default()
+    /// Predicted cost of `spec` (only the *ordering* matters).
+    pub fn predict(&self, spec: &RunSpec) -> u64 {
+        (spec.warmup + spec.n_instructions).saturating_mul(config_weight(&spec.config)) / 100
     }
+}
 
-    /// Number of exact per-cell observations.
-    pub fn len(&self) -> usize {
-        self.exact.len()
+/// Static relative cost weight of a configuration (100 = baseline
+/// no-prefetch machine): prefetching, filtering and miss classification
+/// each add per-instruction work.
+fn config_weight(config: &SystemConfig) -> u64 {
+    let p = &config.prefetch;
+    let mut weight: u64 = 100;
+    if p.nsp || p.sdp || p.stride || p.correlation || p.software {
+        weight += 40;
     }
-
-    /// True when no observation has been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.exact.is_empty()
+    if config.filter.kind != FilterKind::None {
+        weight += 15;
     }
-
-    /// Record one observed cell wall-time (replacing any previous
-    /// observation for the same key).
-    pub fn record(&mut self, key: &str, insts: u64, micros: u64) {
-        if self.exact.insert(key.to_string(), micros).is_none() {
-            self.total_micros = self.total_micros.saturating_add(micros);
-            self.total_insts = self.total_insts.saturating_add(insts);
-        }
+    if config.diag.classify_misses {
+        weight += 25;
     }
-
-    /// Predicted cost (microseconds-shaped, but only the *ordering*
-    /// matters) of a cell with key `key` running `insts` instructions on a
-    /// configuration of relative weight `weight` (100 = baseline; see
-    /// `experiments::spec_cost`).
-    pub fn predict(&self, key: &str, insts: u64, weight: u64) -> u64 {
-        if let Some(&micros) = self.exact.get(key) {
-            return micros;
-        }
-        if self.total_insts > 0 {
-            let per_inst_scaled = self.total_micros.saturating_mul(weight);
-            return insts
-                .saturating_mul(per_inst_scaled / self.total_insts.max(1) / 100)
-                .max(1);
-        }
-        insts.saturating_mul(weight) / 100
-    }
-
-    /// The persistable document form.
-    pub fn to_doc(&self) -> CostModelDoc {
-        let mut entries: Vec<CostEntry> = self
-            .exact
-            .iter()
-            .map(|(key, &micros)| CostEntry {
-                key: key.clone(),
-                // Per-key instruction counts are not kept (only the totals
-                // matter for the fallback rate), so entries carry the mean.
-                insts: self.total_insts / self.exact.len().max(1) as u64,
-                micros,
-            })
-            .collect();
-        entries.sort_by(|a, b| a.key.cmp(&b.key));
-        CostModelDoc {
-            version: COST_MODEL_VERSION,
-            entries,
-        }
-    }
-
-    /// Rebuild a model from its document form. Version skew yields an
-    /// empty model: cost history is advisory, never load-bearing.
-    pub fn from_doc(doc: &CostModelDoc) -> Self {
-        let mut model = CostModel::new();
-        if doc.version != COST_MODEL_VERSION {
-            return model;
-        }
-        for e in &doc.entries {
-            model.record(&e.key, e.insts, e.micros);
-        }
-        model
-    }
-
-    /// Load a model persisted by [`CostModel::save`]. A missing or
-    /// unparseable file yields an empty model (never an error — the model
-    /// is an ordering hint, not state).
-    pub fn load(path: &Path) -> Self {
-        match std::fs::read_to_string(path) {
-            Ok(text) => CostModelDoc::from_json_str(&text)
-                .map(|doc| Self::from_doc(&doc))
-                .unwrap_or_default(),
-            Err(_) => CostModel::new(),
-        }
-    }
-
-    /// Persist the model atomically (tmp + rename).
-    pub fn save(&self, path: &Path) -> Result<(), PpfError> {
-        let tmp = path.with_extension("json.tmp");
-        std::fs::write(&tmp, self.to_doc().to_json_pretty())
-            .and_then(|()| std::fs::rename(&tmp, path))
-            .map_err(|e| PpfError::io(e.to_string()).context(format!("writing {}", path.display())))
-    }
+    weight
 }
 
 /// The result of one scheduled job execution attempt.
@@ -313,13 +205,15 @@ where
 
 /// Lock a mutex, recovering from poisoning (worker panics are contained
 /// upstream by `catch_unwind`; a stray poison must not cascade).
-pub(crate) fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
+pub fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
     m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ppf_types::PrefetchConfig;
+    use ppf_workloads::Workload;
 
     #[test]
     fn single_worker_starts_costliest_first() {
@@ -372,50 +266,43 @@ mod tests {
 
     #[test]
     fn cost_model_prediction_tiers() {
-        let mut m = CostModel::new();
-        assert!(m.is_empty());
-        // Heuristic tier: pure insts × weight.
-        assert_eq!(m.predict("k0", 1000, 100), 1000);
-        assert_eq!(m.predict("k0", 1000, 140), 1400);
-        // Calibrated tier: 2 micros/inst mean from one observation.
-        m.record("k1", 1000, 2000);
-        assert_eq!(m.len(), 1);
-        assert_eq!(m.predict("k2", 500, 100), 1000);
-        // Exact tier beats both.
-        assert_eq!(m.predict("k1", 500, 100), 2000);
-        // Re-recording a key replaces, not double-counts.
-        m.record("k1", 1000, 4000);
-        assert_eq!(m.predict("k1", 1, 100), 4000);
-        assert_eq!(m.len(), 1);
+        // One tier: total instructions (warm-up included) × config weight.
+        let spec = RunSpec::new("a", SystemConfig::paper_default(), Workload::Gzip);
+        let insts = spec.warmup + spec.n_instructions;
+        let weight = config_weight(&spec.config);
+        assert_eq!(CostModel.predict(&spec), insts * weight / 100);
+        // Presentation and stream identity do not move the prediction;
+        // the budget and a costlier config do.
+        let mut relabeled = spec.clone();
+        relabeled.label = "b".into();
+        relabeled.seed += 1;
+        assert_eq!(CostModel.predict(&relabeled), CostModel.predict(&spec));
+        let longer = spec.clone().instructions(2 * spec.n_instructions);
+        assert!(CostModel.predict(&longer) > CostModel.predict(&spec));
+        let mut classified = spec.clone();
+        classified.config.diag.classify_misses = true;
+        assert!(CostModel.predict(&classified) > CostModel.predict(&spec));
     }
 
     #[test]
-    fn cost_model_persistence_round_trips() {
-        let dir = std::env::temp_dir().join(format!("ppf-costmodel-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("TIMINGS.json");
-        let mut m = CostModel::new();
-        m.record("aaaa", 10_000, 123_456);
-        m.record("bbbb", 20_000, 654_321);
-        m.save(&path).unwrap();
-        let back = CostModel::load(&path);
-        assert_eq!(back.len(), 2);
-        for key in ["aaaa", "bbbb"] {
-            assert_eq!(back.predict(key, 1, 100), m.predict(key, 1, 100));
-        }
-        // Calibrated fallback survives the round trip (totals rebuilt).
-        assert_eq!(back.predict("cccc", 100, 100), m.predict("cccc", 100, 100));
-        // Version skew loads as empty, not as an error.
-        let doc = CostModelDoc {
-            version: COST_MODEL_VERSION + 1,
-            entries: m.to_doc().entries,
+    fn config_weight_ranks_feature_cost() {
+        let baseline = {
+            let mut c = SystemConfig::paper_default();
+            c.prefetch = PrefetchConfig {
+                nsp: false,
+                sdp: false,
+                stride: false,
+                correlation: false,
+                software: false,
+                ..c.prefetch
+            };
+            c.filter.kind = FilterKind::None;
+            c
         };
-        std::fs::write(&path, doc.to_json_pretty()).unwrap();
-        assert!(CostModel::load(&path).is_empty());
-        // Missing and corrupt files load as empty too.
-        assert!(CostModel::load(&dir.join("absent.json")).is_empty());
-        std::fs::write(&path, "{ not json").unwrap();
-        assert!(CostModel::load(&path).is_empty());
-        std::fs::remove_dir_all(&dir).ok();
+        let full = SystemConfig::paper_default();
+        assert!(config_weight(&full) > config_weight(&baseline));
+        let mut classified = full.clone();
+        classified.diag.classify_misses = true;
+        assert!(config_weight(&classified) > config_weight(&full));
     }
 }

@@ -137,7 +137,7 @@ proptest! {
         a in 0u64..50_000, b in 0u64..50_000, c in 0u64..50_000,
         d in 0u64..50_000, back_a in 0u64..64, back_b in 0u64..64,
     ) {
-        // Aggregating two balanced shards (as run_grid_seeds does) stays
+        // Aggregating two balanced shards (as seed merging does) stays
         // balanced when the backlogs are summed.
         let mut x = balanced_funnel(a, b, c, d, back_a);
         let y = balanced_funnel(d, c, b, a, back_b);

@@ -5,7 +5,7 @@
 mod common;
 
 use common::{drill_watchdog, wedged_config};
-use ppf_sim::experiments::{run_grid_seeds_outcomes, CellOutcome};
+use ppf_sim::experiments::{fan_seeds, merge_seed_outcomes, CellOutcome};
 use ppf_sim::{fanned_seed, run_grid, run_grid_outcomes, RunSpec, Simulator, WatchdogConfig};
 use ppf_types::{FromJson, PpfErrorKind, SystemConfig, ToJson};
 use ppf_workloads::{FaultSpec, Workload};
@@ -153,7 +153,8 @@ fn seed_fanout_propagates_cell_failure() {
     let faulty = RunSpec::new("seeds", SystemConfig::paper_default(), Workload::Mcf)
         .instructions(N)
         .with_fault(FaultSpec::panic_at(500));
-    let merged = run_grid_seeds_outcomes(vec![healthy, faulty], 2);
+    let fanned = run_grid_outcomes(fan_seeds(&[healthy, faulty], 2));
+    let merged = merge_seed_outcomes(fanned, 2, 2);
     assert_eq!(merged.len(), 2);
     let ok = merged[0].report().expect("healthy cell merges");
     assert!(ok.stats.instructions >= 2 * N, "both seeds merged");
