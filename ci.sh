@@ -25,7 +25,7 @@ build_test() {
 
 lint() {
     cargo fmt --all -- --check
-    cargo clippy --workspace -- -D warnings
+    cargo clippy --workspace --all-targets -- -D warnings
 }
 
 fault_drills() {

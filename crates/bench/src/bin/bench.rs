@@ -3,8 +3,8 @@
 //! ```text
 //! bench throughput [--quick] [--trials N] [--out PATH] [--no-write]
 //!                  [--baseline PATH] [--max-regress PCT]
-//! bench timeline [WORKLOAD] [--filter PA|PC|hybrid|none] [--insts N]
-//!                [--interval CYCLES] [--seed S] [--json]
+//! bench timeline [WORKLOAD] [--filter PA|PC|hybrid|perceptron|none]
+//!                [--insts N] [--interval CYCLES] [--seed S] [--json]
 //! ```
 //!
 //! `throughput` runs the pinned-seed workload mix through every model layer
@@ -40,8 +40,8 @@ use std::process::ExitCode;
 
 const USAGE: &str = "usage: bench throughput [--quick] [--trials N] [--out PATH] [--no-write]\n\
      \x20                       [--baseline PATH] [--max-regress PCT]\n\
-     \x20      bench timeline [WORKLOAD] [--filter PA|PC|hybrid|none] [--insts N]\n\
-     \x20                     [--interval CYCLES] [--seed S] [--json]\n\
+     \x20      bench timeline [WORKLOAD] [--filter PA|PC|hybrid|perceptron|none]\n\
+     \x20                     [--insts N] [--interval CYCLES] [--seed S] [--json]\n\
      \x20                     [--attack poison|alias-flood|phase-shift|interleave]\n\
      \x20                     [--attack-start N] [--attack-stop N]";
 
@@ -54,6 +54,7 @@ fn parse_filter(name: &str) -> Option<FilterKind> {
         "pa" => Some(FilterKind::Pa),
         "pc" => Some(FilterKind::Pc),
         "hybrid" => Some(FilterKind::Hybrid),
+        "perceptron" => Some(FilterKind::Perceptron),
         _ => None,
     }
 }
@@ -104,7 +105,7 @@ fn timeline_main(args: &[String]) -> ExitCode {
                 match args.get(i).and_then(|s| parse_filter(s)) {
                     Some(kind) => settings.filter = kind,
                     None => {
-                        eprintln!("--filter needs one of PA|PC|hybrid|none\n{USAGE}");
+                        eprintln!("--filter needs one of PA|PC|hybrid|perceptron|none\n{USAGE}");
                         return ExitCode::FAILURE;
                     }
                 }

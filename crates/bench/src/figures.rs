@@ -111,7 +111,7 @@ pub static EXPERIMENTS: &[Experiment] = &[
         ablation_summary(r, "Ablation: victim cache vs pollution filter")
     }),
     exp("ablate-degree", ablations::nsp_degree, |r| {
-        ablation_summary(r, "Ablation: NSP aggressiveness (prefetch degree)")
+        ablation_summary(r, "Ablation: NSP degree vs PA filter and prefetch buffer")
     }),
     exp("ablate-banks", ablations::dram_banks, |r| {
         ablation_summary(r, "Ablation: DRAM banking (memory-level-parallelism limit)")

@@ -132,9 +132,9 @@ fn main() -> ExitCode {
             "--insts" => {
                 i += 1;
                 match args.get(i).and_then(|s| s.parse().ok()) {
-                    Some(n) => insts = n,
-                    None => {
-                        eprintln!("--insts needs a number\n{USAGE}");
+                    Some(n) if n > 0 => insts = n,
+                    _ => {
+                        eprintln!("--insts needs a positive number\n{USAGE}");
                         return ExitCode::FAILURE;
                     }
                 }

@@ -192,3 +192,30 @@ fn seeded_checkpoint_resume_reproduces_documents() {
     assert!(root.join("D/fig2").is_dir() && root.join("D/table2").is_dir());
     std::fs::remove_dir_all(&root).ok();
 }
+
+/// A zero instruction budget is a usage error: the sweep never starts, so
+/// stdout stays empty and `--json` writes no document of zero-cycle runs.
+#[test]
+fn zero_instruction_budget_is_rejected_before_any_cell_runs() {
+    let dir = temp_dir("ppf-figures-zero-insts-test");
+    let out = figures()
+        .args(["--insts", "0", "--json"])
+        .arg(&dir)
+        .arg("fig6")
+        .output()
+        .expect("figures binary runs");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(
+        out.stdout.is_empty(),
+        "stdout:\n{}",
+        String::from_utf8_lossy(&out.stdout)
+    );
+    assert!(
+        stderr.contains("--insts needs a positive number"),
+        "{stderr}"
+    );
+    let written: Vec<_> = std::fs::read_dir(&dir).unwrap().collect();
+    assert!(written.is_empty(), "documents written: {written:?}");
+    std::fs::remove_dir_all(&dir).ok();
+}

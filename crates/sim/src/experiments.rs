@@ -927,13 +927,23 @@ pub mod ablations {
         grid
     }
 
-    /// NSP aggressiveness: degree 1 (paper) vs 4.
+    /// NSP aggressiveness: degree 1 (paper), 4 and 8, each with no
+    /// filter, the PA filter, and the PA filter plus the §5.5 prefetch
+    /// buffer — how the filter's and the buffer's effects move as
+    /// prefetch traffic grows toward the paper's regime.
     pub fn nsp_degree(n: u64) -> Vec<RunSpec> {
         let mut grid = Vec::new();
-        for degree in [1u32, 4] {
-            let mut cfg = SystemConfig::paper_default();
-            cfg.prefetch.nsp_degree = degree;
-            grid.extend(all_workloads(&format!("degree-{degree}"), cfg, n));
+        for degree in [1u32, 4, 8] {
+            let mut base = SystemConfig::paper_default();
+            base.prefetch.nsp_degree = degree;
+            let pa = base.clone().with_filter(FilterKind::Pa);
+            for (label, cfg) in [
+                ("no-filter", base),
+                ("PA", pa.clone()),
+                ("PA+buffer", pa.with_prefetch_buffer()),
+            ] {
+                grid.extend(all_workloads(&format!("degree-{degree}/{label}"), cfg, n));
+            }
         }
         grid
     }
@@ -1010,7 +1020,7 @@ mod tests {
             (ablations::adaptive(N), 20),
             (ablations::associativity(N), 30),
             (ablations::victim_cache(N), 40),
-            (ablations::nsp_degree(N), 20),
+            (ablations::nsp_degree(N), 90),
             (ablations::dram_banks(N), 30),
             (ablations::hybrid(N), 30),
             (ablations::prefetcher_mix(N), 30),

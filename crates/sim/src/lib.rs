@@ -11,7 +11,7 @@
 //!   paper, and a thread-parallel sweep runner (each grid cell is an
 //!   independent pure function of its config and seed).
 //! * [`report`] — the run report plus text-table helpers shared by the
-//!   `figures` binary and the benches.
+//!   `figures` and `bench` binaries.
 
 #![warn(missing_docs)]
 

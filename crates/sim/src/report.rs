@@ -1,5 +1,5 @@
-//! Run reports and the text-table helpers shared by the `figures` binary,
-//! the benches, and the integration tests.
+//! Run reports and the text-table helpers shared by the `figures` and
+//! `bench` binaries and the examples.
 
 use ppf_types::SimStats;
 
