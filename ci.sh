@@ -26,6 +26,9 @@ build_test() {
 lint() {
     cargo fmt --all -- --check
     cargo clippy --workspace --all-targets -- -D warnings
+    # Broken or private intra-doc links fail too, so doc comments that
+    # name a renamed or deleted item cannot go stale.
+    RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 }
 
 fault_drills() {

@@ -1155,7 +1155,7 @@ fn coverage(r: &SimReport) -> f64 {
 /// table shows per-workload `fraction_good` (the pollution-filtering
 /// quality the paper optimizes); the second aggregates each kind's geomean
 /// IPC delta against the unfiltered machine, mean coverage, and the bits
-/// the design actually spends (history/weight tables via [`FilterCost`]).
+/// the design actually spends (history/weight tables via [`FilterCost`](ppf_filter::cost::FilterCost)).
 pub fn filter_family(reports: &[SimReport]) -> String {
     use ppf_filter::cost::FilterCost;
     use ppf_filter::recovery::DEFAULT_REJECT_LOG;

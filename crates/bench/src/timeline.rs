@@ -341,7 +341,7 @@ pub fn run(settings: &TimelineSettings) -> Result<TimelineReport, PpfError> {
 }
 
 /// Render the timeline as an aligned text table plus a warm-up summary.
-/// Long series are downsampled to ~[`MAX_ROWS`] rows; `--json` always
+/// Long series are downsampled to about `MAX_ROWS` rows; `--json` always
 /// carries every record.
 pub fn render(report: &TimelineReport) -> String {
     let mut out = format!(

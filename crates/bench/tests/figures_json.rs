@@ -6,10 +6,13 @@
 //! into stdout or silently dropped from the dump. Fault injection
 //! (`--inject-fault`) drives the partial path deterministically. A
 //! checkpointed resume must reproduce the same documents without
-//! re-running a cell, and must still stream telemetry.
+//! re-running a cell, and must still stream telemetry. Every document of
+//! a small `all` run must hash to its committed digest, so no simulated
+//! result moves unannounced.
 
 use ppf_bench::figures::ExperimentDoc;
-use ppf_types::{FromJson, PpfErrorKind};
+use ppf_sim::schedule::{fnv1a, FNV_OFFSET};
+use ppf_types::{FromJson, JsonValue, PpfErrorKind};
 use std::path::PathBuf;
 use std::process::Command;
 
@@ -218,4 +221,76 @@ fn zero_instruction_budget_is_rejected_before_any_cell_runs() {
     let written: Vec<_> = std::fs::read_dir(&dir).unwrap().collect();
     assert!(written.is_empty(), "documents written: {written:?}");
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Budget of the digest run: every experiment, small enough for tier-1.
+const DIGEST_INSTS: u64 = 20_000;
+
+const DIGEST_GOLDEN: &str = concat!(
+    env!("CARGO_MANIFEST_DIR"),
+    "/tests/golden/figures_digest.json"
+);
+
+/// Run `figures --insts 20000 --json DIR all` and render one FNV-1a hash
+/// of each JSON document it writes, by experiment name.
+fn figures_digest() -> String {
+    let dir = temp_dir("ppf-figures-digest-test");
+    let out = figures()
+        .args(["--insts", &DIGEST_INSTS.to_string(), "--json"])
+        .arg(&dir)
+        .arg("all")
+        .output()
+        .expect("figures binary runs");
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let mut docs: Vec<(String, u64)> = std::fs::read_dir(&dir)
+        .unwrap()
+        .map(|e| e.unwrap().path())
+        .filter(|p| p.extension().is_some_and(|x| x == "json"))
+        .map(|p| {
+            let name = p.file_stem().unwrap().to_string_lossy().into_owned();
+            (name, fnv1a(FNV_OFFSET, &std::fs::read(&p).unwrap()))
+        })
+        .collect();
+    docs.sort();
+    std::fs::remove_dir_all(&dir).ok();
+    let doc = JsonValue::Object(vec![
+        ("insts".to_string(), JsonValue::UInt(DIGEST_INSTS)),
+        (
+            "fnv1a".to_string(),
+            JsonValue::Object(
+                docs.into_iter()
+                    .map(|(name, h)| (name, JsonValue::Str(format!("{h:016x}"))))
+                    .collect(),
+            ),
+        ),
+    ]);
+    let mut text = doc.pretty();
+    text.push('\n');
+    text
+}
+
+/// A change that moves any simulated result changes a document's hash.
+/// If the change is meant, regenerate the golden and say in CHANGES.md
+/// which documents moved and why.
+#[test]
+fn every_figures_document_matches_committed_digest() {
+    let golden = std::fs::read_to_string(DIGEST_GOLDEN).expect(
+        "golden missing — regenerate with `cargo test -p ppf-bench \
+         --test figures_json -- --ignored regenerate_figures_digest`",
+    );
+    assert_eq!(
+        figures_digest(),
+        golden,
+        "a figures document's digest moved"
+    );
+}
+
+#[test]
+#[ignore = "writes tests/golden/figures_digest.json from this tree's figures binary"]
+fn regenerate_figures_digest() {
+    std::fs::write(DIGEST_GOLDEN, figures_digest()).expect("write golden");
 }

@@ -54,22 +54,13 @@ impl MemoryPort for PerfectMemory {
     fn software_prefetch(&mut self, _pc: Pc, _addr: Addr, _now: Cycle) {}
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Stage {
-    /// Not yet issued (producer or structural hazard pending).
-    Waiting,
-    /// Issued; the result is ready at `done_at` (retire also waits for it).
-    Done,
-}
-
 #[derive(Debug, Clone, Copy)]
 struct RobEntry {
-    seq: u64,
     pc: Pc,
     op: Op,
     dep_seq: Option<u64>,
-    stage: Stage,
-    /// Result-ready cycle (valid once Executing/Done).
+    /// Result-ready cycle; final once the entry has issued (retire also
+    /// waits for it).
     done_at: Cycle,
     is_mem: bool,
     /// This entry is a mispredicted branch fetch is waiting on.
@@ -81,7 +72,7 @@ struct RobEntry {
 pub struct TickOutcome {
     /// Instructions retired this cycle.
     pub retired: u64,
-    /// Instructions issued (Waiting → Done) this cycle.
+    /// Instructions issued this cycle.
     pub issued: u64,
     /// Memory ops that failed port arbitration this cycle.
     pub port_rejections: u64,
@@ -102,23 +93,33 @@ impl TickOutcome {
 }
 
 /// Fixed-capacity power-of-two ring backing the ROB — the ShadowLru slab
-/// pattern applied to the pipeline window. The issue/wake-up scans index
-/// entries randomly every cycle; a mask-indexed flat slab keeps those scans
-/// free of the wrap branch `VecDeque` pays per access.
+/// pattern applied to the pipeline window. A mask-indexed flat slab keeps
+/// the per-cycle issue and retire work free of the wrap branch `VecDeque`
+/// pays per access.
 ///
-/// `gate` is a parallel hot array the per-cycle issue scan walks instead of
-/// the 72-byte entries: one word per slot holding `u64::MAX` for a slot that
-/// cannot issue (Done, or dead) and otherwise the entry's cached issue
-/// wake-up bound — a sound lower bound on the first cycle the Waiting entry
-/// could possibly issue (0 = unknown, try now). The bound is derived from
-/// the producer's fixed `done_at` (exact) or, while the producer itself is
-/// still Waiting, from the earliest cycle the producer could issue plus its
-/// minimum latency (conservative). Purely an optimization: it changes how
-/// fast the scan skips an entry, never *when* the entry issues.
+/// Two parallel hot arrays let the issue scan skip the 56-byte entries of
+/// everything that has already issued:
+///
+/// * `waiting_bits` holds one bit per physical slot, set at dispatch and
+///   cleared at issue. A clear bit means the slot's entry has issued (its
+///   `done_at` is final) or the slot is dead. [`WaitingSlots`] walks the
+///   set bits in program order, a 64-slot word at a time, so a scan costs
+///   the waiting entries plus one step per word instead of the window.
+///   `waiting` counts the set bits.
+/// * `gate` holds, for a waiting slot, the entry's cached issue wake-up
+///   bound: a sound lower bound on the first cycle it could possibly
+///   issue (0 = unknown, try now). The bound is derived from the
+///   producer's fixed `done_at` (exact) or, while the producer is itself
+///   still waiting, from the earliest cycle the producer could issue plus
+///   its minimum latency (conservative). Purely an optimization: it
+///   changes how fast the scan skips an entry, never *when* the entry
+///   issues. The word is stale once the slot's bit is clear.
 #[derive(Clone)]
 struct RobRing {
     buf: Box<[RobEntry]>,
     gate: Box<[u64]>,
+    waiting_bits: Box<[u64]>,
+    waiting: usize,
     mask: usize,
     head: usize,
     len: usize,
@@ -128,35 +129,22 @@ impl RobRing {
     fn with_capacity(cap: usize) -> Self {
         let cap = cap.max(1).next_power_of_two();
         let empty = RobEntry {
-            seq: 0,
             pc: 0,
             op: Op::IntAlu,
             dep_seq: None,
-            stage: Stage::Done,
             done_at: 0,
             is_mem: false,
             blocks_fetch: false,
         };
         RobRing {
             buf: vec![empty; cap].into_boxed_slice(),
-            gate: vec![u64::MAX; cap].into_boxed_slice(),
+            gate: vec![0; cap].into_boxed_slice(),
+            waiting_bits: vec![0; cap.div_ceil(64)].into_boxed_slice(),
+            waiting: 0,
             mask: cap - 1,
             head: 0,
             len: 0,
         }
-    }
-
-    /// The issue-gate word for logical entry `i` (see the type docs).
-    #[inline]
-    fn gate(&self, i: usize) -> u64 {
-        debug_assert!(i < self.len);
-        self.gate[(self.head + i) & self.mask]
-    }
-
-    #[inline]
-    fn set_gate(&mut self, i: usize, g: u64) {
-        debug_assert!(i < self.len);
-        self.gate[(self.head + i) & self.mask] = g;
     }
 
     #[inline]
@@ -164,46 +152,106 @@ impl RobRing {
         self.len
     }
 
+    /// The physical slot of logical entry `i` (0 = oldest).
     #[inline]
-    fn front(&self) -> Option<&RobEntry> {
-        (self.len > 0).then(|| &self.buf[self.head])
+    fn slot(&self, i: usize) -> usize {
+        (self.head + i) & self.mask
     }
 
+    /// Has the entry in `slot` not issued yet? (False for a dead slot.)
     #[inline]
-    fn get(&self, i: usize) -> Option<&RobEntry> {
-        (i < self.len).then(|| &self.buf[(self.head + i) & self.mask])
+    fn is_waiting(&self, slot: usize) -> bool {
+        self.waiting_bits[slot / 64] >> (slot % 64) & 1 != 0
     }
 
-    /// Copy out entry `i` (entries are small and `Copy`; the issue loop
-    /// reads the entry and only re-borrows mutably on a state change).
+    /// The oldest entry, once it has issued.
     #[inline]
-    fn at(&self, i: usize) -> RobEntry {
-        debug_assert!(i < self.len);
-        self.buf[(self.head + i) & self.mask]
+    fn issued_front(&self) -> Option<&RobEntry> {
+        (self.len > 0 && !self.is_waiting(self.head)).then(|| &self.buf[self.head])
     }
 
+    /// A program-order walk over the waiting slots, from the oldest.
     #[inline]
-    fn at_mut(&mut self, i: usize) -> &mut RobEntry {
-        debug_assert!(i < self.len);
-        &mut self.buf[(self.head + i) & self.mask]
+    fn waiting_slots(&self) -> WaitingSlots {
+        WaitingSlots {
+            next: self.head,
+            left: self.len,
+            base: 0,
+            bits: 0,
+        }
     }
 
+    /// Issue the waiting entry in `slot`: fix its result cycle and clear
+    /// its bit.
+    #[inline]
+    fn issue(&mut self, slot: usize, done_at: Cycle) {
+        debug_assert!(self.is_waiting(slot));
+        self.buf[slot].done_at = done_at;
+        self.waiting_bits[slot / 64] &= !(1 << (slot % 64));
+        self.waiting -= 1;
+    }
+
+    /// Drop the oldest entry, which must have issued.
     #[inline]
     fn pop_front(&mut self) {
-        debug_assert!(self.len > 0);
+        debug_assert!(self.issued_front().is_some());
         self.head = (self.head + 1) & self.mask;
         self.len -= 1;
     }
 
-    /// Append a (Waiting) entry; its gate starts at 0 ("try now").
+    /// Append a waiting entry; its gate starts at 0 ("try now").
     #[inline]
     fn push_back(&mut self, e: RobEntry) {
         debug_assert!(self.len <= self.mask, "logical capacity exceeded");
-        debug_assert!(e.stage == Stage::Waiting);
-        let slot = (self.head + self.len) & self.mask;
+        let slot = self.slot(self.len);
+        debug_assert!(!self.is_waiting(slot));
         self.buf[slot] = e;
         self.gate[slot] = 0;
+        self.waiting_bits[slot / 64] |= 1 << (slot % 64);
+        self.waiting += 1;
         self.len += 1;
+    }
+}
+
+/// A program-order walk over a [`RobRing`]'s waiting slots. It copies one
+/// word of `waiting_bits` at a time, so the ring may change under it: the
+/// issue scan clears each slot's bit as the slot issues. Each copied word
+/// is masked to the part of the live window it holds — from the current
+/// slot to the word's end, the ring's end or the window's end, whichever
+/// comes first — so a window that wraps into the word it started in never
+/// revisits its oldest entries.
+struct WaitingSlots {
+    /// Physical slot the next word copy starts at.
+    next: usize,
+    /// Live slots not yet copied.
+    left: usize,
+    /// Physical slot of bit 0 of `bits`.
+    base: usize,
+    /// Waiting slots of the current copy not yet visited.
+    bits: u64,
+}
+
+impl WaitingSlots {
+    /// The next waiting slot in program order, or `None` past the window.
+    #[inline]
+    fn next_slot(&mut self, rob: &RobRing) -> Option<usize> {
+        while self.bits == 0 {
+            if self.left == 0 {
+                return None;
+            }
+            let (word, bit) = (self.next / 64, self.next % 64);
+            let end = ((word + 1) * 64)
+                .min(rob.mask + 1)
+                .min(self.next + self.left);
+            let n = end - self.next;
+            self.bits = (rob.waiting_bits[word] >> bit) & (u64::MAX >> (64 - n));
+            self.base = self.next;
+            self.left -= n;
+            self.next = end & rob.mask;
+        }
+        let k = self.bits.trailing_zeros() as usize;
+        self.bits &= self.bits - 1;
+        Some(self.base + k)
     }
 }
 
@@ -213,23 +261,23 @@ pub struct Core {
     cfg: CoreConfig,
     front: FrontEnd,
     rob: RobRing,
-    /// Entries currently in [`Stage::Waiting`] — lets the issue scan stop
-    /// as soon as every waiting entry has been visited instead of walking
-    /// the (mostly-Done) tail of a stalled window.
-    waiting: usize,
     /// Earliest cycle any waiting entry could possibly issue. When a full
     /// scan proves every waiting entry is bounded past `now` (their cached
-    /// `ready_at` wake-ups), the scans until this cycle are skipped
-    /// entirely — the dominant cost while the window drains a long miss.
+    /// gate wake-ups), the scans until this cycle are skipped entirely —
+    /// the dominant cost while the window drains a long miss.
     /// Conservative: any unbounded outcome (slot or port pressure, a new
     /// dispatch) resets it to "scan next cycle".
     issue_scan_at: Cycle,
+    /// Sequence number of the next dispatched instruction. Numbers are
+    /// dense, so the ROB holds `next_seq - len .. next_seq` in order.
     next_seq: u64,
     lsq_used: usize,
     /// Fetch is stalled until this cycle (mispredict redirect).
     fetch_resume_at: Cycle,
-    /// Seq of the unresolved mispredicted branch fetch waits on, if any.
-    fetch_blocked_on: Option<u64>,
+    /// Fetch waits on an unresolved mispredicted branch: the one waiting
+    /// ROB entry with `blocks_fetch` set (fetch dispatches nothing after
+    /// it, so there is never a second).
+    fetch_blocked: bool,
     /// An instruction fetched from the stream but not yet dispatched
     /// (it arrived while the LSQ was full). Streams are consumed exactly
     /// once, so it is buffered rather than regenerated.
@@ -242,13 +290,12 @@ impl Core {
         Core {
             front: FrontEnd::new(&cfg.branch),
             rob: RobRing::with_capacity(cfg.rob_entries),
-            waiting: 0,
             issue_scan_at: 0,
             cfg: cfg.clone(),
             next_seq: 0,
             lsq_used: 0,
             fetch_resume_at: 0,
-            fetch_blocked_on: None,
+            fetch_blocked: false,
             pending: None,
         }
     }
@@ -265,30 +312,29 @@ impl Core {
 
     /// If producer `seq`'s result is not ready at `now`, the earliest cycle
     /// its consumer could possibly issue — a sound lower bound the issue
-    /// scan caches in the consumer's `ready_at`. `None` when the producer
-    /// is ready (retired, absent, or complete by `now`).
+    /// scan caches in the consumer's gate. `None` when the producer is
+    /// ready (retired, or complete by `now`).
     fn producer_gate(&self, seq: u64, now: Cycle) -> Option<Cycle> {
-        let front_seq = match self.rob.front() {
-            Some(e) => e.seq,
-            None => return None, // empty ROB: everything older has retired
-        };
+        // Sequence numbers are dense in the window, so the oldest entry's
+        // is the next one minus the occupancy.
+        let front_seq = self.next_seq - self.rob.len() as u64;
         if seq < front_seq {
             return None; // already retired
         }
         let idx = (seq - front_seq) as usize;
-        let p = self.rob.get(idx)?;
-        match p.stage {
-            Stage::Waiting => {
-                // Producers precede consumers in the window, so this
-                // producer was already covered by the current scan and
-                // stayed Waiting: it issues no earlier than next cycle
-                // (or its own cached bound) and completes no earlier
-                // than that plus its op's minimum latency.
-                let issue_at = (now + 1).max(self.rob.gate(idx));
-                Some(issue_at.saturating_add(self.min_latency(p.op)))
-            }
-            Stage::Done if p.done_at > now => Some(p.done_at),
-            Stage::Done => None,
+        debug_assert!(idx < self.rob.len(), "producers precede consumers");
+        let slot = self.rob.slot(idx);
+        if self.rob.is_waiting(slot) {
+            // Producers precede consumers in the window, so this producer
+            // was already covered by the current scan and stayed waiting:
+            // it issues no earlier than next cycle (or its own cached
+            // bound) and completes no earlier than that plus its op's
+            // minimum latency.
+            let issue_at = (now + 1).max(self.rob.gate[slot]);
+            Some(issue_at.saturating_add(self.min_latency(self.rob.buf[slot].op)))
+        } else {
+            let done_at = self.rob.buf[slot].done_at;
+            (done_at > now).then_some(done_at)
         }
     }
 
@@ -307,17 +353,12 @@ impl Core {
     fn retire(&mut self, now: Cycle, stats: &mut SimStats) -> u64 {
         let mut retired = 0;
         while retired < self.cfg.retire_width as u64 {
-            match self.rob.front() {
-                Some(e) if e.stage == Stage::Done && e.done_at <= now => {
-                    if e.is_mem {
-                        self.lsq_used -= 1;
-                    }
-                    match e.op {
-                        Op::Load { .. } => stats.loads += 1,
-                        Op::Store { .. } => stats.stores += 1,
-                        Op::Branch { .. } => stats.branches += 1,
-                        _ => {}
-                    }
+            match self.rob.issued_front() {
+                Some(e) if e.done_at <= now => {
+                    self.lsq_used -= e.is_mem as usize;
+                    stats.loads += matches!(e.op, Op::Load { .. }) as u64;
+                    stats.stores += matches!(e.op, Op::Store { .. }) as u64;
+                    stats.branches += matches!(e.op, Op::Branch { .. }) as u64;
                     self.rob.pop_front();
                     retired += 1;
                 }
@@ -328,8 +369,20 @@ impl Core {
         retired
     }
 
+    /// The issue stage: visit the waiting entries oldest first, through the
+    /// ROB's waiting-slot bitmask, and issue each one whose producer is
+    /// ready, up to `issue_width`, within the cycle's ALU slots and — for
+    /// loads and stores — the L1 ports [`MemoryPort::try_access`] grants.
+    /// An entry that cannot issue keeps its bit and is visited again by a
+    /// later scan; an entry that issues clears it. Returns the entries
+    /// issued and the port rejections.
+    ///
+    /// The scan also maintains `issue_scan_at`: when it visits every
+    /// waiting entry and each one is held back by a producer bound (not by
+    /// a slot or a port), the earliest bound is the next cycle a scan can
+    /// do anything, and the scans before it are skipped outright.
     fn issue(&mut self, now: Cycle, mem: &mut dyn MemoryPort) -> (u64, u64) {
-        if self.waiting == 0 || now < self.issue_scan_at {
+        if self.rob.waiting == 0 || now < self.issue_scan_at {
             // Every waiting entry is provably gated past `now` — the last
             // full scan bounded each one, so this cycle's scan would visit
             // them all and issue nothing.
@@ -339,47 +392,35 @@ impl Core {
         let mut int_slots = self.cfg.int_alus;
         let mut fp_slots = self.cfg.fp_alus;
         let mut rejections = 0u64;
-        let mut resolved_block: Option<u64> = None;
-        // Waiting entries present when the scan starts; once they have all
-        // been visited the (Done) tail of the window cannot issue anything.
-        let waiting_at_start = self.waiting;
-        let mut waiting_seen = 0usize;
-        // If the scan leaves a wake-up bound on every entry still Waiting
+        // If the scan leaves a wake-up bound on every entry still waiting
         // when it ends, their minimum becomes the next scan cycle; any
         // unbounded outcome (slot or port pressure, an unvisited tail)
         // forces a re-scan next cycle.
         let mut all_bounded = true;
         let mut min_bound = Cycle::MAX;
 
-        for i in 0..self.rob.len() {
-            if waiting_seen == waiting_at_start {
-                break;
-            }
+        let mut slots = self.rob.waiting_slots();
+        while let Some(slot) = slots.next_slot(&self.rob) {
             if issued >= self.cfg.issue_width {
                 all_bounded = false; // unvisited waiting entries may be ready
                 break;
             }
-            let g = self.rob.gate(i);
-            if g == u64::MAX {
-                continue; // cannot issue (Done)
-            }
-            waiting_seen += 1;
+            let g = self.rob.gate[slot];
             if g > now {
                 // Producer provably not ready yet (cached bound).
                 min_bound = min_bound.min(g);
                 continue;
             }
-            let entry = self.rob.at(i);
-            if let Some(dep) = entry.dep_seq {
+            if let Some(dep) = self.rob.buf[slot].dep_seq {
                 if let Some(bound) = self.producer_gate(dep, now) {
                     // Remember the earliest possible issue cycle so the
                     // scans until then skip this entry with one compare.
-                    self.rob.set_gate(i, bound);
+                    self.rob.gate[slot] = bound;
                     min_bound = min_bound.min(bound);
                     continue;
                 }
             }
-            let done_at = match entry.op {
+            let done_at = match self.rob.buf[slot].op {
                 Op::IntAlu => {
                     if int_slots == 0 {
                         all_bounded = false;
@@ -403,15 +444,15 @@ impl Core {
                     }
                     int_slots -= 1;
                     let done = now + self.cfg.int_latency;
-                    if entry.blocks_fetch {
-                        resolved_block = Some(entry.seq);
+                    if self.rob.buf[slot].blocks_fetch {
+                        self.fetch_blocked = false;
                         self.fetch_resume_at = done + self.front.mispredict_penalty;
                     }
                     done
                 }
-                Op::Load { addr } | Op::Store { addr } => {
-                    let is_store = matches!(entry.op, Op::Store { .. });
-                    match mem.try_access(entry.pc, addr, is_store, now) {
+                op @ (Op::Load { addr } | Op::Store { addr }) => {
+                    let is_store = matches!(op, Op::Store { .. });
+                    match mem.try_access(self.rob.buf[slot].pc, addr, is_store, now) {
                         Some(ready) => ready,
                         None => {
                             rejections += 1;
@@ -421,21 +462,12 @@ impl Core {
                     }
                 }
                 Op::SoftPrefetch { addr } => {
-                    mem.software_prefetch(entry.pc, addr, now);
+                    mem.software_prefetch(self.rob.buf[slot].pc, addr, now);
                     now + 1
                 }
             };
-            let e = self.rob.at_mut(i);
-            e.stage = Stage::Done;
-            e.done_at = done_at;
-            self.rob.set_gate(i, u64::MAX);
-            self.waiting -= 1;
+            self.rob.issue(slot, done_at);
             issued += 1;
-        }
-        if let Some(seq) = resolved_block {
-            if self.fetch_blocked_on == Some(seq) {
-                self.fetch_blocked_on = None;
-            }
         }
         self.issue_scan_at = if all_bounded { min_bound } else { now + 1 };
         (issued as u64, rejections)
@@ -448,7 +480,7 @@ impl Core {
         mem: &mut dyn MemoryPort,
         stats: &mut SimStats,
     ) -> bool {
-        if self.fetch_blocked_on.is_some() || now < self.fetch_resume_at {
+        if self.fetch_blocked || now < self.fetch_resume_at {
             return false;
         }
         let mut changed = false;
@@ -500,21 +532,18 @@ impl Core {
                 seq.checked_sub(inst.dep as u64)
             };
             self.rob.push_back(RobEntry {
-                seq,
                 pc: inst.pc,
                 op: inst.op,
                 dep_seq,
-                stage: Stage::Waiting,
                 done_at: 0,
                 is_mem: inst.op.is_mem(),
                 blocks_fetch,
             });
-            self.waiting += 1;
             // The new entry may be issue-ready immediately (issue runs
             // before fetch within a tick, so "immediately" is next cycle).
             self.issue_scan_at = self.issue_scan_at.min(now + 1);
             if blocks_fetch {
-                self.fetch_blocked_on = Some(seq);
+                self.fetch_blocked = true;
                 break; // wrong-path fetch is not modelled
             }
         }
@@ -548,12 +577,14 @@ impl Core {
     ///
     /// The calendar has three sources:
     ///
-    /// * **Retire** — the ROB head completes at its `done_at`.
-    /// * **Issue wake-up** — `issue_scan_at`, the issue scan's own gate: a
-    ///   sound lower bound on the first cycle any waiting entry could
-    ///   issue, kept current by every full scan. A quiescent tick cannot
-    ///   move it (the scan either proved a bound past `now` for every
-    ///   waiting entry, or there are no waiting entries at all).
+    /// * **Retire** — once the ROB head has issued (its waiting bit is
+    ///   clear), it retires at its `done_at`.
+    /// * **Issue wake-up** — while any entry is waiting (the ROB's O(1)
+    ///   count of set waiting bits), `issue_scan_at`, the issue scan's own
+    ///   gate: a sound lower bound on the first cycle any waiting entry
+    ///   could issue, kept current by every full scan. A quiescent tick
+    ///   cannot move it (the scan either proved a bound past `now` for
+    ///   every waiting entry, or there are no waiting entries at all).
     /// * **Fetch** — resumes at `fetch_resume_at` unless structurally gated
     ///   (unresolved mispredicted branch, full ROB, LSQ-full pending memory
     ///   op); every gate is lifted only by an issue or retire event, which
@@ -572,15 +603,13 @@ impl Core {
             let at = at.max(soon);
             *next = Some(next.map_or(at, |n| n.min(at)));
         };
-        if let Some(front) = self.rob.front() {
-            if front.stage == Stage::Done {
-                consider(&mut next, front.done_at);
-            }
+        if let Some(front) = self.rob.issued_front() {
+            consider(&mut next, front.done_at);
         }
-        if self.waiting > 0 {
+        if self.rob.waiting > 0 {
             consider(&mut next, self.issue_scan_at);
         }
-        if self.fetch_blocked_on.is_none() && self.rob.len() < self.cfg.rob_entries {
+        if !self.fetch_blocked && self.rob.len() < self.cfg.rob_entries {
             let lsq_gated = self
                 .pending
                 .as_ref()
@@ -677,6 +706,72 @@ mod tests {
             }
         }
         fn software_prefetch(&mut self, _pc: Pc, _a: Addr, _now: Cycle) {}
+    }
+
+    impl RobRing {
+        /// The logical indices the issue scan visits, in visit order.
+        fn scan_order(&self) -> Vec<usize> {
+            let mut slots = self.waiting_slots();
+            std::iter::from_fn(|| slots.next_slot(self))
+                .map(|slot| slot.wrapping_sub(self.head) & self.mask)
+                .collect()
+        }
+    }
+
+    /// After every tick, the bitmask walk the issue scan uses must visit
+    /// exactly the live entries a per-slot check finds waiting, oldest
+    /// first, and no dead slot may keep its bit. The runs reject every
+    /// other port request and wrap rings of one, two and more words with
+    /// the head mid-word, so a walk that ignored the window's end would
+    /// revisit the oldest entries of the head's word.
+    #[test]
+    fn waiting_walk_matches_per_slot_check() {
+        for rob_entries in [5, 64, 100, 128, 200] {
+            let cfg = CoreConfig {
+                rob_entries,
+                ..CoreConfig::default()
+            };
+            let mut c = Core::new(&cfg);
+            let mut i = 0u64;
+            let mut stream = move || {
+                i += 1;
+                match i % 5 {
+                    0 => Inst::new(i * 4, Op::Load { addr: i * 64 }),
+                    1 => Inst::with_dep(i * 4, Op::FpAlu, 1),
+                    _ => Inst::with_dep(i * 4, Op::IntAlu, (i % 7) as u8),
+                }
+            };
+            let mut mem = FlakyMemory {
+                latency: 40,
+                count: 0,
+            };
+            let mut stats = SimStats::default();
+            let cap = c.rob.mask + 1;
+            let (mut wrapped_mid_word, mut rejections) = (false, 0);
+            for now in 0..20_000 {
+                rejections += c
+                    .tick(now, &mut stream, &mut mem, &mut stats)
+                    .port_rejections;
+                let rob = &c.rob;
+                let per_slot: Vec<usize> = (0..rob.len())
+                    .filter(|&i| rob.is_waiting(rob.slot(i)))
+                    .collect();
+                assert_eq!(rob.scan_order(), per_slot, "ROB {rob_entries}, cycle {now}");
+                let set_bits: u32 = rob.waiting_bits.iter().map(|w| w.count_ones()).sum();
+                assert_eq!(
+                    set_bits as usize,
+                    per_slot.len(),
+                    "a dead slot kept its bit"
+                );
+                assert_eq!(rob.waiting, per_slot.len(), "waiting count drifted");
+                wrapped_mid_word |= !rob.head.is_multiple_of(64) && rob.head + rob.len() > cap;
+            }
+            assert!(
+                wrapped_mid_word,
+                "ROB {rob_entries}: ring never wrapped mid-word"
+            );
+            assert!(rejections > 0 && stats.loads > 100, "ROB {rob_entries}");
+        }
     }
 
     #[test]

@@ -72,6 +72,11 @@ impl MemoryPort for PatternedMemory {
     fn software_prefetch(&mut self, _pc: Pc, _addr: Addr, _now: Cycle) {}
 }
 
+/// ROB sizes the bounds property draws from: one- and two-entry windows,
+/// a partial first word, exact and off-by-one word sizes, partial second
+/// words and multi-word rings, each rounded up to a power-of-two ring.
+const ROB_SIZES: [usize; 11] = [1, 2, 5, 32, 63, 64, 65, 96, 128, 200, 256];
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -81,9 +86,16 @@ proptest! {
         period in 2u64..8,
         reject_below in 0u64..4,
         latency in 1u64..200,
+        rob_pick in 0usize..ROB_SIZES.len(),
+        lsq_pick in 0usize..256,
     ) {
         prop_assume!(reject_below < period);
-        let cfg = CoreConfig::default();
+        let rob_entries = ROB_SIZES[rob_pick];
+        let cfg = CoreConfig {
+            rob_entries,
+            lsq_entries: 1 + lsq_pick % rob_entries,
+            ..CoreConfig::default()
+        };
         let mut core = Core::new(&cfg);
         let mut stream = ScriptStream { script, pos: 0, pc: 0x1000 };
         let mut mem = PatternedMemory { period, reject_below, latency, calls: 0 };

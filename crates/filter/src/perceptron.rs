@@ -116,7 +116,7 @@ pub fn accuracy_bucket(trained_good: u64, trained_bad: u64) -> u8 {
 /// remaining weight slots, and the PC feature takes the largest power of
 /// two that fits in what is left (often 2× the line table — the PC feature
 /// carries the most predictive signal, so the leftover budget a symmetric
-/// split would strand goes to it). Both are floored at [`MIN_BIG_ROWS`] so
+/// split would strand goes to it). Both are floored at `MIN_BIG_ROWS` so
 /// a degenerate budget still yields a working filter.
 pub fn rows_for(table_entries: usize, counter_bits: u8) -> [usize; FEATURE_COUNT] {
     let budget_bits = table_entries * counter_bits as usize;

@@ -3,7 +3,7 @@
 //! The build environment cannot fetch `serde`/`serde_json`, so the workspace
 //! carries its own small JSON layer: a [`JsonValue`] tree, a recursive-descent
 //! parser, a compact and a pretty writer, and the [`ToJson`]/[`FromJson`]
-//! traits every serializable type implements. The [`json_struct!`] and
+//! traits every serializable type implements. The [`json_struct!`](crate::json_struct) and
 //! [`json_unit_enum!`](crate::json_unit_enum) macros generate the mechanical
 //! field-by-field impls, mirroring what `#[derive(Serialize, Deserialize)]`
 //! used to produce — same field names, so previously emitted JSON artifacts

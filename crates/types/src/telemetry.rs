@@ -1,6 +1,6 @@
 //! Interval telemetry: time-resolved metrics for the trained filter.
 //!
-//! End-of-run aggregates in [`SimStats`](crate::SimStats) hide exactly the
+//! End-of-run aggregates in [`SimStats`] hide exactly the
 //! transient the paper's mechanism lives or dies by — the §4 history table
 //! starts weakly-good and converges only after PIB/RIB evictions feed back,
 //! so the interesting signal (how fast `fraction_good` leaves its init, how
@@ -13,7 +13,7 @@
 //! * [`Registry`] — a flat registry of named counters and gauges. The
 //!   simulator registers instantaneous values (filter `fraction_good`, live
 //!   MSHR entries, prefetch-queue backlog) that cannot be derived from the
-//!   cumulative [`SimStats`](crate::SimStats) counters.
+//!   cumulative [`SimStats`] counters.
 //! * [`IntervalSampler`] — differences successive `SimStats` snapshots into
 //!   per-interval [`IntervalRecord`]s (IPC, L1 miss rate, per-source
 //!   prefetch issued/filtered/dropped, bus occupancy, …).
