@@ -1,30 +1,33 @@
 //! The on-disk backend of the cell store ([`crate::memo::CellStore::Dir`]),
 //! for checkpoint/resume of long figure sweeps.
 //!
-//! Every completed cell's [`SimReport`] is written to
-//! `<dir>/<key>.json`, where `<key>` is an FNV-1a content hash of the
-//! cell's full identity — label, config JSON, workload, seed and
-//! instruction budgets ([`cell_key`], shared with the shard partitioner).
-//! On restart the store reloads every cell whose file exists and parses,
-//! and re-runs only the missing, corrupt or previously failed ones
-//! (failures are deliberately never checkpointed: a resume is exactly the
-//! retry the operator asked for). A config change produces different
-//! keys, so stale results can never leak into a new sweep. The directory
-//! holds exactly one file per completed cell and nothing else.
+//! Every completed cell's [`SimReport`] is written to `<dir>/<key>.json`,
+//! where `<key>` is the cell's [`memo_key`]: 16 hex digits of an FNV-1a
+//! hash over its config JSON, workload, seed, instruction budgets,
+//! adversary and watchdog bounds, but not its label. So one directory
+//! serves every experiment: a cell that several experiments run under
+//! different labels is stored once and reloaded by each. On restart the
+//! store reloads every cell whose file exists and parses, and re-runs only
+//! the missing, corrupt or previously failed ones (failures are
+//! deliberately never checkpointed: a resume is exactly the retry the
+//! operator asked for). A config change produces different keys, so stale
+//! results can never leak into a new sweep. The directory holds exactly
+//! one file per distinct completed cell and nothing else.
 //!
 //! Writes stream from the worker threads as cells finish (write to a
 //! `.tmp` sibling, then rename), so a crash mid-sweep loses at most the
 //! cells still in flight.
 
+use crate::memo::memo_key;
 use ppf_sim::experiments::RunSpec;
-pub use ppf_sim::schedule::cell_key;
 use ppf_sim::SimReport;
 use ppf_types::{FromJson, PpfError, ToJson};
 use std::path::{Path, PathBuf};
 
-/// Path of a cell's checkpoint file under `dir`.
-pub fn cell_path(dir: &Path, spec: &RunSpec) -> PathBuf {
-    key_path(dir, &cell_key(spec))
+/// Path of a cell's checkpoint file under `dir`, or `None` for a cell that
+/// always executes and is never stored.
+pub fn cell_path(dir: &Path, spec: &RunSpec) -> Option<PathBuf> {
+    memo_key(spec).map(|key| key_path(dir, &key))
 }
 
 fn key_path(dir: &Path, key: &str) -> PathBuf {

@@ -11,7 +11,6 @@
 // read worse than the index.
 #![allow(clippy::needless_range_loop)]
 
-use crate::checkpoint::cell_key;
 use crate::memo::CellStore;
 use crate::shard::{
     ExperimentFragment, FragmentEntry, ManifestExperiment, ShardSpec, SHARD_SCHEMA_VERSION,
@@ -20,7 +19,7 @@ use ppf_sim::experiments::{
     self, ablations, CellOutcome, RunSpec, TelemetrySpec, PORT_COUNTS, TABLE_SIZES,
 };
 use ppf_sim::report::{f3, geomean, mean, pct, TextTable};
-use ppf_sim::{CellFailure, SimReport};
+use ppf_sim::{cell_key, CellFailure, SimReport};
 use ppf_types::telemetry::{TelemetryConfig, DEFAULT_INTERVAL_CYCLES};
 use ppf_types::{json_struct, PpfError, ToJson};
 use ppf_workloads::{AttackKind, FaultSpec, Workload};
@@ -145,8 +144,9 @@ pub struct ExperimentOptions {
     pub seeds: u32,
     /// Dump raw reports of completed cells to `<json_dir>/<name>.json`.
     pub json_dir: Option<String>,
-    /// Checkpoint/resume directory: completed cells are persisted under
-    /// `<dir>/<experiment>/` and reloaded on the next invocation.
+    /// Checkpoint/resume directory: completed cells are persisted as
+    /// `<dir>/<key>.json`, one file per distinct cell whichever
+    /// experiments run it, and reloaded on the next invocation.
     pub checkpoint: Option<PathBuf>,
     /// Interval-telemetry directory: every cell streams its per-interval
     /// records to `<dir>/<experiment>/<cell>.jsonl` (default sampling
@@ -183,7 +183,8 @@ pub struct ExperimentOutput {
     /// summary in sharded mode.
     pub body: String,
     /// Raw (cell × seed) runs served from the cell store: reloaded from the
-    /// checkpoint directory, or hits in the in-process memo.
+    /// checkpoint directory, hits in the in-process memo, or repeats of a
+    /// run earlier in the same grid.
     pub loaded_cells: usize,
     /// Raw (cell × seed) runs executed this invocation.
     pub executed_cells: usize,
@@ -241,8 +242,10 @@ pub fn run_experiment_full(
             cells.push(spec);
         }
     }
-    let store_dir = opts.checkpoint.as_ref().map(|dir| dir.join(name));
-    let store = store_dir.as_deref().map_or(CellStore::Memo, CellStore::Dir);
+    let store = opts
+        .checkpoint
+        .as_deref()
+        .map_or(CellStore::Memo, CellStore::Dir);
     let run = store.run(cells, opts.seeds.max(1))?;
     for e in &run.write_errors {
         eprintln!("warning: {e}");

@@ -131,23 +131,26 @@ fn compare_warns_on_incomparable_mixes() {
 
 #[test]
 fn memo_serves_repeat_cells_with_identical_reports() {
-    let spec = || {
-        let mut s = RunSpec::new(
-            "memo-test-unique-label",
-            SystemConfig::paper_default(),
-            Workload::ALL[0],
-        )
-        .instructions(5_000);
+    let spec = |label: &str| {
+        let mut s = RunSpec::new(label, SystemConfig::paper_default(), Workload::ALL[0])
+            .instructions(5_000);
         s.warmup = 0;
         s
     };
-    // Both copies execute on the first call: the memo only serves cells
-    // that *completed* before the grid started.
-    let first = memo::run_grid_seeds_memoized(vec![spec(), spec()], 1);
-    assert_eq!(first.executed, 2);
-    assert_eq!(first.hits, 0);
+    // A repeat within one call executes once: the copy under another label
+    // is served the first run's report under its own label, exactly what
+    // running it alone produces.
+    let first = memo::run_grid_seeds_memoized(vec![spec("memo-test"), spec("memo-test-copy")], 1);
+    assert_eq!(first.executed, 1);
+    assert_eq!(first.hits, 1);
+    assert_eq!(
+        first.outcomes[1].report().expect("copy ok"),
+        &spec("memo-test-copy")
+            .run_checked()
+            .expect("copy runs alone"),
+    );
     // The second call is served entirely from the memo, byte-for-byte.
-    let second = memo::run_grid_seeds_memoized(vec![spec()], 1);
+    let second = memo::run_grid_seeds_memoized(vec![spec("memo-test")], 1);
     assert_eq!(second.executed, 0);
     assert_eq!(second.hits, 1);
     assert_eq!(

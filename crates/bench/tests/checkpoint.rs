@@ -1,7 +1,8 @@
 //! Checkpoint/resume integration drills: fresh runs persist every healthy
-//! cell, resumes execute only the missing or failed ones, a config change
-//! invalidates the old entries, corrupt files are re-run, and fault or
-//! telemetry cells bypass both store backends.
+//! cell, resumes execute only the missing or failed ones, a config or
+//! watchdog change invalidates the old entries, corrupt files are re-run,
+//! repeats within one call execute once, and fault or telemetry cells
+//! bypass both store backends.
 
 use ppf_bench::checkpoint::cell_path;
 use ppf_bench::memo::{CellStore, StoredRun};
@@ -81,7 +82,10 @@ fn resume_executes_only_failed_cells() {
     let files = std::fs::read_dir(&dir).unwrap().count();
     assert_eq!(files, 8);
     for (spec, outcome) in drill_grid().iter().zip(&first.outcomes) {
-        assert_eq!(cell_path(&dir, spec).exists(), outcome.is_ok());
+        // The two faulted cells always execute, so they have no file name.
+        let path = cell_path(&dir, spec);
+        assert_eq!(path.is_none(), spec.fault.is_some());
+        assert_eq!(path.is_some_and(|p| p.exists()), outcome.is_ok());
     }
 
     // Resume with the faults fixed: the 8 checkpointed cells reload, only
@@ -110,6 +114,63 @@ fn resume_executes_only_failed_cells() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// Watchdog bounds tight enough to fail a 4000-instruction mcf cell.
+fn tight_watchdog() -> WatchdogConfig {
+    WatchdogConfig {
+        max_cpi: 1,
+        ..WatchdogConfig::default()
+    }
+}
+
+/// The watchdog bounds are part of the key: a report stored under the
+/// default bounds must not serve a spec whose tighter bounds it fails.
+#[test]
+fn watchdog_bounds_are_part_of_the_key() {
+    let dir = scratch("watchdog");
+    std::fs::remove_dir_all(&dir).ok();
+
+    let spec = RunSpec::new("w", SystemConfig::paper_default(), Workload::Mcf).instructions(N);
+    let tight = spec.clone().with_watchdog(tight_watchdog());
+    assert!(tight.run_checked().is_err(), "tight bounds fail run alone");
+    let stored = checkpointed(vec![spec], &dir);
+    assert!(stored.outcomes[0].is_ok());
+
+    let run = checkpointed(vec![tight], &dir);
+    assert_eq!((run.hits, run.executed), (0, 1), "tight spec must execute");
+    let failure = run.outcomes[0].failure().expect("tight spec fails");
+    assert_eq!(failure.error.kind, PpfErrorKind::WatchdogTimeout);
+
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Repeats of one key within a call execute once, on both backends: each
+/// repeat counts as a hit and gets the first run's outcome under its own
+/// label, failures included.
+#[test]
+fn repeats_in_one_call_execute_once_under_their_own_labels() {
+    let dir = scratch("repeats");
+    std::fs::remove_dir_all(&dir).ok();
+
+    let cell = |label: &str| {
+        RunSpec::new(label, SystemConfig::paper_default(), Workload::Mcf)
+            .instructions(N)
+            .with_watchdog(tight_watchdog())
+    };
+    for store in [CellStore::Dir(&dir), CellStore::Memo] {
+        let run = store.run(vec![cell("a"), cell("b"), cell("a")], 2).unwrap();
+        assert_eq!((run.hits, run.executed), (4, 2), "{store:?}");
+        let labels: Vec<&str> = run
+            .outcomes
+            .iter()
+            .map(|o| o.failure().expect("tight bounds fail").label.as_str())
+            .collect();
+        assert_eq!(labels, ["a", "b", "a"], "{store:?}");
+    }
+    assert_eq!(std::fs::read_dir(&dir).unwrap().count(), 0);
+
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// Any config change produces different cell keys, so a checkpoint from
 /// the old sweep is invisible to the new one.
 #[test]
@@ -131,10 +192,8 @@ fn config_change_invalidates_checkpoint() {
         spec.config.prefetch.nsp_degree += 1;
     }
     for spec in &changed {
-        assert!(
-            !cell_path(&dir, spec).exists(),
-            "changed config must hash to fresh keys"
-        );
+        let path = cell_path(&dir, spec).expect("plain cells are stored");
+        assert!(!path.exists(), "changed config must hash to fresh keys");
     }
     let second = checkpointed(changed, &dir);
     assert_eq!(
@@ -156,7 +215,7 @@ fn corrupt_checkpoint_entry_is_rerun() {
     let grid =
         || vec![RunSpec::new("c", SystemConfig::paper_default(), Workload::Bh).instructions(N)];
     checkpointed(grid(), &dir);
-    let path = cell_path(&dir, &grid()[0]);
+    let path = cell_path(&dir, &grid()[0]).expect("plain cells are stored");
     std::fs::write(&path, "{ not json").unwrap();
 
     let rerun = checkpointed(grid(), &dir);
@@ -259,8 +318,9 @@ fn faulting_attack_cell_is_not_cached_poisoned() {
     // adversary must NOT be satisfied by the attacked checkpoint.
     let clean_spec =
         RunSpec::new("atk", SystemConfig::paper_default(), Workload::Em3d).instructions(N);
+    let clean_path = cell_path(&dir, &clean_spec).expect("plain cells are stored");
     assert!(
-        !cell_path(&dir, &clean_spec).exists(),
+        !clean_path.exists(),
         "attack-free cell must hash to a different key than the attacked one"
     );
 

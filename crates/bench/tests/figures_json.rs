@@ -146,13 +146,15 @@ fn checkpoint_resume_still_streams_telemetry() {
     std::fs::remove_dir_all(&root).ok();
 }
 
-/// `--seeds` and `--checkpoint` through the binary: a resume executes no
-/// cell, and the fresh, resumed and uncheckpointed runs write byte-identical
-/// documents. The checkpoint directory holds only per-experiment cell
-/// directories.
+/// `--seeds` and `--checkpoint` through the binary: fig1 and fig2 render
+/// one grid, so fig2 reloads every run fig1 stored; a resume executes no
+/// cell; and the fresh, resumed and uncheckpointed runs write
+/// byte-identical documents. The checkpoint directory holds one
+/// `<key>.json` per distinct (cell × seed) run and no subdirectory.
 #[test]
 fn seeded_checkpoint_resume_reproduces_documents() {
     let root = temp_dir("ppf-figures-seeds-ckpt-test");
+    let names = ["fig1", "fig2", "table2"];
     let run = |json: &str, checkpoint: bool| {
         let mut cmd = figures();
         cmd.args(["--insts", "5000", "--seeds", "2", "--json"])
@@ -160,7 +162,7 @@ fn seeded_checkpoint_resume_reproduces_documents() {
         if checkpoint {
             cmd.arg("--checkpoint").arg(root.join("D"));
         }
-        let out = cmd.args(["fig2", "table2"]).output().expect("figures runs");
+        let out = cmd.args(names).output().expect("figures runs");
         assert!(
             out.status.success(),
             "{}",
@@ -168,10 +170,14 @@ fn seeded_checkpoint_resume_reproduces_documents() {
         );
         (out.stdout, String::from_utf8(out.stderr).unwrap())
     };
-    let (first, _) = run("J1", true);
+    let (first, fresh) = run("J1", true);
+    assert!(
+        fresh.contains("[fig2] checkpoint: 20 cell runs reloaded, 0 executed"),
+        "{fresh}"
+    );
     let (resumed, stderr) = run("J2", true);
     let (plain, _) = run("J3", false);
-    for name in ["fig2", "table2"] {
+    for name in names {
         assert!(
             stderr.contains(&format!(
                 "[{name}] checkpoint: 20 cell runs reloaded, 0 executed"
@@ -186,13 +192,25 @@ fn seeded_checkpoint_resume_reproduces_documents() {
         );
     }
     assert!(first == resumed && first == plain, "rendered tables differ");
-    let mut entries: Vec<String> = std::fs::read_dir(root.join("D"))
+    let entries: Vec<PathBuf> = std::fs::read_dir(root.join("D"))
         .unwrap()
-        .map(|e| e.unwrap().file_name().into_string().unwrap())
+        .map(|e| e.unwrap().path())
         .collect();
-    entries.sort();
-    assert_eq!(entries, ["fig2", "table2"]);
-    assert!(root.join("D/fig2").is_dir() && root.join("D/table2").is_dir());
+    assert_eq!(
+        entries.len(),
+        40,
+        "fig1_2 and table2: 2 × 10 cells × 2 seeds"
+    );
+    for path in &entries {
+        let stem = path.file_stem().unwrap().to_str().unwrap();
+        assert!(
+            path.is_file()
+                && path.extension().is_some_and(|x| x == "json")
+                && stem.len() == 16
+                && stem.bytes().all(|b| b.is_ascii_hexdigit()),
+            "not a <key>.json file: {path:?}"
+        );
+    }
     std::fs::remove_dir_all(&root).ok();
 }
 

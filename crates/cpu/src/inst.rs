@@ -87,8 +87,8 @@ impl Inst {
 
 /// An endless dynamic instruction source.
 ///
-/// `Send` because the grid runner moves warmed-up simulators (which own
-/// their stream) between worker threads when sharing warm-up snapshots.
+/// `Send` so a simulator, which owns its stream, can be built on one
+/// thread and run on another.
 pub trait InstStream: Send {
     /// Produce the next instruction in program order. Streams are infinite:
     /// the simulator decides how many instructions to run.
@@ -97,7 +97,7 @@ pub trait InstStream: Send {
     /// A boxed deep copy of this stream at its current position, or `None`
     /// when the stream is not duplicable (the default — closures, fault
     /// and adversary wrappers). Streams that opt in make their simulator
-    /// snapshottable, letting the scheduler share warm-up work.
+    /// copyable with `Simulator::try_snapshot`.
     fn clone_box(&self) -> Option<Box<dyn InstStream>> {
         None
     }

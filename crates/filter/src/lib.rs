@@ -80,19 +80,6 @@ fn floor_pow2(n: usize) -> usize {
     }
 }
 
-/// Per-key diagnostic record (only populated when tracing is enabled).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct KeyTrace {
-    /// Good training events.
-    pub trained_good: u64,
-    /// Bad training events.
-    pub trained_bad: u64,
-    /// Lookups rejected.
-    pub rejected: u64,
-    /// Lookups allowed.
-    pub allowed: u64,
-}
-
 /// The hardware pollution filter of §4.
 #[derive(Debug, Clone)]
 pub struct PollutionFilter {
@@ -102,9 +89,6 @@ pub struct PollutionFilter {
     tables: Vec<HistoryTable>,
     gate: Option<AdaptiveGate>,
     stats: FilterStats,
-    /// Optional per-trigger-PC trace for diagnostics (off in normal runs;
-    /// costs a hash-map update per event when enabled).
-    trace: Option<std::collections::HashMap<u64, KeyTrace>>,
     /// Recently rejected targets, for misprediction recovery (see
     /// [`recovery`]). `None` for `FilterKind::None`.
     reject_log: Option<recovery::RejectLog>,
@@ -201,7 +185,6 @@ impl PollutionFilter {
                 .adaptive_accuracy_threshold
                 .map(|thr| AdaptiveGate::new(thr, cfg.adaptive_window)),
             stats: FilterStats::default(),
-            trace: None,
             // `recovery_window == 0` disables recovery entirely — the
             // strict (absorbing) reading of the paper, kept as an ablation.
             reject_log: (cfg.kind != FilterKind::None && cfg.recovery_window > 0).then(|| {
@@ -229,16 +212,6 @@ impl PollutionFilter {
         } else {
             self.salt ^ (tenant as u64).wrapping_mul(TENANT_TAG_MIX)
         }
-    }
-
-    /// Enable per-trigger-PC diagnostic tracing.
-    pub fn enable_trace(&mut self) {
-        self.trace = Some(std::collections::HashMap::new());
-    }
-
-    /// The per-trigger-PC trace, if enabled.
-    pub fn trace(&self) -> Option<&std::collections::HashMap<u64, KeyTrace>> {
-        self.trace.as_ref()
     }
 
     /// The indexing scheme in use.
@@ -412,14 +385,6 @@ impl PollutionFilter {
                 log.record(req.line, req.trigger_pc, feats.depth, req.tenant, now);
             }
         }
-        if let Some(trace) = &mut self.trace {
-            let e = trace.entry(req.trigger_pc).or_default();
-            if good {
-                e.allowed += 1;
-            } else {
-                e.rejected += 1;
-            }
-        }
         good
     }
 
@@ -459,14 +424,6 @@ impl PollutionFilter {
                 log.record(req.line, key, table as u8, req.tenant, now);
             }
         }
-        if let Some(trace) = &mut self.trace {
-            let e = trace.entry(req.trigger_pc).or_default();
-            if good {
-                e.allowed += 1;
-            } else {
-                e.rejected += 1;
-            }
-        }
         good
     }
 
@@ -481,14 +438,6 @@ impl PollutionFilter {
         }
         if let Some(gate) = &mut self.gate {
             gate.observe(referenced);
-        }
-        if let Some(trace) = &mut self.trace {
-            let e = trace.entry(origin.trigger_pc).or_default();
-            if referenced {
-                e.trained_good += 1;
-            } else {
-                e.trained_bad += 1;
-            }
         }
         if let Some(p) = &mut self.perceptron {
             // Ordering contract (mirrored by the oracle): the stats bump

@@ -164,11 +164,6 @@ impl Hierarchy {
         self.line_bytes
     }
 
-    /// Whether the dedicated prefetch buffer is in use.
-    pub fn has_buffer(&self) -> bool {
-        self.buffer.is_some()
-    }
-
     /// Fills still in flight at `now` — the interval-telemetry MSHR gauge
     /// (a read-only observation; never affects timing).
     pub fn mshr_live(&self, now: Cycle) -> usize {

@@ -67,8 +67,8 @@ pub struct AccessEvent {
 
 /// A hardware prefetch generator.
 ///
-/// `Send` because the grid runner moves warmed-up simulators (which own
-/// their generators) between worker threads when sharing warm-up snapshots.
+/// `Send` so a simulator, which owns its generators, can be built on one
+/// thread and run on another.
 pub trait Prefetcher: Send {
     /// Short name for reports.
     fn name(&self) -> &'static str;
@@ -82,8 +82,7 @@ pub trait Prefetcher: Send {
 
     /// A boxed deep copy of this generator at its current training state,
     /// or `None` when it is not duplicable (the default). Generators that
-    /// opt in make their machine snapshottable, letting the scheduler
-    /// share warm-up work across grid cells.
+    /// opt in make their machine copyable with `Simulator::try_snapshot`.
     fn clone_box(&self) -> Option<Box<dyn Prefetcher>> {
         None
     }

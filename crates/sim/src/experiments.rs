@@ -7,10 +7,11 @@
 //! DESIGN.md has a single source of truth. Grid cells are independent pure
 //! functions of `(config, workload, seed)`, so [`run_grid`] fans them out
 //! across threads with the scheduler in [`crate::schedule`]: workers take
-//! cells from one list sorted by predicted cost (longest first), and cells
-//! sharing an identical warm-up prefix reuse one warmed simulator snapshot
-//! instead of each warming up from scratch. Output order always matches
-//! input order regardless of schedule.
+//! cells from one list sorted by predicted cost (longest first), and each
+//! cell builds, warms up and runs its own simulator. Output order always
+//! matches input order regardless of schedule. Sharing work between
+//! identical cells is the job of the cell store in `ppf-bench`, which runs
+//! each distinct cell once and serves its repeats.
 //!
 //! The runner is fault tolerant: each cell executes under
 //! [`std::panic::catch_unwind`], a failed cell is retried once to
@@ -20,17 +21,14 @@
 //! keeps the original all-green semantics.
 
 use crate::report::SimReport;
-use crate::schedule::{lock, CostModel};
+use crate::schedule::CostModel;
 use crate::simulator::{Simulator, WatchdogConfig};
 use ppf_cpu::InstStream;
 use ppf_types::telemetry::{JsonlSink, TelemetryConfig};
-use ppf_types::{
-    json_struct, FilterKind, PpfError, PrefetchConfig, SplitMix64, SystemConfig, ToJson,
-};
+use ppf_types::{json_struct, FilterKind, PpfError, PrefetchConfig, SplitMix64, SystemConfig};
 use ppf_workloads::{AdversarySpec, AdversaryStream, AttackKind, FaultSpec, FaultStream, Workload};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
-use std::sync::Mutex;
 
 /// Default per-run instruction budget for full experiments. The paper runs
 /// 300M instructions per benchmark; the models reach steady state orders of
@@ -167,12 +165,9 @@ impl RunSpec {
         )
     }
 
-    /// Build, configure and warm up this cell's simulator — everything
-    /// that happens *before* measurement begins. Split from
-    /// [`RunSpec::finish`] so the grid scheduler can snapshot the warmed
-    /// machine and share it across cells with an identical warm prefix
-    /// (see [`RunSpec::warm_key`]).
-    fn warmed_sim(&self) -> Result<Simulator, PpfError> {
+    /// Execute this cell, surfacing failures (invalid config, watchdog
+    /// trip, funnel violation) as structured errors.
+    pub fn run_checked(&self) -> Result<SimReport, PpfError> {
         // Composition order matters: the fault wrapper sits outermost so a
         // fault drill trips at the same emitted-instruction index whether
         // or not an adversary is also mixed in.
@@ -198,13 +193,6 @@ impl RunSpec {
                 .map_err(|e| e.context(self.identity()))?;
         }
         sim.warmup_checked(self.warmup)?;
-        Ok(sim)
-    }
-
-    /// Run the measured phase on an already-warm simulator (own or a
-    /// shared snapshot — the re-label covers a donor cell's label).
-    fn finish(&self, sim: Simulator) -> Result<SimReport, PpfError> {
-        let mut sim = sim.labeled(self.label.clone(), self.workload.name());
         let report = sim.run_checked(self.n_instructions)?;
         if let Some(t) = &self.telemetry {
             let path = self.telemetry_path().expect("telemetry is set");
@@ -218,38 +206,6 @@ impl RunSpec {
                 .map_err(|e| e.context(self.identity()))?;
         }
         Ok(report)
-    }
-
-    /// Execute this cell, surfacing failures (invalid config, watchdog
-    /// trip, funnel violation) as structured errors.
-    pub fn run_checked(&self) -> Result<SimReport, PpfError> {
-        self.finish(self.warmed_sim()?)
-    }
-
-    /// The warm-prefix identity of this cell, or `None` when its warm-up
-    /// cannot be shared. Two cells with the same key execute an *identical*
-    /// warm-up (same config, workload, seed, warm-up budget and watchdog
-    /// bounds — the seed matters because streams are seeded), so one cell's
-    /// post-warm-up snapshot is a valid starting point for the other.
-    /// Fault, adversary and telemetry cells never share (wrappers are not
-    /// duplicable and faults are positional).
-    fn warm_key(&self) -> Option<u64> {
-        if self.fault.is_some() || self.adversary.is_some() || self.telemetry.is_some() {
-            return None;
-        }
-        let mut h = crate::schedule::FNV_OFFSET;
-        for part in [
-            self.config.to_json_string(),
-            self.workload.name().to_string(),
-            self.seed.to_string(),
-            self.warmup.to_string(),
-            self.watchdog.max_cpi.to_string(),
-            self.watchdog.stall_window.to_string(),
-        ] {
-            h = crate::schedule::fnv1a(h, part.as_bytes());
-            h = crate::schedule::fnv1a(h, &[0]);
-        }
-        Some(h)
     }
 
     /// Execute this cell, panicking on failure with the rendered
@@ -333,99 +289,6 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
         s.clone()
     } else {
         "non-string panic payload".to_string()
-    }
-}
-
-/// Shared warm-up snapshots for the current grid run. Groups cells by
-/// [`RunSpec::warm_key`]; the first cell of a group to warm up donates a
-/// snapshot of its warmed machine, later cells clone it (the last one
-/// takes it) and skip straight to the measured phase. Results are
-/// bit-identical either way — a snapshot *is* the state the warm-up
-/// produces — so sharing only removes duplicate work.
-struct SnapshotCache {
-    groups: Mutex<std::collections::HashMap<u64, SnapGroup>>,
-    reuses: std::sync::atomic::AtomicU64,
-}
-
-/// One warm-prefix group: how many member cells have not yet been served,
-/// and the donated snapshot once a member finished warming up.
-struct SnapGroup {
-    remaining: usize,
-    snap: Option<Simulator>,
-}
-
-impl SnapshotCache {
-    /// Build the cache for one grid: only warm keys shared by ≥ 2 cells
-    /// form groups (a group of one could never reuse its snapshot).
-    fn new(specs: &[RunSpec]) -> Self {
-        let mut counts: std::collections::HashMap<u64, usize> = std::collections::HashMap::new();
-        for spec in specs {
-            if let Some(key) = spec.warm_key() {
-                *counts.entry(key).or_insert(0) += 1;
-            }
-        }
-        let groups = counts
-            .into_iter()
-            .filter(|&(_, n)| n >= 2)
-            .map(|(key, n)| {
-                (
-                    key,
-                    SnapGroup {
-                        remaining: n,
-                        snap: None,
-                    },
-                )
-            })
-            .collect();
-        SnapshotCache {
-            groups: Mutex::new(groups),
-            reuses: std::sync::atomic::AtomicU64::new(0),
-        }
-    }
-
-    /// Warm-up snapshots donated to sibling cells so far.
-    fn reuses(&self) -> u64 {
-        self.reuses.load(std::sync::atomic::Ordering::Relaxed)
-    }
-
-    /// Run `spec`, reusing a group sibling's warm snapshot when one is
-    /// available and donating ours otherwise.
-    fn run(&self, spec: &RunSpec) -> Result<SimReport, PpfError> {
-        let Some(key) = spec.warm_key() else {
-            return spec.run_checked();
-        };
-        // Fast path: a sibling already warmed up — clone its snapshot (the
-        // group's last consumer takes it, skipping the final clone).
-        let warmed = {
-            let mut groups = lock(&self.groups);
-            groups.get_mut(&key).and_then(|g| {
-                g.remaining = g.remaining.saturating_sub(1);
-                if g.remaining == 0 {
-                    g.snap.take()
-                } else {
-                    g.snap.as_ref().and_then(Simulator::try_snapshot)
-                }
-            })
-        };
-        if let Some(sim) = warmed {
-            self.reuses
-                .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-            return spec.finish(sim);
-        }
-        // Slow path: warm up ourselves; donate a snapshot if siblings are
-        // still waiting and nobody beat us to it. (Two siblings racing
-        // through warm-up both run correctly — the loser just wastes the
-        // donation.)
-        let sim = spec.warmed_sim()?;
-        {
-            let mut groups = lock(&self.groups);
-            if let Some(g) = groups.get_mut(&key) {
-                if g.remaining > 0 && g.snap.is_none() {
-                    g.snap = sim.try_snapshot();
-                }
-            }
-        }
-        spec.finish(sim)
     }
 }
 
@@ -534,13 +397,13 @@ pub struct GridTrace {
     pub retries: u64,
     /// Wall time of each cell's final attempt, in microseconds.
     pub cell_micros: Vec<u64>,
-    /// Warm-up snapshots shared between same-warm-prefix cells.
+    /// Always 0: every cell runs its own warm-up. Kept so readers of the
+    /// field still build.
     pub snapshot_reuses: u64,
 }
 
 /// The full-control grid runner: dispatch ordered by `model`'s cost
-/// predictions (longest cells start first), shared warm-up snapshots, panic
-/// isolation with scheduler-level retry, and a [`GridTrace`] of what
+/// predictions (longest cells start first), panic isolation with scheduler-level retry, and a [`GridTrace`] of what
 /// actually happened. `observe(index, &outcome)` runs as each cell finishes,
 /// from the worker that ran it — the cell store's streaming-write hook, so
 /// completed cells survive a crash mid-sweep. Output order always matches
@@ -562,10 +425,9 @@ where
         .map(|p| p.get())
         .unwrap_or(4)
         .min(n);
-    let cache = SnapshotCache::new(&specs);
     let (outcomes, trace) = crate::schedule::run_scheduled(n, workers, &costs, |job, attempt| {
         let spec = &specs[job];
-        let error = match catch_unwind(AssertUnwindSafe(|| cache.run(spec))) {
+        let error = match catch_unwind(AssertUnwindSafe(|| spec.run_checked())) {
             Ok(Ok(report)) => {
                 let outcome = CellOutcome::Ok(Box::new(report));
                 observe(job, &outcome);
@@ -586,7 +448,7 @@ where
         steals: 0,
         retries: trace.retries,
         cell_micros: trace.cell_micros,
-        snapshot_reuses: cache.reuses(),
+        snapshot_reuses: 0,
     };
     (outcomes, grid_trace)
 }
@@ -1122,67 +984,6 @@ mod tests {
             // Rates stay in the same ballpark across seeds.
             assert!((a.stats.l1.miss_rate() - s.stats.l1.miss_rate()).abs() < 0.05);
         }
-    }
-
-    #[test]
-    fn warm_snapshot_run_is_bit_identical_to_fresh_run() {
-        // A cell finished from another identically-warmed cell's snapshot
-        // must produce the exact report a fresh end-to-end run produces —
-        // the core invariant that makes warm-up sharing a pure dedup.
-        let spec =
-            RunSpec::new("snap", SystemConfig::paper_default(), Workload::Mcf).instructions(20_000);
-        let fresh = spec.run_checked().expect("fresh run");
-        let donor = spec.warmed_sim().expect("warm-up");
-        let snap = donor.try_snapshot().expect("paper config is duplicable");
-        let via_snapshot = spec.finish(snap).expect("snapshot run");
-        assert_eq!(fresh, via_snapshot);
-        // The donor machine itself is unperturbed by having been copied.
-        assert_eq!(fresh, spec.finish(donor).expect("donor run"));
-    }
-
-    #[test]
-    fn warm_keys_group_only_identical_warm_prefixes() {
-        let base = RunSpec::new("a", SystemConfig::paper_default(), Workload::Mcf).instructions(N);
-        let same_prefix =
-            RunSpec::new("b", SystemConfig::paper_default(), Workload::Mcf).instructions(N);
-        assert_eq!(base.warm_key(), same_prefix.warm_key());
-        let other_seed = {
-            let mut s = base.clone();
-            s.seed += 1;
-            s
-        };
-        assert_ne!(base.warm_key(), other_seed.warm_key(), "streams are seeded");
-        let other_workload =
-            RunSpec::new("a", SystemConfig::paper_default(), Workload::Gcc).instructions(N);
-        assert_ne!(base.warm_key(), other_workload.warm_key());
-        assert!(
-            base.clone()
-                .with_fault(FaultSpec::panic_at(1))
-                .warm_key()
-                .is_none(),
-            "fault cells never share warm-ups"
-        );
-    }
-
-    #[test]
-    fn snapshot_cache_shares_warmups_and_preserves_results() {
-        // Three cells, two sharing a warm prefix (labels differ, machine
-        // identical). Run sequentially through the cache so reuse counts
-        // are deterministic.
-        let a = RunSpec::new("a", SystemConfig::paper_default(), Workload::Mcf).instructions(N);
-        let b = RunSpec::new("b", SystemConfig::paper_default(), Workload::Mcf).instructions(N);
-        let c = RunSpec::new("c", SystemConfig::paper_default(), Workload::Gcc).instructions(N);
-        let specs = vec![a.clone(), b.clone(), c.clone()];
-        let cache = SnapshotCache::new(&specs);
-        let ra = cache.run(&a).expect("a");
-        let rb = cache.run(&b).expect("b");
-        let rc = cache.run(&c).expect("c");
-        assert_eq!(cache.reuses(), 1, "b reuses a's warm-up; c is alone");
-        assert_eq!(ra, a.run_checked().unwrap());
-        assert_eq!(rb, b.run_checked().unwrap());
-        assert_eq!(rc, c.run_checked().unwrap());
-        assert_eq!(ra.label, "a");
-        assert_eq!(rb.label, "b", "reused snapshot is re-labeled");
     }
 
     #[test]

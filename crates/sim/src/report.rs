@@ -76,17 +76,6 @@ impl SimReport {
         }
         out
     }
-
-    /// The prefetch funnel as a rendered text block: one line per stage in
-    /// flow order, for the diagnostics the `figures calibrate` subcommand
-    /// and the examples print.
-    pub fn funnel_block(&self) -> String {
-        let mut out = String::new();
-        for (stage, count) in self.stats.funnel_stages() {
-            let _ = writeln!(out, "  {stage:<18} {count}");
-        }
-        out
-    }
 }
 
 use std::fmt::Write as _;

@@ -46,27 +46,32 @@ pub fn fnv1a(mut h: u64, bytes: &[u8]) -> u64 {
 /// FNV-1a offset basis (the standard 64-bit seed).
 pub const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 
-/// The content-hash key of one cell: label, config JSON, workload, seed
-/// and instruction budgets. Any change to any of these yields a different
-/// key. The checkpoint layer uses it as the on-disk filename, the memo
-/// key extends it, and the shard partitioner uses it as the stable
-/// identity a cell keeps across machines.
+/// The content-hash key of one cell: label, config JSON, workload, seed,
+/// instruction budgets and adversary. Any change to any of these yields a
+/// different key. The shard partitioner uses it as the stable identity a
+/// cell keeps across machines, and shard fragments record it per entry.
 pub fn cell_key(spec: &RunSpec) -> String {
-    let mut h = FNV_OFFSET;
-    // Attack-free cells keep their pre-adversary keys (empty part), so
-    // existing checkpoint directories stay valid.
+    content_key(&[&spec.label], spec)
+}
+
+/// FNV-1a over the `prefix` parts and then everything of `spec` that
+/// reaches the machine (config JSON, workload, seed, instruction budgets,
+/// adversary), as 16 hex digits. Each part ends in a NUL separator so
+/// ("ab","c") and ("a","bc") cannot collide.
+pub fn content_key(prefix: &[&str], spec: &RunSpec) -> String {
+    // Attack-free cells hash an empty adversary part.
     let adversary = spec.adversary.map(|a| a.describe()).unwrap_or_default();
-    for part in [
-        spec.label.as_str(),
+    let machine = [
         &spec.config.to_json_string(),
         spec.workload.name(),
         &spec.seed.to_string(),
         &spec.n_instructions.to_string(),
         &spec.warmup.to_string(),
         &adversary,
-    ] {
+    ];
+    let mut h = FNV_OFFSET;
+    for part in prefix.iter().chain(&machine) {
         h = fnv1a(h, part.as_bytes());
-        // Field separator so ("ab","c") and ("a","bc") cannot collide.
         h = fnv1a(h, &[0]);
     }
     format!("{h:016x}")

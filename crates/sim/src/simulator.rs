@@ -291,11 +291,6 @@ impl MemSystem {
         self.stats.check_funnel_conservation(self.queue_backlog())
     }
 
-    /// Mutable view of the pollution filter (to enable tracing).
-    pub fn filter_mut(&mut self) -> &mut PollutionFilter {
-        &mut self.filter
-    }
-
     /// Fills still in flight at `now` — the interval-telemetry MSHR gauge.
     pub fn mshr_live(&self, now: Cycle) -> usize {
         self.hierarchy.mshr_live(now)
@@ -804,8 +799,10 @@ impl Simulator {
     /// caches, filter tables, prefetcher training state and stream
     /// position — or `None` when the stream or a prefetcher is not
     /// duplicable, or when telemetry is attached (samplers are per-run).
-    /// The grid scheduler uses this to share one warm-up across cells
-    /// whose warm prefix is identical.
+    /// Running the copy on gives exactly the report the original would
+    /// give. The grid runner shares no warm-ups (the cell store shares
+    /// whole cells instead); the benchmark's `sim.snapshot_ms` probe times
+    /// this copy.
     pub fn try_snapshot(&self) -> Option<Self> {
         if self.telemetry.is_some() {
             return None;
@@ -838,8 +835,8 @@ impl Simulator {
         &self.mem
     }
 
-    /// Mutable access to the memory system (diagnostics: enable filter
-    /// tracing before a run).
+    /// Mutable access to the memory system (diagnostics: turn on the
+    /// filter tap before a run with [`MemSystem::enable_filter_tap`]).
     pub fn mem_system_mut(&mut self) -> &mut MemSystem {
         &mut self.mem
     }
@@ -1106,6 +1103,29 @@ mod tests {
             interval_cycles: 0,
         };
         assert!(sim.with_telemetry(&cfg).is_err());
+    }
+
+    #[test]
+    fn warm_snapshot_run_is_bit_identical_to_fresh_run() {
+        // A copy taken right after warm-up must finish with the exact
+        // report a fresh end-to-end run produces, and taking the copy must
+        // not perturb the original.
+        let (warmup, n) = (12_000, 20_000);
+        let warmed = || {
+            let mut sim = Simulator::with_seed(
+                SystemConfig::paper_default(),
+                Box::new(Workload::Mcf.stream(42)),
+                42,
+            )
+            .expect("valid config");
+            sim.warmup(warmup);
+            sim
+        };
+        let fresh = warmed().run(n);
+        let mut donor = warmed();
+        let mut copy = donor.try_snapshot().expect("paper config is duplicable");
+        assert_eq!(copy.run(n), fresh);
+        assert_eq!(donor.run(n), fresh);
     }
 
     #[test]

@@ -302,13 +302,6 @@ impl SimStats {
         }
     }
 
-    /// Total prefetches that survived duplicate squash and reached the filter.
-    pub fn prefetches_considered(&self) -> u64 {
-        self.prefetches_issued.total()
-            + self.prefetches_filtered.total()
-            + self.prefetches_queue_overflow.total()
-    }
-
     /// The prefetch-funnel conservation invariant: every generated candidate
     /// is accounted for by exactly one downstream outcome —
     ///
@@ -342,20 +335,6 @@ impl SimStats {
                 queue_backlog,
             )))
         }
-    }
-
-    /// Funnel stage counts in flow order, for reports: `(stage name, count)`.
-    pub fn funnel_stages(&self) -> [(&'static str, u64); 8] {
-        [
-            ("proposed", self.prefetches_proposed.total()),
-            ("duplicate-squashed", self.prefetches_duplicate.total()),
-            ("filter-rejected", self.prefetches_filtered.total()),
-            ("overflow-dropped", self.prefetches_queue_overflow.total()),
-            ("issued", self.prefetches_issued.total()),
-            ("filled", self.prefetches_filled.total()),
-            ("referenced", self.good_total()),
-            ("polluted", self.bad_total()),
-        ]
     }
 
     /// Element-wise accumulate (used when aggregating sweep shards).
@@ -559,17 +538,6 @@ mod tests {
         let err = s.check_funnel_conservation(0).unwrap_err();
         assert_eq!(err.kind(), crate::PpfErrorKind::FunnelViolation);
         assert!(err.to_string().contains("proposed 10"), "{err}");
-    }
-
-    #[test]
-    fn funnel_stages_are_in_flow_order() {
-        let mut s = SimStats::default();
-        s.prefetches_proposed.bump(PrefetchSource::Sdp);
-        s.prefetches_filled.bump(PrefetchSource::Sdp);
-        let stages = s.funnel_stages();
-        assert_eq!(stages[0], ("proposed", 1));
-        assert_eq!(stages[5], ("filled", 1));
-        assert_eq!(stages.len(), 8);
     }
 
     #[test]

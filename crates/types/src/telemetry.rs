@@ -10,13 +10,12 @@
 //!
 //! * [`TelemetryConfig`] — off by default; when enabled the simulator ticks
 //!   an [`IntervalSampler`] every `interval_cycles` cycles.
-//! * [`Registry`] — a flat registry of named counters and gauges. The
-//!   simulator registers instantaneous values (filter `fraction_good`, live
-//!   MSHR entries, prefetch-queue backlog) that cannot be derived from the
-//!   cumulative [`SimStats`] counters.
 //! * [`IntervalSampler`] — differences successive `SimStats` snapshots into
 //!   per-interval [`IntervalRecord`]s (IPC, L1 miss rate, per-source
-//!   prefetch issued/filtered/dropped, bus occupancy, …).
+//!   prefetch issued/filtered/dropped, bus occupancy, …), plus three
+//!   instantaneous gauges the simulator pushes because they cannot be
+//!   derived from the cumulative [`SimStats`] counters (filter
+//!   `fraction_good`, live MSHR entries, prefetch-queue backlog).
 //! * [`JsonlSink`] — writes records as JSON lines with the same atomic
 //!   write discipline (`.tmp` sibling + rename) as the checkpoint layer, so
 //!   telemetry streams can live alongside checkpoint directories without a
@@ -83,80 +82,6 @@ json_struct!(TelemetryConfig {
     enabled,
     interval_cycles,
 });
-
-/// Handle to a registered counter (monotonic, `u64`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CounterId(usize);
-
-/// Handle to a registered gauge (instantaneous, `f64`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct GaugeId(usize);
-
-/// A flat, allocation-light registry of named metrics. Registration returns
-/// an index handle; updates are plain array stores, so setting a gauge on
-/// the sampling path costs the same as bumping a `SimStats` counter.
-#[derive(Debug, Clone, Default)]
-pub struct Registry {
-    counters: Vec<(&'static str, u64)>,
-    gauges: Vec<(&'static str, f64)>,
-}
-
-impl Registry {
-    /// An empty registry.
-    pub fn new() -> Self {
-        Registry::default()
-    }
-
-    /// Register a monotonic counter, initialized to zero.
-    pub fn counter(&mut self, name: &'static str) -> CounterId {
-        self.counters.push((name, 0));
-        CounterId(self.counters.len() - 1)
-    }
-
-    /// Register an instantaneous gauge, initialized to zero.
-    pub fn gauge(&mut self, name: &'static str) -> GaugeId {
-        self.gauges.push((name, 0.0));
-        GaugeId(self.gauges.len() - 1)
-    }
-
-    /// Add `n` to a counter.
-    #[inline]
-    pub fn add(&mut self, id: CounterId, n: u64) {
-        self.counters[id.0].1 += n;
-    }
-
-    /// Set a gauge to `value`.
-    #[inline]
-    pub fn set(&mut self, id: GaugeId, value: f64) {
-        self.gauges[id.0].1 = value;
-    }
-
-    /// Current counter value.
-    pub fn counter_value(&self, id: CounterId) -> u64 {
-        self.counters[id.0].1
-    }
-
-    /// Current gauge value.
-    pub fn gauge_value(&self, id: GaugeId) -> f64 {
-        self.gauges[id.0].1
-    }
-
-    /// Look a gauge up by name (diagnostics; the hot path uses handles).
-    pub fn gauge_by_name(&self, name: &str) -> Option<f64> {
-        self.gauges
-            .iter()
-            .find(|(n, _)| *n == name)
-            .map(|(_, v)| *v)
-    }
-
-    /// Look a counter up by name (diagnostics; the hot path uses handles).
-    pub fn counter_by_name(&self, name: &str) -> Option<u64> {
-        self.counters
-            .iter()
-            .find(|(n, _)| *n == name)
-            .map(|(_, v)| *v)
-    }
-}
 
 /// One sampled interval: deltas of the cumulative funnel counters plus the
 /// instantaneous gauges, in measurement-relative cycles (cycle 0 is the
@@ -257,10 +182,10 @@ pub struct IntervalSampler {
     /// Absolute cycle at which the next sample is due.
     next_due: Cycle,
     prev: Snapshot,
-    registry: Registry,
-    g_fraction_good: GaugeId,
-    g_mshr_live: GaugeId,
-    g_queue_backlog: GaugeId,
+    /// The gauges last pushed by [`IntervalSampler::set_gauges`].
+    fraction_good: f64,
+    mshr_live: u64,
+    queue_backlog: u64,
     records: Vec<IntervalRecord>,
 }
 
@@ -272,19 +197,14 @@ impl IntervalSampler {
             return None;
         }
         assert!(cfg.interval_cycles > 0, "telemetry interval must be > 0");
-        let mut registry = Registry::new();
-        let g_fraction_good = registry.gauge("filter_fraction_good");
-        let g_mshr_live = registry.gauge("mshr_live");
-        let g_queue_backlog = registry.gauge("queue_backlog");
         Some(IntervalSampler {
             interval: cfg.interval_cycles,
             origin: 0,
             next_due: cfg.interval_cycles,
             prev: Snapshot::default(),
-            registry,
-            g_fraction_good,
-            g_mshr_live,
-            g_queue_backlog,
+            fraction_good: 0.0,
+            mshr_live: 0,
+            queue_backlog: 0,
             records: Vec::new(),
         })
     }
@@ -314,15 +234,9 @@ impl IntervalSampler {
     /// Push the instantaneous gauges for the upcoming sample.
     #[inline]
     pub fn set_gauges(&mut self, fraction_good: f64, mshr_live: u64, queue_backlog: u64) {
-        self.registry.set(self.g_fraction_good, fraction_good);
-        self.registry.set(self.g_mshr_live, mshr_live as f64);
-        self.registry
-            .set(self.g_queue_backlog, queue_backlog as f64);
-    }
-
-    /// The metric registry (shared with any extra instrumentation).
-    pub fn registry_mut(&mut self) -> &mut Registry {
-        &mut self.registry
+        self.fraction_good = fraction_good;
+        self.mshr_live = mshr_live;
+        self.queue_backlog = queue_backlog;
     }
 
     /// Close the interval ending at `now` and append its record.
@@ -352,10 +266,10 @@ impl IntervalSampler {
             prefetch_dropped: cur.dropped.delta(&self.prev.dropped),
             prefetch_good: cur.good - self.prev.good,
             prefetch_bad: cur.bad - self.prev.bad,
-            fraction_good: self.registry.gauge_value(self.g_fraction_good),
+            fraction_good: self.fraction_good,
             bus_occupancy: (d_bus.min(self.interval)) as f64 / self.interval as f64,
-            mshr_live: self.registry.gauge_value(self.g_mshr_live) as u64,
-            queue_backlog: self.registry.gauge_value(self.g_queue_backlog) as u64,
+            mshr_live: self.mshr_live,
+            queue_backlog: self.queue_backlog,
         });
         self.prev = cur;
         self.next_due += self.interval;
@@ -489,21 +403,6 @@ mod tests {
         let cfg = TelemetryConfig::every(2500);
         let back = TelemetryConfig::from_json_str(&cfg.to_json_string()).unwrap();
         assert_eq!(back, cfg);
-    }
-
-    #[test]
-    fn registry_counters_and_gauges() {
-        let mut reg = Registry::new();
-        let c = reg.counter("events");
-        let g = reg.gauge("level");
-        reg.add(c, 3);
-        reg.add(c, 4);
-        reg.set(g, 0.5);
-        assert_eq!(reg.counter_value(c), 7);
-        assert_eq!(reg.gauge_value(g), 0.5);
-        assert_eq!(reg.counter_by_name("events"), Some(7));
-        assert_eq!(reg.gauge_by_name("level"), Some(0.5));
-        assert_eq!(reg.gauge_by_name("missing"), None);
     }
 
     #[test]
