@@ -52,6 +52,10 @@ kernel_identity() {
     # logic's wake-up caching is exactly the code optimized builds reorder.
     cargo test --release -q --test kernel_identity
     cargo test --release -q --test port_contention
+    # Stream-identity golden: the branch-free instruction generator must
+    # emit the committed streams under optimized codegen too, which is what
+    # reorders its selects and conditional draws.
+    cargo test --release -q -p ppf-workloads --test stream_digest
 }
 
 oracle() {

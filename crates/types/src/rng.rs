@@ -6,6 +6,11 @@
 //! the well-known Steele/Lea/Flood mixer — which is fast, has a single `u64`
 //! of state, and supports *splitting*: deriving independent child streams so
 //! each workload phase gets its own reproducible sequence.
+//!
+//! Hot loops draw against precomputed integer thresholds ([`Threshold`])
+//! instead of comparing floats: a Bernoulli draw is one compare of a
+//! draw's top 53 bits, a weighted choice a count of compares, and both
+//! give exactly the outcomes of the `f64()`-based draws they replace.
 
 /// SplitMix64 PRNG (Steele, Lea & Flood, "Fast splittable pseudorandom
 /// number generators", OOPSLA 2014).
@@ -15,6 +20,66 @@ pub struct SplitMix64 {
 }
 
 const GOLDEN_GAMMA: u64 = 0x9e37_79b9_7f4a_7c15;
+
+/// `2^-53`: the weight of one unit of a 53-bit draw in [`SplitMix64::f64`].
+const UNIT: f64 = 1.0 / (1u64 << 53) as f64;
+
+/// A probability as an integer threshold on the 53-bit draw behind
+/// [`SplitMix64::f64`]: the draw `u` hits when `u < threshold`, which holds
+/// exactly when `f64() < p` would.
+///
+/// `f64()` is `u · 2^-53` and scaling by a power of two is exact, so
+/// `u · 2^-53 < p` ⇔ `u < p · 2^53` ⇔ `u < ⌈p · 2^53⌉` for integer `u`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Threshold(u64);
+
+impl Threshold {
+    /// The threshold of probability `p`. NaN, zero and negative `p` never
+    /// hit; `p ≥ 1` always hits.
+    #[inline]
+    pub fn new(p: f64) -> Self {
+        // The saturating cast sends NaN and negatives to 0 and +inf to
+        // u64::MAX, which the clamp brings back to "always".
+        Threshold(((p * (1u64 << 53) as f64).ceil() as u64).min(1 << 53))
+    }
+
+    /// The cut points of a weighted choice among `weights.len()` outcomes,
+    /// one per outcome but the last, for [`SplitMix64::rank`]. The rank of
+    /// a draw is the index the float scan "first `i` with `f64() * total <
+    /// cum[i]`, else the last" picks, where `cum` holds the running sums of
+    /// `weights` and `total` their sum.
+    ///
+    /// Panics on a negative weight: the cuts must ascend.
+    pub fn cuts(weights: &[f64]) -> Vec<Threshold> {
+        assert!(
+            weights.iter().all(|w| w.is_nan() || *w >= 0.0),
+            "negative weight in {weights:?}"
+        );
+        let mut cum = Vec::with_capacity(weights.len());
+        let mut total = 0.0;
+        for w in weights {
+            total += w;
+            cum.push(total);
+        }
+        cum.pop();
+        // The scaled draw `u · 2^-53 · total` never falls as `u` grows, so
+        // the draws below a running sum form a prefix; bisect for its end.
+        cum.iter()
+            .map(|&c| {
+                let (mut lo, mut hi) = (0u64, 1u64 << 53);
+                while lo < hi {
+                    let mid = lo + (hi - lo) / 2;
+                    if mid as f64 * UNIT * total < c {
+                        lo = mid + 1;
+                    } else {
+                        hi = mid;
+                    }
+                }
+                Threshold(lo)
+            })
+            .collect()
+    }
+}
 
 #[inline]
 fn mix64(mut z: u64) -> u64 {
@@ -64,17 +129,53 @@ impl SplitMix64 {
         lo + self.below(hi - lo + 1)
     }
 
+    /// `below(bound)` when `take`, otherwise 0 without advancing: the same
+    /// value and final state as `if take { self.below(bound) } else { 0 }`,
+    /// but branch-free. It peeks the next draw and commits the step only
+    /// when taken; `bound` may be 0 when not taken.
+    #[inline]
+    pub fn below_if(&mut self, take: bool, bound: u64) -> u64 {
+        debug_assert!(!take || bound > 0, "below(0) is meaningless");
+        let mask = (take as u64).wrapping_neg();
+        let peeked = mix64(self.state.wrapping_add(GOLDEN_GAMMA));
+        self.state = self.state.wrapping_add(GOLDEN_GAMMA & mask);
+        ((peeked as u128 * bound as u128) >> 64) as u64 & mask
+    }
+
+    /// The top 53 bits of the next draw.
+    #[inline]
+    fn next_u53(&mut self) -> u64 {
+        self.next_u64() >> 11
+    }
+
     /// Uniform `f64` in `[0, 1)`.
     #[inline]
     pub fn f64(&mut self) -> f64 {
         // 53 random mantissa bits.
-        (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
+        self.next_u53() as f64 * UNIT
+    }
+
+    /// Bernoulli draw against a precomputed threshold: one integer compare.
+    #[inline]
+    pub fn hit(&mut self, threshold: Threshold) -> bool {
+        self.next_u53() < threshold.0
     }
 
     /// Bernoulli draw: `true` with probability `p` (clamped to \[0,1\]).
     #[inline]
     pub fn chance(&mut self, p: f64) -> bool {
-        self.f64() < p
+        self.hit(Threshold::new(p))
+    }
+
+    /// One draw ranked against ascending cut points: the number of `cuts`
+    /// the draw is not below. Cuts built from ascending probabilities
+    /// `p_0 ≤ p_1 ≤ …` give the first `i` with `f64() < p_i`, or
+    /// `cuts.len()`; [`Threshold::cuts`] gives a weighted choice. Counting
+    /// instead of scanning keeps the choice branch-free.
+    #[inline]
+    pub fn rank(&mut self, cuts: &[Threshold]) -> usize {
+        let u = self.next_u53();
+        cuts.iter().map(|c| (u >= c.0) as usize).sum()
     }
 
     /// Pick a uniformly random element of a non-empty slice.

@@ -1,7 +1,96 @@
 //! Property-based tests for the shared vocabulary types.
 
+use ppf_types::rng::Threshold;
 use ppf_types::{LineAddr, PrefetchSource, SimStats, SplitMix64};
 use proptest::prelude::*;
+
+/// `2^-53`, the weight of one unit of a 53-bit draw.
+const UNIT: f64 = 1.0 / (1u64 << 53) as f64;
+
+/// Undo `z ^= z >> shift`.
+fn unxorshift(y: u64, shift: u32) -> u64 {
+    let mut x = y;
+    for _ in 0..64 / shift {
+        x = y ^ (x >> shift);
+    }
+    x
+}
+
+/// The inverse of odd `c` modulo 2^64 (Newton's iteration doubles the
+/// correct low bits each step, from 3).
+fn inverse(c: u64) -> u64 {
+    let mut inv = c;
+    for _ in 0..5 {
+        inv = inv.wrapping_mul(2u64.wrapping_sub(c.wrapping_mul(inv)));
+    }
+    inv
+}
+
+/// The generator whose next draw is `x`. SplitMix64 adds its gamma to the
+/// state and then mixes it with a bijection, so run the mix backwards.
+fn rng_drawing(x: u64) -> SplitMix64 {
+    let z = unxorshift(x, 31).wrapping_mul(inverse(0x94d0_49bb_1331_11eb));
+    let z = unxorshift(z, 27).wrapping_mul(inverse(0xbf58_476d_1ce4_e5b9));
+    let state = unxorshift(z, 30);
+    SplitMix64::new(state.wrapping_sub(0x9e37_79b9_7f4a_7c15))
+}
+
+/// `p` moved by `ulps` representable values (-1, 0 or +1).
+fn ulp_step(p: f64, ulps: i64) -> f64 {
+    match ulps {
+        0 => p,
+        _ if p == 0.0 => f64::from_bits(1) * ulps as f64,
+        _ => f64::from_bits((p.to_bits() as i64 + ulps) as u64),
+    }
+}
+
+/// Probabilities of every kind: unit-interval values, every float class
+/// (NaN, infinities, subnormals, negatives), exact 53-bit boundaries
+/// `k·2^-53` and their neighbours, and the usual suspects.
+fn probability() -> impl Strategy<Value = f64> {
+    prop_oneof![
+        any::<f64>(),
+        any::<u64>().prop_map(f64::from_bits),
+        (0u64..=1 << 53, -1i64..=1).prop_map(|(k, ulps)| ulp_step(k as f64 * UNIT, ulps)),
+        prop_oneof![
+            Just(0.0),
+            Just(-0.0),
+            Just(1.0),
+            Just(1.5),
+            Just(-0.2),
+            Just(f64::NAN),
+            Just(f64::INFINITY),
+            Just(f64::NEG_INFINITY),
+            Just(f64::MIN_POSITIVE),
+            Just(f64::from_bits(1)),
+        ],
+    ]
+}
+
+/// Non-negative weights, zero and subnormal included.
+fn weight() -> impl Strategy<Value = f64> {
+    prop_oneof![
+        0.0..1.0f64,
+        0.0..1e6f64,
+        Just(0.0),
+        Just(1e-4),
+        Just(f64::from_bits(1)),
+        any::<u64>().prop_map(|b| f64::from_bits(b >> 2)),
+    ]
+}
+
+/// The float scan the weighted rank replaces: the first running sum above
+/// the scaled draw, else the last outcome.
+fn float_scan(rng: &mut SplitMix64, weights: &[f64]) -> usize {
+    let mut cum = Vec::new();
+    let mut total = 0.0;
+    for w in weights {
+        total += w;
+        cum.push(total);
+    }
+    let x = rng.f64() * total;
+    cum.iter().position(|&c| x < c).unwrap_or(cum.len() - 1)
+}
 
 /// A stats block whose funnel counters are balanced by construction:
 /// `proposed` equals the sum of every downstream outcome plus `backlog`.
@@ -63,6 +152,84 @@ proptest! {
         for _ in 0..32 {
             let v = rng.range(lo, hi);
             prop_assert!((lo..=hi).contains(&v));
+        }
+    }
+
+    #[test]
+    fn rng_drawing_draws_its_value(x in any::<u64>()) {
+        prop_assert_eq!(rng_drawing(x).next_u64(), x);
+    }
+
+    #[test]
+    fn threshold_draw_matches_float_compare(seed in any::<u64>(), p in probability()) {
+        let mut float = SplitMix64::new(seed);
+        let mut hit = float.clone();
+        let mut chance = float.clone();
+        let want = float.f64() < p;
+        prop_assert_eq!(hit.hit(Threshold::new(p)), want);
+        prop_assert_eq!(chance.chance(p), want);
+        prop_assert_eq!(&hit, &float);
+        prop_assert_eq!(&chance, &float);
+    }
+
+    #[test]
+    fn threshold_draw_matches_at_boundaries(
+        k in 0u64..=1 << 53,
+        ulps in -1i64..=1,
+        offset in -2i64..=2,
+        low in 0u64..1 << 11,
+    ) {
+        // A draw whose 53 bits sit on or next to the boundary of `p`.
+        let p = ulp_step(k as f64 * UNIT, ulps);
+        let u = (k as i64 + offset).clamp(0, (1 << 53) - 1) as u64;
+        let mut float = rng_drawing(u << 11 | low);
+        let mut hit = float.clone();
+        prop_assert_eq!(hit.hit(Threshold::new(p)), float.f64() < p);
+    }
+
+    #[test]
+    fn conditional_draw_matches_branch(seed in any::<u64>(), take in any::<bool>(), bound in any::<u64>()) {
+        // `below(0)` is meaningless, but an untaken draw may name it.
+        let bound = if take { bound.max(1) } else { bound };
+        let mut branchless = SplitMix64::new(seed);
+        let mut branchy = branchless.clone();
+        let want = if take { branchy.below(bound) } else { 0 };
+        prop_assert_eq!(branchless.below_if(take, bound), want);
+        prop_assert_eq!(&branchless, &branchy);
+    }
+
+    #[test]
+    fn class_rank_matches_float_if_chain(seed in any::<u64>(), a in 0.0..1.0f64, b in 0.0..1.0f64) {
+        let mut int = SplitMix64::new(seed);
+        let mut float = int.clone();
+        let x = float.f64();
+        let want = if x < a { 0 } else if x < a + b { 1 } else { 2 };
+        prop_assert_eq!(int.rank(&[Threshold::new(a), Threshold::new(a + b)]), want);
+    }
+
+    #[test]
+    fn weighted_rank_matches_float_scan(
+        seed in any::<u64>(),
+        weights in prop::collection::vec(weight(), 1..6),
+    ) {
+        let cuts = Threshold::cuts(&weights);
+        prop_assert_eq!(cuts.len(), weights.len() - 1);
+        let mut int = SplitMix64::new(seed);
+        let mut float = int.clone();
+        prop_assert_eq!(int.rank(&cuts), float_scan(&mut float, &weights));
+        prop_assert_eq!(&int, &float);
+        // Draws just around each running sum, where rounding decides.
+        let total: f64 = weights.iter().sum();
+        let mut sum = 0.0;
+        for w in &weights {
+            sum += w;
+            let edge = (sum / total / UNIT).clamp(0.0, ((1u64 << 53) - 1) as f64) as i64;
+            for u in edge - 2..=edge + 2 {
+                let x = (u.clamp(0, (1 << 53) - 1) as u64) << 11;
+                let mut int = rng_drawing(x);
+                let mut float = int.clone();
+                prop_assert_eq!(int.rank(&cuts), float_scan(&mut float, &weights));
+            }
         }
     }
 

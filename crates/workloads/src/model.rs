@@ -17,13 +17,22 @@
 //! per-workload branch sites, each deterministically predictable (loop
 //! back-edge style) or data-dependent (coin flip), in proportion to the
 //! spec's `branch_predictability`.
+//!
+//! Every probability is turned into an integer [`Threshold`] once, at
+//! construction, so a draw is one integer compare with the outcome the
+//! float compare had. The compute and branch paths select their results
+//! instead of branching on draws; the instruction class is the one
+//! data-dependent branch left. The streams are a committed contract
+//! (`tests/golden/stream_digest.json`): a change meant to be host-time only
+//! must leave them byte-identical.
 
-use crate::patterns::{PatternSpec, PatternState};
+use crate::patterns::{probability, PatternSpec, PatternState};
 use ppf_cpu::{Inst, InstStream, Op};
+use ppf_types::rng::Threshold;
 use ppf_types::{Pc, SplitMix64};
-use std::collections::VecDeque;
 
-/// Number of distinct branch sites per workload.
+/// Number of distinct branch sites per workload: one bit each in
+/// `MixStream::loop_sites`.
 const BRANCH_SITES: u64 = 64;
 /// Cap on dependency distance (beyond the ROB it cannot stall anyway).
 const MAX_DEP: u64 = 120;
@@ -61,8 +70,9 @@ pub struct WorkloadSpec {
 }
 
 impl WorkloadSpec {
-    /// Validate mixture sanity (fractions in range, weights positive,
-    /// pattern regions disjoint).
+    /// Validate mixture sanity (fractions and probabilities in range,
+    /// weights positive, every pattern well-formed, pattern regions
+    /// disjoint).
     pub fn validate(&self) -> Result<(), String> {
         if !(0.0..=1.0).contains(&self.frac_mem)
             || !(0.0..=1.0).contains(&self.frac_branch)
@@ -70,8 +80,19 @@ impl WorkloadSpec {
         {
             return Err(format!("{}: bad instruction mix", self.name));
         }
+        for (field, p) in [
+            ("frac_fp", self.frac_fp),
+            ("branch_predictability", self.branch_predictability),
+            ("dep_p", self.dep_p),
+            ("cold_code_frac", self.cold_code_frac),
+        ] {
+            probability(field, p).map_err(|e| format!("{}: {e}", self.name))?;
+        }
         if self.patterns.is_empty() {
             return Err(format!("{}: no patterns", self.name));
+        }
+        for p in &self.patterns {
+            p.validate().map_err(|e| format!("{}: {e}", self.name))?;
         }
         let mut regions: Vec<(u64, u64)> = self
             .patterns
@@ -84,21 +105,15 @@ impl WorkloadSpec {
                 return Err(format!("{}: overlapping pattern regions", self.name));
             }
         }
-        if self.patterns.iter().any(|p| p.weight <= 0.0) {
+        if self
+            .patterns
+            .iter()
+            .any(|p| p.weight.is_nan() || p.weight <= 0.0)
+        {
             return Err(format!("{}: non-positive pattern weight", self.name));
         }
         Ok(())
     }
-}
-
-/// Per-site branch behaviour, fixed at stream construction.
-#[derive(Debug, Clone, Copy)]
-struct BranchSite {
-    pc: Pc,
-    target: Pc,
-    /// Predictable sites are taken with high, stable probability;
-    /// unpredictable sites flip coins.
-    predictable: bool,
 }
 
 /// The endless instruction stream for one workload instance.
@@ -106,21 +121,38 @@ struct BranchSite {
 pub struct MixStream {
     spec: WorkloadSpec,
     patterns: Vec<PatternState>,
-    /// Cumulative pattern weights for O(#patterns) weighted selection.
-    cum_weights: Vec<f64>,
-    weight_total: f64,
+    /// Cut points of the weighted pattern choice.
+    pattern_cuts: Vec<Threshold>,
+    /// Cut points of the class choice: below the first a memory access,
+    /// below the second a branch, else compute.
+    class_cuts: [Threshold; 2],
+    /// `cold_code_frac`, `frac_fp` and `dep_p` as draw thresholds.
+    cold_code: Threshold,
+    fp: Threshold,
+    dep: Threshold,
+    /// Compute-instruction PC walks, indexed by the cold-code draw: the
+    /// hot loop region, then the cold walk over `code_kb`.
+    code: [CodeWalk; 2],
     rng: SplitMix64,
-    branch_sites: Vec<BranchSite>,
-    /// Queued instructions (software prefetches follow their trigger).
-    pending: VecDeque<Inst>,
+    /// Bit `i` set when branch site `i` is predictable (a loop back-edge)
+    /// rather than data-dependent; fixed at stream construction.
+    loop_sites: u64,
+    /// A software prefetch waiting to follow its trigger.
+    pending: Option<Inst>,
     /// Global instruction counter (for dependency distances).
     seq: u64,
     /// Per-pattern seq of the pattern's previous access.
     last_access_seq: Vec<u64>,
-    /// Hot-region PC rotor for compute instructions.
-    alu_pc: Pc,
-    /// Cold-code walk rotor (covers `code_kb`).
-    cold_pc: Pc,
+}
+
+/// A sequential PC walk that wraps within a power-of-two span.
+#[derive(Debug, Clone, Copy)]
+struct CodeWalk {
+    base: Pc,
+    /// Span in bytes minus one.
+    mask: u64,
+    /// Last PC handed out.
+    pc: Pc,
 }
 
 impl MixStream {
@@ -134,36 +166,44 @@ impl MixStream {
             .cloned()
             .map(PatternState::new)
             .collect();
-        let mut cum = Vec::with_capacity(patterns.len());
-        let mut total = 0.0;
-        for p in &spec.patterns {
-            total += p.weight;
-            cum.push(total);
-        }
+        let weights: Vec<f64> = spec.patterns.iter().map(|p| p.weight).collect();
         let mut site_rng = rng.split();
-        // Region bases are staggered modulo the 8KB I-cache so the small
-        // hot PC groups do not all alias onto set 0 (a synthetic-layout
-        // artifact; real linkers spread code arbitrarily).
-        let branch_sites = (0..BRANCH_SITES)
-            .map(|i| BranchSite {
-                pc: 0x8_0e00 + i * 4,
-                target: 0x9_0000 + i * 16,
-                predictable: site_rng.chance(spec.branch_predictability),
-            })
-            .collect();
+        let loop_sites = (0..BRANCH_SITES).fold(0, |bits, i| {
+            bits | (site_rng.chance(spec.branch_predictability) as u64) << i
+        });
         let n = patterns.len();
         MixStream {
-            spec,
             patterns,
-            cum_weights: cum,
-            weight_total: total,
+            pattern_cuts: Threshold::cuts(&weights),
+            class_cuts: [
+                Threshold::new(spec.frac_mem),
+                Threshold::new(spec.frac_mem + spec.frac_branch),
+            ],
+            cold_code: Threshold::new(spec.cold_code_frac),
+            fp: Threshold::new(spec.frac_fp),
+            dep: Threshold::new(spec.dep_p),
+            // Hot inner loops: a 4KB region that lives in the I-cache (sets
+            // 128-255 of the 8KB direct-mapped array). The cold walk covers
+            // the full code footprint, so the I-cache sees a new line every
+            // 8 of its instructions.
+            code: [
+                CodeWalk {
+                    base: 0x2_1000,
+                    mask: 0xfff,
+                    pc: 0x2_1000,
+                },
+                CodeWalk {
+                    base: 0x40_0000,
+                    mask: (spec.code_kb.max(4) * 1024).next_power_of_two() - 1,
+                    pc: 0x40_0000,
+                },
+            ],
+            spec,
             rng,
-            branch_sites,
-            pending: VecDeque::new(),
+            loop_sites,
+            pending: None,
             seq: 0,
             last_access_seq: vec![u64::MAX; n],
-            alu_pc: 0x2_1000,
-            cold_pc: 0x40_0000,
         }
     }
 
@@ -172,37 +212,26 @@ impl MixStream {
         &self.spec
     }
 
-    fn pick_pattern(&mut self) -> usize {
-        let x = self.rng.f64() * self.weight_total;
-        // Tiny vectors: linear scan beats binary search.
-        self.cum_weights
-            .iter()
-            .position(|&c| x < c)
-            .unwrap_or(self.cum_weights.len() - 1)
-    }
-
     fn gen_mem(&mut self) -> Inst {
-        let idx = self.pick_pattern();
-        let access = self.patterns[idx].next_access(&mut self.rng);
+        let idx = self.rng.rank(&self.pattern_cuts);
+        let pattern = &mut self.patterns[idx];
+        let access = pattern.next_access(&mut self.rng);
         // Serial dependency on this pattern's previous access (pointer
         // chasing): distance in instructions, capped at the ROB horizon.
-        let dep = if self.patterns[idx].serial_dep() {
-            match self.last_access_seq[idx] {
-                u64::MAX => 0,
-                last => (self.seq - last).min(MAX_DEP) as u8,
-            }
+        let last = std::mem::replace(&mut self.last_access_seq[idx], self.seq);
+        let dep = if pattern.serial_dep() && last != u64::MAX {
+            (self.seq - last).min(MAX_DEP) as u8
         } else {
             0
         };
-        self.last_access_seq[idx] = self.seq;
-        if let Some(pf_addr) = access.prefetch {
-            // The compiler schedules the prefetch right after the access
-            // that made the lookahead address computable.
-            self.pending.push_back(Inst::new(
+        // The compiler schedules the prefetch right after the access
+        // that made the lookahead address computable.
+        self.pending = access.prefetch.map(|pf_addr| {
+            Inst::new(
                 access.pc + 0x400, // the prefetch instruction's own PC
                 Op::SoftPrefetch { addr: pf_addr },
-            ));
-        }
+            )
+        });
         let op = if access.is_store {
             Op::Store { addr: access.addr }
         } else {
@@ -212,45 +241,41 @@ impl MixStream {
     }
 
     fn gen_branch(&mut self) -> Inst {
-        let site = *self.rng.pick(&self.branch_sites);
-        let taken = if site.predictable {
-            // Loop back-edge: taken ~15 times out of 16.
-            !self.rng.chance(1.0 / 16.0)
+        let site = self.rng.below(BRANCH_SITES);
+        // A loop back-edge is not taken on a 1/16 hit; a data-dependent
+        // branch is taken on a fair coin.
+        let looping = self.loop_sites >> site & 1 == 1;
+        let coin = if looping {
+            Threshold::new(1.0 / 16.0)
         } else {
-            self.rng.chance(0.5)
+            Threshold::new(0.5)
         };
+        let taken = self.rng.hit(coin) != looping;
+        // Region bases are staggered modulo the 8KB I-cache so the small
+        // hot PC groups do not all alias onto set 0 (a synthetic-layout
+        // artifact; real linkers spread code arbitrarily).
         Inst::new(
-            site.pc,
+            0x8_0e00 + site * 4,
             Op::Branch {
                 taken,
-                target: site.target,
+                target: 0x9_0000 + site * 16,
             },
         )
     }
 
     fn gen_compute(&mut self) -> Inst {
-        let pc = if self.rng.chance(self.spec.cold_code_frac) {
-            // Sequential walk over the full code footprint: the I-cache
-            // sees a new line every 8 instructions of this stream.
-            let span = (self.spec.code_kb.max(4) * 1024).next_power_of_two();
-            self.cold_pc = 0x40_0000 + ((self.cold_pc + 4) & (span - 1));
-            self.cold_pc
-        } else {
-            // Hot inner loops: a 4KB region that lives in the I-cache
-            // (sets 128-255 of the 8KB direct-mapped array).
-            self.alu_pc = 0x2_1000 + ((self.alu_pc + 4) & 0xfff);
-            self.alu_pc
-        };
-        let op = if self.rng.chance(self.spec.frac_fp) {
+        // The draw indexes the walk that moves rather than branching.
+        let walk = &mut self.code[self.rng.hit(self.cold_code) as usize];
+        walk.pc = walk.base + ((walk.pc + 4) & walk.mask);
+        let pc = walk.pc;
+        let op = if self.rng.hit(self.fp) {
             Op::FpAlu
         } else {
             Op::IntAlu
         };
-        let dep = if self.rng.chance(self.spec.dep_p) {
-            self.rng.range(1, 2) as u8
-        } else {
-            0
-        };
+        // A dependent instruction reads one of the two previous results.
+        let dependent = self.rng.hit(self.dep);
+        let dep = dependent as u8 + self.rng.below_if(dependent, 2) as u8;
         Inst::with_dep(pc, op, dep)
     }
 }
@@ -261,17 +286,13 @@ impl InstStream for MixStream {
     }
 
     fn next_inst(&mut self) -> Inst {
-        let inst = if let Some(p) = self.pending.pop_front() {
-            p
-        } else {
-            let x = self.rng.f64();
-            if x < self.spec.frac_mem {
-                self.gen_mem()
-            } else if x < self.spec.frac_mem + self.spec.frac_branch {
-                self.gen_branch()
-            } else {
-                self.gen_compute()
-            }
+        let inst = match self.pending.take() {
+            Some(prefetch) => prefetch,
+            None => match self.rng.rank(&self.class_cuts) {
+                0 => self.gen_mem(),
+                1 => self.gen_branch(),
+                _ => self.gen_compute(),
+            },
         };
         self.seq += 1;
         inst
@@ -443,5 +464,82 @@ mod tests {
         sp.frac_mem = 0.9;
         sp.frac_branch = 0.3;
         assert!(sp.validate().is_err());
+    }
+
+    fn validate_err(sp: &WorkloadSpec) -> String {
+        sp.validate().expect_err("malformed spec accepted")
+    }
+
+    #[test]
+    fn validate_rejects_zero_footprint() {
+        // A zero-footprint strided pattern would divide by zero on its
+        // first access.
+        let mut sp = spec();
+        sp.patterns[0].footprint = 0;
+        assert!(validate_err(&sp).contains("zero footprint"));
+    }
+
+    #[test]
+    fn validate_rejects_chase_run_not_power_of_two() {
+        let mut sp = spec();
+        sp.patterns[1].kind = PatternKind::PointerChase {
+            node_bytes: 64,
+            fields: 1,
+            run: 3,
+        };
+        assert!(validate_err(&sp).contains("not a power of two"));
+    }
+
+    #[test]
+    fn validate_rejects_rereads_from_empty_window() {
+        let stream = |reread_p| PatternKind::Stream {
+            advance: 32,
+            window: 0,
+            reread_p,
+        };
+        let mut sp = spec();
+        sp.patterns[1].kind = stream(0.1);
+        assert!(validate_err(&sp).contains("zero-byte window"));
+        // Without re-reads the window is never read.
+        sp.patterns[1].kind = stream(0.0);
+        assert_eq!(sp.validate(), Ok(()));
+    }
+
+    #[test]
+    fn validate_rejects_probabilities_outside_unit_interval() {
+        type Setter = fn(&mut WorkloadSpec, f64);
+        let setters: [(&str, Setter); 6] = [
+            ("frac_fp", |s, p| s.frac_fp = p),
+            ("dep_p", |s, p| s.dep_p = p),
+            ("branch_predictability", |s, p| s.branch_predictability = p),
+            ("cold_code_frac", |s, p| s.cold_code_frac = p),
+            ("store_frac", |s, p| s.patterns[0].store_frac = p),
+            ("reread_p", |s, p| {
+                s.patterns[1].kind = PatternKind::Stream {
+                    advance: 32,
+                    window: 4096,
+                    reread_p: p,
+                }
+            }),
+        ];
+        for (field, set) in setters {
+            for p in [1.5, -0.2, f64::NAN, f64::INFINITY] {
+                let mut sp = spec();
+                set(&mut sp, p);
+                assert!(validate_err(&sp).contains(field), "{field} = {p}");
+            }
+            for p in [0.0, 1.0] {
+                let mut sp = spec();
+                set(&mut sp, p);
+                assert_eq!(sp.validate(), Ok(()), "{field} = {p}");
+            }
+        }
+    }
+
+    #[test]
+    fn validate_rejects_nan_weight() {
+        let mut sp = spec();
+        sp.patterns[1].weight = f64::NAN;
+        assert!(validate_err(&sp).contains("pattern weight"));
     }
 }

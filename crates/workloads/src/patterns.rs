@@ -19,6 +19,7 @@
 //! * [`PatternKind::Stream`] — forward streaming with window re-reads
 //!   (gzip's dictionary window).
 
+use ppf_types::rng::Threshold;
 use ppf_types::{Addr, Pc, SplitMix64};
 
 /// Traversal discipline over a pattern's region.
@@ -154,6 +155,42 @@ impl PatternSpec {
             sw_prefetch: None,
         }
     }
+
+    /// Reject what a stream would otherwise trip over mid-run: a zero
+    /// footprint, a pointer-chase run that is not a power of two, a
+    /// re-read window of zero bytes when re-reads can happen, and a
+    /// probability outside \[0, 1\] (or NaN).
+    pub(crate) fn validate(&self) -> Result<(), String> {
+        let name = self.name;
+        if self.footprint == 0 {
+            return Err(format!("pattern {name}: zero footprint"));
+        }
+        probability("store_frac", self.store_frac).map_err(|e| format!("pattern {name}: {e}"))?;
+        match self.kind {
+            PatternKind::PointerChase { run, .. } if !run.max(1).is_power_of_two() => Err(format!(
+                "pattern {name}: chase run {run} is not a power of two"
+            )),
+            PatternKind::Stream {
+                window, reread_p, ..
+            } => {
+                probability("reread_p", reread_p).map_err(|e| format!("pattern {name}: {e}"))?;
+                if window == 0 && reread_p > 0.0 {
+                    return Err(format!("pattern {name}: re-reads from a zero-byte window"));
+                }
+                Ok(())
+            }
+            _ => Ok(()),
+        }
+    }
+}
+
+/// `Ok` when `p` is a probability in \[0, 1\]; NaN is not.
+pub(crate) fn probability(field: &str, p: f64) -> Result<(), String> {
+    if (0.0..=1.0).contains(&p) {
+        Ok(())
+    } else {
+        Err(format!("{field} = {p} is not a probability in [0, 1]"))
+    }
 }
 
 /// One emitted access.
@@ -169,96 +206,168 @@ pub struct PatternAccess {
     pub prefetch: Option<Addr>,
 }
 
-/// Byte offset of a blocked-2D cursor `(block, row-in-block, col)` within
-/// the region. Tiles are `block_h` rows tall, so a band of tiles spans
-/// `block_h * row_bytes` bytes.
+/// `x % m`, without the division when `x` is already in range.
 #[inline]
-fn blocked_offset(
-    cursor: (u64, u64, u64),
+fn wrap(x: u64, m: u64) -> u64 {
+    if x < m {
+        x
+    } else {
+        x % m
+    }
+}
+
+/// `(pos + delta).rem_euclid(m)`, without the division when the step stays
+/// in `[0, m)`.
+#[inline]
+fn step(pos: u64, delta: i64, m: u64) -> u64 {
+    let next = pos as i64 + delta;
+    if 0 <= next && next < m as i64 {
+        next as u64
+    } else {
+        next.rem_euclid(m as i64) as u64
+    }
+}
+
+/// Blocked-2D geometry, with the per-band constants worked out once.
+#[derive(Debug, Clone, Copy)]
+struct Tiling {
     row_bytes: u64,
     block_w: u64,
     block_h: u64,
-    footprint: u64,
-) -> u64 {
-    let (block, row, col) = cursor;
-    let blocks_per_band = (row_bytes / block_w).max(1);
-    let band = block / blocks_per_band;
-    let block_in_band = block % blocks_per_band;
-    (band * block_h * row_bytes + row * row_bytes + block_in_band * block_w + col) % footprint
+    elem: u64,
+    /// Tiles per band of `block_h` rows: `row_bytes / block_w`, at least 1.
+    tiles_per_band: u64,
+    /// Bytes per band, reduced modulo the footprint.
+    band_bytes: u64,
 }
 
-/// Advance a blocked-2D cursor by one `elem`-byte element: column, then row
-/// within the tile, then the next tile.
-#[inline]
-fn blocked_advance(
-    cursor: (u64, u64, u64),
-    block_w: u64,
-    block_h: u64,
-    elem: u64,
-) -> (u64, u64, u64) {
-    let (mut b, mut r, mut c) = cursor;
-    c += elem;
-    if c >= block_w {
-        c = 0;
-        r += 1;
-        if r >= block_h {
-            r = 0;
-            b += 1;
-        }
+/// A blocked-2D cursor.
+#[derive(Debug, Clone, Copy, Default)]
+struct Tile {
+    /// Offset of the current band, reduced modulo the footprint.
+    band: u64,
+    /// Tile within the band.
+    tile: u64,
+    /// Row within the tile.
+    row: u64,
+    /// Byte column within the tile row.
+    col: u64,
+}
+
+impl Tiling {
+    /// Byte offset of `cursor` within a region of `footprint` bytes.
+    #[inline]
+    fn offset(&self, cursor: Tile, footprint: u64) -> u64 {
+        wrap(
+            cursor.band + cursor.row * self.row_bytes + cursor.tile * self.block_w + cursor.col,
+            footprint,
+        )
     }
-    (b, r, c)
+
+    /// Advance `cursor` by one `elem`-byte element: column, then row within
+    /// the tile, then the next tile, then the next band.
+    #[inline]
+    fn advance(&self, mut cursor: Tile, footprint: u64) -> Tile {
+        cursor.col += self.elem;
+        if cursor.col >= self.block_w {
+            cursor.col = 0;
+            cursor.row += 1;
+            if cursor.row >= self.block_h {
+                cursor.row = 0;
+                cursor.tile += 1;
+                if cursor.tile == self.tiles_per_band {
+                    cursor.tile = 0;
+                    cursor.band = wrap(cursor.band + self.band_bytes, footprint);
+                }
+            }
+        }
+        cursor
+    }
+}
+
+/// Traversal state of one pattern kind, beside the kind's derived
+/// constants, so that an access needs no division.
+#[derive(Debug, Clone)]
+enum Walk {
+    Strided {
+        stride: i64,
+        /// Current byte offset within the region.
+        pos: u64,
+    },
+    MultiStream {
+        stride: i64,
+        /// Bytes each stream cycles through: half its slice, at least 1.
+        walk: u64,
+        /// Stream count, at least 1.
+        streams: u8,
+        /// Which stream the next access uses.
+        rotor: u8,
+        /// Per-stream byte offsets within the stream's walk.
+        pos: Vec<u64>,
+        /// Per-stream base offsets (slice start + seeded jitter).
+        base: Vec<u64>,
+    },
+    Blocked2d {
+        tiling: Tiling,
+        cursor: Tile,
+    },
+    PointerChase {
+        node_bytes: u64,
+        fields: u8,
+        /// `run - 1` and `log2(run)`: runs are powers of two.
+        run_mask: u64,
+        run_shift: u32,
+        /// Run count minus one, the LCG's power-of-two modulus mask.
+        runs_mask: u64,
+        /// Current node index (LCG state).
+        node: u64,
+        /// Next field to touch; 0 = advance to a new node.
+        field: u8,
+    },
+    Uniform,
+    BurstUniform {
+        stride: u64,
+        run: u16,
+        /// Offset the current run started at.
+        start: u64,
+        /// Accesses made in the current run; 0 = start a new run.
+        cursor: u8,
+    },
+    Stream {
+        advance: u64,
+        window: u64,
+        /// `reread_p` as a draw threshold.
+        reread: Threshold,
+        /// Current byte offset within the region.
+        pos: u64,
+    },
 }
 
 /// Runtime state for a [`PatternSpec`].
 #[derive(Debug, Clone)]
 pub struct PatternState {
     spec: PatternSpec,
-    /// Current byte offset within the region (strided/stream/blocked).
-    pos: u64,
-    /// Blocked2d decomposed cursor: (block index, row-in-block, col-in-row).
-    block_cursor: (u64, u64, u64),
-    /// MultiStream: per-stream byte offsets within the stream's slice.
-    stream_pos: Vec<u64>,
-    /// MultiStream: per-stream base offsets (slice start + seeded jitter).
-    stream_base: Vec<u64>,
-    /// MultiStream: which stream the next access uses.
-    stream_rotor: u8,
-    /// PointerChase: current node index (LCG state).
-    node: u64,
-    /// PointerChase: node count (power of two for full-period LCG).
-    node_count: u64,
-    /// PointerChase: next field to touch; 0 = advance to a new node.
-    field: u8,
+    walk: Walk,
+    /// `spec.store_frac` as a draw threshold.
+    store: Threshold,
+    /// `spec.n_pcs`, at least 1.
+    n_pcs: u16,
     /// Round-robin PC cursor.
     pc_rotor: u16,
-    /// Accesses emitted (drives `SwPrefetchSpec::every`).
-    emitted: u64,
+    /// Accesses left until a software prefetch is due: counts down from
+    /// `SwPrefetchSpec::every`, so every `every`-th access prefetches.
+    prefetch_countdown: u32,
 }
 
 impl PatternState {
     /// Initialize traversal state for `spec`.
     pub fn new(spec: PatternSpec) -> Self {
-        let node_count = match spec.kind {
-            PatternKind::PointerChase {
-                node_bytes, run, ..
-            } => {
-                assert!(run.max(1).is_power_of_two(), "chase run must be 2^k");
-                let n = spec.footprint / node_bytes.max(1);
-                // Round down to a power of two so the LCG has full period.
-                let n = if n < 2 {
-                    2
-                } else {
-                    1u64 << (63 - n.leading_zeros())
-                };
-                n.max(run.max(1) as u64 * 2)
-            }
-            _ => 0,
-        };
-        let (stream_pos, stream_base) = match spec.kind {
-            PatternKind::MultiStream { streams, .. } => {
+        let walk = match spec.kind {
+            PatternKind::Strided { stride } => Walk::Strided { stride, pos: 0 },
+            PatternKind::MultiStream { stride, streams } => {
                 let n = streams.max(1) as u64;
                 let slice = spec.footprint / n;
-                let bases = (0..n)
+                let base = (0..n)
                     .map(|k| {
                         // Seeded, line-aligned jitter within the first half
                         // of the slice; deterministic per (region, stream).
@@ -268,22 +377,82 @@ impl PatternState {
                         k * slice + jitter
                     })
                     .collect();
-                (vec![0u64; n as usize], bases)
+                Walk::MultiStream {
+                    stride,
+                    walk: (slice / 2).max(1),
+                    streams: streams.max(1),
+                    rotor: 0,
+                    pos: vec![0; n as usize],
+                    base,
+                }
             }
-            _ => (Vec::new(), Vec::new()),
+            PatternKind::Blocked2d {
+                row_bytes,
+                block_w,
+                block_h,
+                elem,
+            } => Walk::Blocked2d {
+                tiling: Tiling {
+                    row_bytes,
+                    block_w,
+                    block_h,
+                    elem,
+                    tiles_per_band: (row_bytes / block_w).max(1),
+                    band_bytes: block_h * row_bytes % spec.footprint,
+                },
+                cursor: Tile::default(),
+            },
+            PatternKind::PointerChase {
+                node_bytes,
+                fields,
+                run,
+            } => {
+                assert!(run.max(1).is_power_of_two(), "chase run must be 2^k");
+                let run = run.max(1) as u64;
+                let n = spec.footprint / node_bytes.max(1);
+                // Round down to a power of two so the LCG has full period.
+                let n = if n < 2 {
+                    2
+                } else {
+                    1u64 << (63 - n.leading_zeros())
+                };
+                let node_count = n.max(run * 2);
+                let run_shift = run.trailing_zeros();
+                Walk::PointerChase {
+                    node_bytes,
+                    fields,
+                    run_mask: run - 1,
+                    run_shift,
+                    runs_mask: (node_count >> run_shift) - 1,
+                    node: 1,
+                    field: 0,
+                }
+            }
+            PatternKind::Uniform => Walk::Uniform,
+            PatternKind::BurstUniform { stride, run } => Walk::BurstUniform {
+                stride,
+                run,
+                start: 0,
+                cursor: 0,
+            },
+            PatternKind::Stream {
+                advance,
+                window,
+                reread_p,
+            } => Walk::Stream {
+                advance,
+                window,
+                reread: Threshold::new(reread_p),
+                pos: 0,
+            },
         };
         PatternState {
-            spec,
-            pos: 0,
-            block_cursor: (0, 0, 0),
-            stream_pos,
-            stream_base,
-            stream_rotor: 0,
-            node: 1,
-            node_count,
-            field: 0,
+            walk,
+            store: Threshold::new(spec.store_frac),
+            n_pcs: spec.n_pcs.max(1),
             pc_rotor: 0,
-            emitted: 0,
+            prefetch_countdown: spec.sw_prefetch.map_or(0, |p| p.every.max(1)),
+            spec,
         }
     }
 
@@ -297,143 +466,142 @@ impl PatternState {
         self.spec.serial_dep
     }
 
-    fn next_pc(&mut self) -> Pc {
-        let pc = self.spec.pc_base + 4 * self.pc_rotor as u64;
-        self.pc_rotor = (self.pc_rotor + 1) % self.spec.n_pcs.max(1);
-        pc
-    }
-
     /// Produce the next access of this pattern.
+    #[inline]
     pub fn next_access(&mut self, rng: &mut SplitMix64) -> PatternAccess {
-        self.emitted += 1;
-        let spec = self.spec.clone();
-        let (offset, lookahead) = match spec.kind {
-            PatternKind::Strided { stride } => {
-                let off = self.pos;
-                self.pos = (self.pos as i64 + stride).rem_euclid(spec.footprint as i64) as u64;
-                let ahead = spec.sw_prefetch.map(|p| {
-                    (off as i64 + p.lead_bytes as i64 * stride.signum())
-                        .rem_euclid(spec.footprint as i64) as u64
-                });
+        let footprint = self.spec.footprint;
+        // The lead of a software prefetch due this access; the lookahead
+        // address is only worked out then.
+        let lead = match self.spec.sw_prefetch {
+            Some(p) => {
+                self.prefetch_countdown -= 1;
+                if self.prefetch_countdown == 0 {
+                    self.prefetch_countdown = p.every.max(1);
+                    Some(p.lead_bytes)
+                } else {
+                    None
+                }
+            }
+            None => None,
+        };
+        let (offset, lookahead) = match &mut self.walk {
+            Walk::Strided { stride, pos } => {
+                let off = *pos;
+                *pos = step(off, *stride, footprint);
+                let ahead = lead.map(|l| step(off, l as i64 * stride.signum(), footprint));
                 (off, ahead)
             }
-            PatternKind::MultiStream { stride, streams } => {
-                let n = streams.max(1) as u64;
-                let slice = self.spec.footprint / n;
-                let k = self.stream_rotor as usize;
-                self.stream_rotor = (self.stream_rotor + 1) % streams.max(1);
-                let walk = slice / 2; // each stream cycles half its slice
-                let off_in_stream = self.stream_pos[k];
-                self.stream_pos[k] =
-                    (off_in_stream as i64 + stride).rem_euclid(walk.max(1) as i64) as u64;
-                let off = (self.stream_base[k] + off_in_stream) % spec.footprint;
-                let ahead = spec.sw_prefetch.map(|p| {
-                    let a = (off_in_stream as i64 + p.lead_bytes as i64 * stride.signum())
-                        .rem_euclid(walk.max(1) as i64) as u64;
-                    (self.stream_base[k] + a) % spec.footprint
-                });
-                (off, ahead)
-            }
-            PatternKind::Blocked2d {
-                row_bytes,
-                block_w,
-                block_h,
-                elem,
+            Walk::MultiStream {
+                stride,
+                walk,
+                streams,
+                rotor,
+                pos,
+                base,
             } => {
-                let off = blocked_offset(
-                    self.block_cursor,
-                    row_bytes,
-                    block_w,
-                    block_h,
-                    spec.footprint,
-                );
-                self.block_cursor = blocked_advance(self.block_cursor, block_w, block_h, elem);
+                let k = *rotor as usize;
+                let next = *rotor + 1;
+                *rotor = if next == *streams { 0 } else { next };
+                let off_in_stream = pos[k];
+                pos[k] = step(off_in_stream, *stride, *walk);
+                let ahead = lead.map(|l| {
+                    let a = step(off_in_stream, l as i64 * stride.signum(), *walk);
+                    wrap(base[k] + a, footprint)
+                });
+                (wrap(base[k] + off_in_stream, footprint), ahead)
+            }
+            Walk::Blocked2d { tiling, cursor } => {
+                let off = tiling.offset(*cursor, footprint);
+                *cursor = tiling.advance(*cursor, footprint);
                 // The compiler's lookahead follows the *traversal*, not the
                 // linear address space: walk the cursor forward by the lead
                 // distance in elements.
-                let ahead = spec.sw_prefetch.map(|p| {
-                    let steps = (p.lead_bytes / elem.max(1)).max(1);
-                    let mut cur = self.block_cursor;
+                let ahead = lead.map(|l| {
+                    let steps = (l / tiling.elem.max(1)).max(1);
+                    let mut cur = *cursor;
                     for _ in 1..steps {
-                        cur = blocked_advance(cur, block_w, block_h, elem);
+                        cur = tiling.advance(cur, footprint);
                     }
-                    blocked_offset(cur, row_bytes, block_w, block_h, spec.footprint)
+                    tiling.offset(cur, footprint)
                 });
                 (off, ahead)
             }
-            PatternKind::PointerChase {
+            Walk::PointerChase {
                 node_bytes,
                 fields,
-                run,
+                run_mask,
+                run_shift,
+                runs_mask,
+                node,
+                field,
             } => {
-                if self.field == 0 || self.field >= fields {
-                    let run = run.max(1) as u64;
-                    // `node` encodes the walk state: low bits = position in
-                    // the current sequential run, high bits = run index.
-                    let pos_in_run = self.node % run;
-                    if pos_in_run + 1 < run {
-                        // Continue the allocation-order run.
-                        self.node += 1;
-                    } else {
-                        // Jump to the next run: full-period LCG over the
-                        // run indices (multiplier ≡ 1 mod 4, odd increment,
-                        // power-of-two modulus).
-                        let runs = self.node_count / run;
-                        let run_idx = (self.node / run)
-                            .wrapping_mul(6364136223846793005)
-                            .wrapping_add(1442695040888963407)
-                            & (runs - 1);
-                        self.node = run_idx * run;
-                    }
-                    self.field = 0;
-                }
-                let off = self.node * node_bytes + 8 * self.field as u64;
-                self.field += 1;
+                // `node` encodes the walk state: low bits = position in the
+                // current sequential run, high bits = run index. The next
+                // node continues the allocation-order run, or at the run's
+                // end jumps to the next run: a full-period LCG over the run
+                // indices (multiplier ≡ 1 mod 4, odd increment,
+                // power-of-two modulus). Both candidates are computed and
+                // selected, as is whether a new node is due at all.
+                let next_run = ((*node >> *run_shift)
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407)
+                    & *runs_mask)
+                    << *run_shift;
+                let stepped = if *node & *run_mask == *run_mask {
+                    next_run
+                } else {
+                    *node + 1
+                };
+                let advance = (*field == 0) | (*field >= *fields);
+                *node = if advance { stepped } else { *node };
+                *field = if advance { 0 } else { *field };
+                let off = *node * *node_bytes + 8 * *field as u64;
+                *field += 1;
                 // Pointer chains are not statically analyzable: no lookahead.
-                (off % spec.footprint, None)
+                (wrap(off, footprint), None)
             }
-            PatternKind::Uniform => (rng.below(spec.footprint), None),
-            PatternKind::BurstUniform { stride, run } => {
-                // `field` doubles as the run cursor here.
-                if self.field == 0 || self.field as u16 >= run {
-                    self.pos = rng.below(spec.footprint);
-                    self.field = 0;
-                }
-                self.field += 1;
-                let off = (self.pos + (self.field as u64 - 1) * stride) % spec.footprint;
+            Walk::Uniform => (rng.below(footprint), None),
+            Walk::BurstUniform {
+                stride,
+                run,
+                start,
+                cursor,
+            } => {
+                // A new run starts at a random offset once `run` accesses
+                // are done; the draw is only taken then.
+                let restart = (*cursor == 0) | (*cursor as u16 >= *run);
+                let fresh = rng.below_if(restart, footprint);
+                *start = if restart { fresh } else { *start };
+                *cursor = if restart { 0 } else { *cursor };
+                let off = wrap(*start + *cursor as u64 * *stride, footprint);
+                *cursor += 1;
                 (off, None)
             }
-            PatternKind::Stream {
+            Walk::Stream {
                 advance,
                 window,
-                reread_p,
+                reread,
+                pos,
             } => {
-                if rng.chance(reread_p) && self.pos > 0 {
-                    let back = rng.below(window.min(self.pos)) + 1;
-                    ((self.pos - back) % spec.footprint, None)
+                // The re-read draw is taken on every access.
+                if rng.hit(*reread) && *pos > 0 {
+                    let back = rng.below((*window).min(*pos)) + 1;
+                    (wrap(*pos - back, footprint), None)
                 } else {
-                    let off = self.pos;
-                    self.pos = (self.pos + advance) % spec.footprint;
-                    let ahead = spec
-                        .sw_prefetch
-                        .map(|p| (off + p.lead_bytes) % spec.footprint);
-                    (off, ahead)
+                    let off = *pos;
+                    *pos = wrap(off + *advance, footprint);
+                    (off, lead.map(|l| wrap(off + l, footprint)))
                 }
             }
         };
-        let due = spec
-            .sw_prefetch
-            .map(|p| self.emitted.is_multiple_of(p.every.max(1) as u64))
-            .unwrap_or(false);
+        let pc = self.spec.pc_base + 4 * self.pc_rotor as u64;
+        let next = self.pc_rotor + 1;
+        self.pc_rotor = if next == self.n_pcs { 0 } else { next };
         PatternAccess {
-            addr: spec.base + offset,
-            pc: self.next_pc(),
-            is_store: rng.chance(spec.store_frac),
-            prefetch: if due {
-                lookahead.map(|o| spec.base + o)
-            } else {
-                None
-            },
+            addr: self.spec.base + offset,
+            pc,
+            is_store: rng.hit(self.store),
+            prefetch: lookahead.map(|o| self.spec.base + o),
         }
     }
 }
