@@ -56,6 +56,10 @@ kernel_identity() {
     # emit the committed streams under optimized codegen too, which is what
     # reorders its selects and conditional draws.
     cargo test --release -q -p ppf-workloads --test stream_digest
+    # Figures-identity golden: every `figures --insts 20000 --json` document
+    # must hash to the committed digest under optimized codegen too, the
+    # contract a host-time-only change (table storage, kernel) is held to.
+    cargo test --release -q -p ppf-bench --test figures_json
 }
 
 oracle() {

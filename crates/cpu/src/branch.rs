@@ -50,18 +50,18 @@ impl BranchPredictor {
     }
 }
 
-#[derive(Debug, Clone, Copy)]
-struct BtbEntry {
-    tag: u64,
-    target: Pc,
-    lru: u64,
-    valid: bool,
-}
-
-/// Set-associative branch target buffer.
+/// Set-associative branch target buffer, stored as struct-of-arrays over
+/// zero-initialized vectors (DESIGN.md §5): an all-zero way is empty, so a
+/// new BTB writes none of its 4096 × 4 slots until a branch installs one.
 #[derive(Debug, Clone)]
 pub struct Btb {
-    entries: Box<[BtbEntry]>,
+    /// Per way: 0 = empty, otherwise the branch's `pc >> 2` plus one (which
+    /// never overflows).
+    tags: Box<[u64]>,
+    targets: Box<[Pc]>,
+    /// Recency stamps from `next_lru`, which starts at 1: an empty way's 0
+    /// is always the smallest, so victim choice needs no validity check.
+    lru: Box<[u64]>,
     ways: usize,
     set_mask: u64,
     next_lru: u64,
@@ -73,71 +73,55 @@ impl Btb {
         assert!(sets.is_power_of_two());
         assert!(ways > 0);
         Btb {
-            entries: vec![
-                BtbEntry {
-                    tag: 0,
-                    target: 0,
-                    lru: 0,
-                    valid: false
-                };
-                sets * ways
-            ]
-            .into_boxed_slice(),
+            tags: vec![0; sets * ways].into_boxed_slice(),
+            targets: vec![0; sets * ways].into_boxed_slice(),
+            lru: vec![0; sets * ways].into_boxed_slice(),
             ways,
             set_mask: (sets - 1) as u64,
             next_lru: 1,
         }
     }
 
+    /// The way-slot range of `pc`'s set and its tag-array encoding.
     #[inline]
-    fn set_base(&self, pc: Pc) -> usize {
-        (((pc >> 2) & self.set_mask) as usize) * self.ways
+    fn set_of(&self, pc: Pc) -> (std::ops::Range<usize>, u64) {
+        let key = pc >> 2;
+        let base = ((key & self.set_mask) as usize) * self.ways;
+        (base..base + self.ways, key + 1)
     }
 
     /// Predicted target for a taken branch at `pc`, if the BTB knows one.
     pub fn lookup(&mut self, pc: Pc) -> Option<Pc> {
-        let base = self.set_base(pc);
-        let key = pc >> 2;
-        let lru = self.next_lru;
-        for e in &mut self.entries[base..base + self.ways] {
-            if e.valid && e.tag == key {
-                e.lru = lru;
-                self.next_lru += 1;
-                return Some(e.target);
-            }
-        }
-        None
+        let (set, tag) = self.set_of(pc);
+        let idx = set.start + self.tags[set].iter().position(|&t| t == tag)?;
+        self.lru[idx] = self.next_lru;
+        self.next_lru += 1;
+        Some(self.targets[idx])
     }
 
     /// Install/refresh the target for the branch at `pc` (on a taken
     /// resolution), evicting the LRU way on conflict.
     pub fn update(&mut self, pc: Pc, target: Pc) {
-        let base = self.set_base(pc);
-        let key = pc >> 2;
+        let (set, tag) = self.set_of(pc);
         let lru = self.next_lru;
         self.next_lru += 1;
-        // Hit: refresh.
-        if let Some(e) = self.entries[base..base + self.ways]
-            .iter_mut()
-            .find(|e| e.valid && e.tag == key)
-        {
-            e.target = target;
-            e.lru = lru;
-            return;
-        }
-        // Fill an invalid way or evict the LRU one.
-        let way = self.entries[base..base + self.ways]
-            .iter()
-            .enumerate()
-            .min_by_key(|(_, e)| if e.valid { e.lru } else { 0 })
-            .map(|(i, _)| i)
-            .unwrap_or(0);
-        self.entries[base + way] = BtbEntry {
-            tag: key,
-            target,
-            lru,
-            valid: true,
+        let idx = match self.tags[set.clone()].iter().position(|&t| t == tag) {
+            // Hit: refresh.
+            Some(way) => set.start + way,
+            // Fill the first empty way or evict the LRU one: the first
+            // smallest stamp either way.
+            None => {
+                let way = self.lru[set.clone()]
+                    .iter()
+                    .enumerate()
+                    .min_by_key(|&(_, &stamp)| stamp)
+                    .map_or(0, |(way, _)| way);
+                self.tags[set.start + way] = tag;
+                set.start + way
+            }
         };
+        self.targets[idx] = target;
+        self.lru[idx] = lru;
     }
 }
 

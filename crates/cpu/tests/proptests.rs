@@ -1,8 +1,9 @@
 //! Property-based tests for the core model: structural bounds hold and no
 //! instruction is ever lost or double-retired under arbitrary streams and
-//! arbitrary (even hostile) memory-port behaviour.
+//! arbitrary (even hostile) memory-port behaviour; and the struct-of-arrays
+//! BTB answers every call like the record-array table it replaced.
 
-use ppf_cpu::{Core, Inst, InstStream, MemoryPort, Op};
+use ppf_cpu::{Btb, Core, Inst, InstStream, MemoryPort, Op};
 use ppf_types::{Addr, CoreConfig, Cycle, Pc, SimStats};
 use proptest::prelude::*;
 
@@ -70,6 +71,105 @@ impl MemoryPort for PatternedMemory {
         }
     }
     fn software_prefetch(&mut self, _pc: Pc, _addr: Addr, _now: Cycle) {}
+}
+
+/// The record-array BTB the struct-of-arrays [`Btb`] replaced: one entry
+/// per way with an explicit valid bit, LRU victim among valid ways after
+/// any invalid one. Kept as the reference the table must match call for
+/// call.
+#[derive(Debug, Clone, Copy)]
+struct RefBtbEntry {
+    tag: u64,
+    target: Pc,
+    lru: u64,
+    valid: bool,
+}
+
+struct RefBtb {
+    entries: Vec<RefBtbEntry>,
+    ways: usize,
+    set_mask: u64,
+    next_lru: u64,
+}
+
+impl RefBtb {
+    fn new(sets: usize, ways: usize) -> Self {
+        let empty = RefBtbEntry {
+            tag: 0,
+            target: 0,
+            lru: 0,
+            valid: false,
+        };
+        RefBtb {
+            entries: vec![empty; sets * ways],
+            ways,
+            set_mask: (sets - 1) as u64,
+            next_lru: 1,
+        }
+    }
+
+    fn set_base(&self, pc: Pc) -> usize {
+        (((pc >> 2) & self.set_mask) as usize) * self.ways
+    }
+
+    fn lookup(&mut self, pc: Pc) -> Option<Pc> {
+        let base = self.set_base(pc);
+        let key = pc >> 2;
+        let lru = self.next_lru;
+        for e in &mut self.entries[base..base + self.ways] {
+            if e.valid && e.tag == key {
+                e.lru = lru;
+                self.next_lru += 1;
+                return Some(e.target);
+            }
+        }
+        None
+    }
+
+    fn update(&mut self, pc: Pc, target: Pc) {
+        let base = self.set_base(pc);
+        let key = pc >> 2;
+        let lru = self.next_lru;
+        self.next_lru += 1;
+        if let Some(e) = self.entries[base..base + self.ways]
+            .iter_mut()
+            .find(|e| e.valid && e.tag == key)
+        {
+            e.target = target;
+            e.lru = lru;
+            return;
+        }
+        let way = self.entries[base..base + self.ways]
+            .iter()
+            .enumerate()
+            .min_by_key(|(_, e)| if e.valid { e.lru } else { 0 })
+            .map(|(i, _)| i)
+            .unwrap_or(0);
+        self.entries[base + way] = RefBtbEntry {
+            tag: key,
+            target,
+            lru,
+            valid: true,
+        };
+    }
+}
+
+#[derive(Debug, Clone)]
+struct BtbOp {
+    update: bool,
+    pc: Pc,
+    target: Pc,
+}
+
+/// PCs from a pool of eight branches, each in two address regions that
+/// share set bits but not tags, so a BTB of up to 20 entries sees hits,
+/// conflicts and retargets.
+fn btb_op() -> impl Strategy<Value = BtbOp> {
+    (any::<bool>(), 0u64..8, 0u64..2, 0u64..4).prop_map(|(update, k, region, t)| BtbOp {
+        update,
+        pc: (region << 40) | (0x1000 + 4 * k),
+        target: 0x9000 + 4 * t,
+    })
 }
 
 /// ROB sizes the bounds property draws from: one- and two-entry windows,
@@ -147,5 +247,32 @@ proptest! {
         let classified = stats.loads + stats.stores + stats.branches;
         prop_assert!(classified <= stats.instructions);
         prop_assert!(stats.branch_mispredicts <= stats.branches + cfg.rob_entries as u64);
+    }
+
+    #[test]
+    fn btb_matches_record_array_reference(
+        ops in prop::collection::vec(btb_op(), 1..400),
+        sets_log in 0u32..3,
+        ways in 1usize..6,
+    ) {
+        let sets = 1 << sets_log;
+        let mut btb = Btb::new(sets, ways);
+        let mut reference = RefBtb::new(sets, ways);
+        for (i, op) in ops.iter().enumerate() {
+            if op.update {
+                btb.update(op.pc, op.target);
+                reference.update(op.pc, op.target);
+            } else {
+                prop_assert_eq!(
+                    btb.lookup(op.pc),
+                    reference.lookup(op.pc),
+                    "op {} looks up {:#x}", i, op.pc
+                );
+            }
+        }
+        // The final contents agree too: probe every branch of every region.
+        for pc in ops.iter().map(|op| op.pc) {
+            prop_assert_eq!(btb.lookup(pc), reference.lookup(pc), "final lookup of {:#x}", pc);
+        }
     }
 }

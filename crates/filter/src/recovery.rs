@@ -23,24 +23,25 @@
 
 use ppf_types::LineAddr;
 
-/// One live rejection record: the rejected target, the history-table key
-/// whose counter vetoed it, and when the rejection happened.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct Entry {
-    line: LineAddr,
-    key: u64,
-    /// Which history table vetoed (0 unless split-by-source).
-    table: u8,
-    /// Tenant whose lookup was rejected — recovery must train the same
-    /// partition the veto came from.
-    tenant: u8,
-    stamp: u64,
-}
-
-/// Direct-mapped log of recently rejected prefetch targets.
+/// Direct-mapped log of recently rejected prefetch targets. A slot holds
+/// one rejection record: the rejected target, the history-table key whose
+/// counter vetoed it, and when the rejection happened. Stored as
+/// struct-of-arrays over zero-initialized vectors (DESIGN.md §5), so an
+/// all-zero slot is empty and a new log writes none of its slots.
 #[derive(Debug, Clone)]
 pub struct RejectLog {
-    entries: Box<[Option<Entry>]>,
+    /// Per slot: 0 = empty, otherwise the rejected line plus one. Line
+    /// numbers are byte addresses shifted right by the line-offset bits,
+    /// so the `+ 1` never overflows.
+    lines: Box<[u64]>,
+    keys: Box<[u64]>,
+    /// Which history table vetoed (0 unless split-by-source).
+    tables: Box<[u8]>,
+    /// Tenant whose lookup was rejected — recovery must train the same
+    /// partition the veto came from.
+    tenants: Box<[u8]>,
+    /// Cycle of the rejection.
+    stamps: Box<[u64]>,
     mask: u64,
     /// Freshness window in core cycles: roughly the residence time of a
     /// line in the small L1. A demand miss later than this would not have
@@ -71,7 +72,11 @@ impl RejectLog {
         assert!(entries.is_power_of_two());
         assert!(window > 0);
         RejectLog {
-            entries: vec![None; entries].into_boxed_slice(),
+            lines: vec![0; entries].into_boxed_slice(),
+            keys: vec![0; entries].into_boxed_slice(),
+            tables: vec![0; entries].into_boxed_slice(),
+            tenants: vec![0; entries].into_boxed_slice(),
+            stamps: vec![0; entries].into_boxed_slice(),
             mask: (entries - 1) as u64,
             window,
         }
@@ -89,13 +94,11 @@ impl RejectLog {
     #[inline]
     pub fn record(&mut self, line: LineAddr, key: u64, table: u8, tenant: u8, now: u64) {
         let slot = self.slot(line);
-        self.entries[slot] = Some(Entry {
-            line,
-            key,
-            table,
-            tenant,
-            stamp: now,
-        });
+        self.lines[slot] = line.0 + 1;
+        self.keys[slot] = key;
+        self.tables[slot] = table;
+        self.tenants[slot] = tenant;
+        self.stamps[slot] = now;
     }
 
     /// A demand miss to `line` arrived at cycle `now`: if a *fresh*
@@ -104,19 +107,21 @@ impl RejectLog {
     #[inline]
     pub fn check_miss(&mut self, line: LineAddr, now: u64) -> Option<(u64, u8, u8)> {
         let slot = self.slot(line);
-        match self.entries[slot] {
-            Some(e) if e.line == line => {
-                self.entries[slot] = None;
-                (now.saturating_sub(e.stamp) <= self.window).then_some((e.key, e.table, e.tenant))
-            }
-            _ => None,
+        if self.lines[slot] != line.0 + 1 {
+            return None;
         }
+        self.lines[slot] = 0;
+        (now.saturating_sub(self.stamps[slot]) <= self.window).then_some((
+            self.keys[slot],
+            self.tables[slot],
+            self.tenants[slot],
+        ))
     }
 
     /// Number of live records (diagnostics; includes stale ones not yet
     /// probed or overwritten).
     pub fn live(&self) -> usize {
-        self.entries.iter().flatten().count()
+        self.lines.iter().filter(|&&l| l != 0).count()
     }
 }
 

@@ -14,6 +14,12 @@
 //! the paper: "Whenever a cache line is replaced and evicted from the L1, its
 //! corresponding PIB is checked... The address of the cache line or the PC
 //! together with the RIB are passed to the pollution filter" (§4).
+//!
+//! Storage is struct-of-arrays over zero-initialized primitive vectors
+//! (DESIGN.md §5): an all-zero way is an invalid line, so `vec![0; n]`
+//! (calloc) builds an empty cache without writing a slot. Provenance lives
+//! in an array that only prefetch fills write and that is read only while
+//! the line's PIB is set.
 
 use crate::replacement::{ReplacementPolicy, ReplacementState};
 use ppf_types::{CacheConfig, LineAddr, PrefetchOrigin, MAX_TENANTS, TENANT_ADDR_SHIFT};
@@ -51,54 +57,18 @@ pub struct Evicted {
     pub prefetch: Option<(PrefetchOrigin, bool)>,
 }
 
-#[derive(Debug, Clone, Copy)]
-struct Line {
-    valid: bool,
-    /// Full line number (the set index is recomputed from it; simpler and
-    /// no narrower than a real tag for a simulator).
-    line: LineAddr,
-    dirty: bool,
-    pib: bool,
-    rib: bool,
-    nsp_tag: bool,
-    origin: Option<PrefetchOrigin>,
-    stamp: u64,
-}
+/// Bits of a line's flag byte; a demand fill writes 0.
+const DIRTY: u8 = 1;
+const PIB: u8 = 1 << 1;
+const RIB: u8 = 1 << 2;
+const NSP_TAG: u8 = 1 << 3;
 
-const INVALID: Line = Line {
-    valid: false,
-    line: LineAddr(0),
-    dirty: false,
-    pib: false,
-    rib: false,
-    nsp_tag: false,
-    origin: None,
-    stamp: 0,
-};
-
-impl Line {
-    fn evict_report(&self) -> Evicted {
-        Evicted {
-            line: self.line,
-            dirty: self.dirty,
-            prefetch: if self.pib {
-                // A prefetched line always has its origin attached; the
-                // `unwrap_or` guards the (unreachable) inconsistent state.
-                Some((
-                    self.origin.unwrap_or(PrefetchOrigin {
-                        line: self.line,
-                        trigger_pc: 0,
-                        source: ppf_types::PrefetchSource::Nsp,
-                        tenant: 0,
-                        depth: 0,
-                    }),
-                    self.rib,
-                ))
-            } else {
-                None
-            },
-        }
-    }
+/// The tag-array encoding of a resident `line` (0 marks an invalid way).
+/// Line numbers are byte addresses shifted right by the line-offset bits,
+/// so the `+ 1` never overflows.
+#[inline]
+fn tag_of(line: LineAddr) -> u64 {
+    line.0 + 1
 }
 
 /// Observable metadata of one resident line — the cache's architectural
@@ -150,15 +120,21 @@ impl TenantAttribution {
     }
 }
 
-/// Widest associativity whose replacement stamps fit the fill path's
-/// stack buffer (covers every configured geometry; wider falls back to a
-/// heap collect).
-const STAMP_BUF_WAYS: usize = 16;
-
-/// A set-associative cache with PIB/RIB line metadata.
+/// A set-associative cache with PIB/RIB line metadata. Every array is
+/// indexed by way slot, `set * ways + way`.
 #[derive(Debug, Clone)]
 pub struct Cache {
-    lines: Box<[Line]>,
+    /// [`tag_of`] the resident line, 0 for an invalid way.
+    tags: Box<[u64]>,
+    /// Replacement stamps; contiguous per set, so victim selection reads
+    /// a set's stamps in place.
+    stamps: Box<[u64]>,
+    /// `DIRTY | PIB | RIB | NSP_TAG`.
+    flags: Box<[u8]>,
+    /// Prefetch provenance, read only while the slot's PIB is set. Empty
+    /// until the first prefetch fill sizes it: only the L1D ever takes
+    /// one, so the L2 and L1I never allocate it.
+    origins: Vec<PrefetchOrigin>,
     sets: usize,
     ways: usize,
     set_mask: u64,
@@ -176,8 +152,12 @@ impl Cache {
         let ways = cfg.ways;
         assert!(sets.is_power_of_two(), "set count must be a power of two");
         assert!(ways > 0);
+        let slots = sets * ways;
         Cache {
-            lines: vec![INVALID; sets * ways].into_boxed_slice(),
+            tags: vec![0; slots].into_boxed_slice(),
+            stamps: vec![0; slots].into_boxed_slice(),
+            flags: vec![0; slots].into_boxed_slice(),
+            origins: Vec::new(),
             sets,
             ways,
             set_mask: (sets - 1) as u64,
@@ -201,19 +181,50 @@ impl Cache {
         &self.attribution
     }
 
-    /// Charge a retiring line's prefetch outcome to its owning tenant.
+    /// The line resident in valid way slot `idx`.
     #[inline]
-    fn attribute_retirement(&mut self, victim: &Line) {
-        if victim.pib {
-            let t = victim
-                .origin
-                .map(|o| o.tenant as usize % MAX_TENANTS)
-                .unwrap_or(0);
-            if victim.rib {
+    fn line_at(&self, idx: usize) -> LineAddr {
+        LineAddr(self.tags[idx] - 1)
+    }
+
+    /// Provenance of slot `idx`, present iff its PIB is set.
+    #[inline]
+    fn origin_at(&self, idx: usize) -> Option<PrefetchOrigin> {
+        (self.flags[idx] & PIB != 0).then(|| self.origins[idx])
+    }
+
+    /// Observable state of valid way slot `idx`.
+    fn state_at(&self, idx: usize) -> LineState {
+        let f = self.flags[idx];
+        LineState {
+            line: self.line_at(idx),
+            dirty: f & DIRTY != 0,
+            pib: f & PIB != 0,
+            rib: f & RIB != 0,
+            nsp_tag: f & NSP_TAG != 0,
+            origin: self.origin_at(idx),
+        }
+    }
+
+    /// Retire valid way slot `idx`: charge a prefetched line's outcome to
+    /// its owning tenant and return its eviction report. The caller
+    /// refills or invalidates the slot.
+    #[inline]
+    fn retire(&mut self, idx: usize) -> Evicted {
+        let f = self.flags[idx];
+        let prefetch = self.origin_at(idx).map(|o| (o, f & RIB != 0));
+        if let Some((origin, referenced)) = prefetch {
+            let t = origin.tenant as usize % MAX_TENANTS;
+            if referenced {
                 self.attribution.prefetch_good[t] += 1;
             } else {
                 self.attribution.prefetch_bad[t] += 1;
             }
+        }
+        Evicted {
+            line: self.line_at(idx),
+            dirty: f & DIRTY != 0,
+            prefetch,
         }
     }
 
@@ -236,8 +247,12 @@ impl Cache {
 
     #[inline]
     fn find(&self, line: LineAddr) -> Option<usize> {
-        self.set_range(line)
-            .find(|&i| self.lines[i].valid && self.lines[i].line == line)
+        let range = self.set_range(line);
+        let tag = tag_of(line);
+        self.tags[range.clone()]
+            .iter()
+            .position(|&t| t == tag)
+            .map(|way| range.start + way)
     }
 
     /// Non-mutating presence check (no LRU/RIB side effects). Used for
@@ -252,24 +267,19 @@ impl Cache {
     /// optionally marks the line dirty (`is_write`). Returns `None` on miss.
     pub fn probe(&mut self, line: LineAddr, is_write: bool) -> Option<ProbeHit> {
         let idx = self.find(line)?;
-        let touch = self.repl.touch_on_hit();
-        let stamp = if touch { self.repl.stamp() } else { 0 };
-        let l = &mut self.lines[idx];
+        if self.repl.touch_on_hit() {
+            self.stamps[idx] = self.repl.stamp();
+        }
+        let f = self.flags[idx];
+        let pib = f & PIB != 0;
         let hit = ProbeHit {
-            was_prefetched: l.pib,
-            first_use: l.pib && !l.rib,
-            nsp_tagged: l.nsp_tag,
+            was_prefetched: pib,
+            first_use: pib && f & RIB == 0,
+            nsp_tagged: f & NSP_TAG != 0,
         };
-        if l.pib {
-            l.rib = true;
-        }
-        l.nsp_tag = false;
-        if is_write {
-            l.dirty = true;
-        }
-        if touch {
-            l.stamp = stamp;
-        }
+        let rib = if pib { RIB } else { 0 };
+        let dirty = if is_write { DIRTY } else { 0 };
+        self.flags[idx] = (f & !NSP_TAG) | rib | dirty;
         Some(hit)
     }
 
@@ -283,70 +293,44 @@ impl Cache {
             // Already resident: a demand fill of a prefetched line counts as
             // a reference; a prefetch fill of a resident line is a no-op
             // (the queue squashes these, but be safe).
-            let l = &mut self.lines[idx];
-            if matches!(kind, FillKind::Demand) && l.pib {
-                l.rib = true;
-                l.nsp_tag = false;
+            let f = self.flags[idx];
+            if matches!(kind, FillKind::Demand) && f & PIB != 0 {
+                self.flags[idx] = (f | RIB) & !NSP_TAG;
             }
-            l.stamp = stamp;
+            self.stamps[idx] = stamp;
             return None;
         }
         let range = self.set_range(line);
         // Prefer an invalid way; otherwise ask the policy for a victim.
-        let idx = match self.lines[range.clone()].iter().position(|l| !l.valid) {
-            Some(off) => range.start + off,
-            None if self.ways <= STAMP_BUF_WAYS => {
-                // Common geometries stay on the stack: a conflict eviction
-                // happens on every steady-state miss fill, so a heap
-                // allocation here is a per-miss malloc.
-                let mut stamps = [0u64; STAMP_BUF_WAYS];
-                for (s, l) in stamps.iter_mut().zip(&self.lines[range.clone()]) {
-                    *s = l.stamp;
-                }
-                range.start + self.repl.victim(&stamps[..self.ways])
-            }
-            None => {
-                let stamps: Vec<u64> = self.lines[range.clone()].iter().map(|l| l.stamp).collect();
-                range.start + self.repl.victim(&stamps)
-            }
+        let idx = match self.tags[range.clone()].iter().position(|&t| t == 0) {
+            Some(way) => range.start + way,
+            None => range.start + self.repl.victim(&self.stamps[range]),
         };
-        let victim = self.lines[idx];
-        let report = victim.valid.then(|| victim.evict_report());
-        if victim.valid {
-            let v = victim
-                .origin
-                .filter(|_| victim.pib)
-                .map(|o| o.tenant)
-                .unwrap_or_else(|| self.tenant_of_line(victim.line));
+        let report = (self.tags[idx] != 0).then(|| {
+            let report = self.retire(idx);
+            let victim = match report.prefetch {
+                Some((origin, _)) => origin.tenant,
+                None => self.tenant_of_line(report.line),
+            };
             let evictor = match kind {
                 FillKind::Prefetch(o) => o.tenant,
                 FillKind::Demand => self.tenant_of_line(line),
             };
-            self.attribution.cross_evictions[v as usize % MAX_TENANTS]
+            self.attribution.cross_evictions[victim as usize % MAX_TENANTS]
                 [evictor as usize % MAX_TENANTS] += 1;
-            self.attribute_retirement(&victim);
-        }
-        self.lines[idx] = match kind {
-            FillKind::Demand => Line {
-                valid: true,
-                line,
-                dirty: false,
-                pib: false,
-                rib: false,
-                nsp_tag: false,
-                origin: None,
-                stamp,
-            },
-            FillKind::Prefetch(origin) => Line {
-                valid: true,
-                line,
-                dirty: false,
-                pib: true,
-                rib: false,
-                nsp_tag: true,
-                origin: Some(origin),
-                stamp,
-            },
+            report
+        });
+        self.tags[idx] = tag_of(line);
+        self.stamps[idx] = stamp;
+        self.flags[idx] = match kind {
+            FillKind::Demand => 0,
+            FillKind::Prefetch(origin) => {
+                if self.origins.is_empty() {
+                    self.origins = vec![origin; self.tags.len()];
+                }
+                self.origins[idx] = origin;
+                PIB | NSP_TAG
+            }
         };
         report
     }
@@ -356,7 +340,7 @@ impl Cache {
     pub fn mark_dirty(&mut self, line: LineAddr) -> bool {
         match self.find(line) {
             Some(idx) => {
-                self.lines[idx].dirty = true;
+                self.flags[idx] |= DIRTY;
                 true
             }
             None => false,
@@ -366,33 +350,22 @@ impl Cache {
     /// Remove `line` if present, returning its eviction report.
     pub fn invalidate(&mut self, line: LineAddr) -> Option<Evicted> {
         let idx = self.find(line)?;
-        let victim = self.lines[idx];
-        let report = victim.evict_report();
-        self.attribute_retirement(&victim);
-        self.lines[idx] = INVALID;
+        let report = self.retire(idx);
+        self.tags[idx] = 0;
         Some(report)
     }
 
     /// Number of currently valid lines.
     pub fn valid_lines(&self) -> usize {
-        self.lines.iter().filter(|l| l.valid).count()
+        self.tags.iter().filter(|&&t| t != 0).count()
     }
 
     /// Snapshot of every resident line's observable state, sorted by line
     /// number. Cheap state-inspection hook for the differential oracle.
     pub fn resident_lines(&self) -> Vec<LineState> {
-        let mut out: Vec<LineState> = self
-            .lines
-            .iter()
-            .filter(|l| l.valid)
-            .map(|l| LineState {
-                line: l.line,
-                dirty: l.dirty,
-                pib: l.pib,
-                rib: l.rib,
-                nsp_tag: l.nsp_tag,
-                origin: l.origin,
-            })
+        let mut out: Vec<LineState> = (0..self.tags.len())
+            .filter(|&idx| self.tags[idx] != 0)
+            .map(|idx| self.state_at(idx))
             .collect();
         out.sort_by_key(|l| l.line.0);
         out
@@ -402,50 +375,35 @@ impl Cache {
     /// Used at end-of-run so the good/bad prefetch census covers lines that
     /// never got evicted (Figure 1's census is over *all* prefetches).
     pub fn drain(&mut self) -> impl Iterator<Item = Evicted> + '_ {
-        let attribution = &mut self.attribution;
-        self.lines.iter_mut().filter(|l| l.valid).map(move |l| {
-            if l.pib {
-                let t = l
-                    .origin
-                    .map(|o| o.tenant as usize % MAX_TENANTS)
-                    .unwrap_or(0);
-                if l.rib {
-                    attribution.prefetch_good[t] += 1;
-                } else {
-                    attribution.prefetch_bad[t] += 1;
-                }
+        (0..self.tags.len()).filter_map(move |idx| {
+            if self.tags[idx] == 0 {
+                return None;
             }
-            let report = l.evict_report();
-            *l = INVALID;
-            report
+            let report = self.retire(idx);
+            self.tags[idx] = 0;
+            Some(report)
         })
     }
 
     /// Debug/test helper: assert internal invariants (no duplicate tags in a
-    /// set; every valid line maps to the set it is stored in; PIB lines have
-    /// an origin; RIB implies PIB).
+    /// set; every valid line maps to the set it is stored in; RIB implies
+    /// PIB).
     pub fn check_invariants(&self) -> Result<(), String> {
         for set in 0..self.sets {
             let base = set * self.ways;
-            for i in 0..self.ways {
-                let l = &self.lines[base + i];
-                if !l.valid {
+            for i in base..base + self.ways {
+                if self.tags[i] == 0 {
                     continue;
                 }
-                if (l.line.0 & self.set_mask) as usize != set {
-                    return Err(format!("line {} stored in wrong set {}", l.line, set));
+                let line = self.line_at(i);
+                if (line.0 & self.set_mask) as usize != set {
+                    return Err(format!("line {} stored in wrong set {}", line, set));
                 }
-                if l.pib && l.origin.is_none() {
-                    return Err(format!("PIB line {} has no origin", l.line));
+                if self.flags[i] & (PIB | RIB) == RIB {
+                    return Err(format!("RIB without PIB on line {}", line));
                 }
-                if l.rib && !l.pib {
-                    return Err(format!("RIB without PIB on line {}", l.line));
-                }
-                for j in (i + 1)..self.ways {
-                    let m = &self.lines[base + j];
-                    if m.valid && m.line == l.line {
-                        return Err(format!("duplicate line {} in set {}", l.line, set));
-                    }
+                if self.tags[i + 1..base + self.ways].contains(&self.tags[i]) {
+                    return Err(format!("duplicate line {} in set {}", line, set));
                 }
             }
         }

@@ -239,7 +239,7 @@ impl CacheHarness {
             trigger_pc: u(e, "pc"),
             source: PrefetchSource::from_json(&JsonValue::Str(s(e, "source").to_string()))
                 .unwrap_or_else(|err| panic!("bad prefetch source in {e}: {err}")),
-            tenant: 0,
+            tenant: u_or(e, "tenant", 0) as u8,
             depth: u_or(e, "depth", 0) as u8,
         }
     }

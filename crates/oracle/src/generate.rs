@@ -13,7 +13,7 @@
 //! pressure.
 
 use crate::event::obj;
-use ppf_types::{JsonValue, PrefetchSource, SplitMix64, ToJson};
+use ppf_types::{JsonValue, PrefetchSource, SplitMix64, ToJson, MAX_TENANTS};
 
 /// Deterministically generate the `(config, events)` for one campaign case.
 ///
@@ -39,8 +39,15 @@ fn pc(rng: &mut SplitMix64, pool: u64) -> u64 {
 }
 
 fn cache_case(rng: &mut SplitMix64) -> (JsonValue, Vec<JsonValue>) {
-    let ways = *rng.pick(&[1usize, 2, 4]);
-    let sets = *rng.pick(&[4usize, 8, 16]);
+    // The paper's associativities over 4-16 sets, plus wide sets (8 to 32
+    // ways over 1-4 sets) so victim selection also runs over long stamp
+    // runs.
+    let ways = *rng.pick(&[1usize, 2, 4, 8, 16, 32]);
+    let sets = if ways <= 4 {
+        *rng.pick(&[4usize, 8, 16])
+    } else {
+        *rng.pick(&[1usize, 2, 4])
+    };
     let line_bytes = 32u64;
     let config = obj(&[
         ("size_bytes", ((sets * ways) as u64 * line_bytes).to_json()),
@@ -53,8 +60,10 @@ fn cache_case(rng: &mut SplitMix64) -> (JsonValue, Vec<JsonValue>) {
     ]);
     // Keep the line pool ~3x capacity: plenty of conflict evictions while
     // still revisiting lines often enough to exercise hits and refills.
-    let lines = (sets * ways * 3) as u64;
-    let n = 160 + rng.below(80);
+    // Streams grow with capacity so the widest sets fill up and evict too.
+    let capacity = (sets * ways) as u64;
+    let lines = capacity * 3;
+    let n = 160 + 4 * capacity + rng.below(80);
     let mut events = Vec::with_capacity(n as usize);
     for _ in 0..n {
         let line = rng.below(lines).to_json();
@@ -71,6 +80,8 @@ fn cache_case(rng: &mut SplitMix64) -> (JsonValue, Vec<JsonValue>) {
                 ("line", line),
                 ("pc", pc(rng, 16).to_json()),
                 ("source", source(rng)),
+                ("tenant", rng.below(MAX_TENANTS as u64).to_json()),
+                ("depth", rng.below(20).to_json()),
             ]),
             80..=89 => obj(&[("op", JsonValue::Str("mark_dirty".into())), ("line", line)]),
             90..=94 => obj(&[("op", JsonValue::Str("invalidate".into())), ("line", line)]),

@@ -9,7 +9,9 @@
 //!
 //! The shadow directory here is a direct-mapped side table sized like the
 //! L2 (one entry per L2 line), rather than bits physically inside the L2
-//! array — behaviourally identical and it keeps `ppf-mem` generic.
+//! array — behaviourally identical and it keeps `ppf-mem` generic. It is
+//! stored as struct-of-arrays over zero-initialized vectors (DESIGN.md §5),
+//! so a new directory writes none of its slots until a line claims one.
 //!
 //! Protocol implemented:
 //!
@@ -26,24 +28,6 @@
 use crate::{AccessEvent, Prefetcher};
 use ppf_types::{LineAddr, PrefetchRequest, PrefetchSource};
 
-#[derive(Debug, Clone, Copy)]
-struct Entry {
-    /// The L2 line this entry currently describes.
-    tag: LineAddr,
-    /// Learned successor (shadow) line.
-    shadow: Option<LineAddr>,
-    /// Was the last shadow prefetch from this entry used?
-    confirmed: bool,
-    valid: bool,
-}
-
-const INVALID: Entry = Entry {
-    tag: LineAddr(0),
-    shadow: None,
-    confirmed: false,
-    valid: false,
-};
-
 /// Outstanding shadow prefetches awaiting confirmation.
 const PENDING_RING: usize = 64;
 
@@ -55,7 +39,15 @@ const NO_TARGET: u64 = u64::MAX;
 /// The shadow-directory prefetcher.
 #[derive(Debug, Clone)]
 pub struct ShadowDirectoryPrefetcher {
-    entries: Box<[Entry]>,
+    /// Per slot: 0 = empty, otherwise the L2 line it describes plus one.
+    /// Line numbers are byte addresses shifted right by the line-offset
+    /// bits, so the `+ 1` never overflows.
+    tags: Box<[u64]>,
+    /// The slot's learned successor (shadow) line plus one; 0 = none yet.
+    /// Only a claimed slot ever holds a shadow.
+    shadows: Box<[u64]>,
+    /// Was the last shadow prefetch from this slot used?
+    confirmed: Box<[bool]>,
     mask: u64,
     last_l2_line: Option<LineAddr>,
     /// Ring of outstanding prefetch targets, struct-of-arrays so the
@@ -81,7 +73,9 @@ impl ShadowDirectoryPrefetcher {
     pub fn new(entries: usize) -> Self {
         assert!(entries.is_power_of_two());
         ShadowDirectoryPrefetcher {
-            entries: vec![INVALID; entries].into_boxed_slice(),
+            tags: vec![0; entries].into_boxed_slice(),
+            shadows: vec![0; entries].into_boxed_slice(),
+            confirmed: vec![false; entries].into_boxed_slice(),
             mask: (entries - 1) as u64,
             last_l2_line: None,
             pending_target: [NO_TARGET; PENDING_RING],
@@ -105,7 +99,7 @@ impl ShadowDirectoryPrefetcher {
 
     /// Directory entry count.
     pub fn entries(&self) -> usize {
-        self.entries.len()
+        self.tags.len()
     }
 
     #[inline]
@@ -113,17 +107,14 @@ impl ShadowDirectoryPrefetcher {
         (line.0 & self.mask) as usize
     }
 
-    /// Get (allocating/retagging if needed) the slot index for `line`.
+    /// Get (claiming/retagging if needed) the slot index for `line`.
     fn lookup_mut(&mut self, line: LineAddr) -> usize {
         let slot = self.slot_of(line);
-        let e = &mut self.entries[slot];
-        if !e.valid || e.tag != line {
-            *e = Entry {
-                tag: line,
-                shadow: None,
-                confirmed: false,
-                valid: true,
-            };
+        let tag = line.0 + 1;
+        if self.tags[slot] != tag {
+            self.tags[slot] = tag;
+            self.shadows[slot] = 0;
+            self.confirmed[slot] = false;
         }
         slot
     }
@@ -148,9 +139,9 @@ impl ShadowDirectoryPrefetcher {
         let mut removed = false;
         for i in 0..PENDING_RING {
             if self.pending_target[i] == line.0 {
-                let e = &mut self.entries[self.pending_slot[i] as usize];
-                if e.valid && e.shadow == Some(line) {
-                    e.confirmed = true;
+                let slot = self.pending_slot[i] as usize;
+                if self.shadows[slot] == line.0 + 1 {
+                    self.confirmed[slot] = true;
                 }
                 self.pending_target[i] = NO_TARGET;
                 removed = true;
@@ -206,10 +197,10 @@ impl Prefetcher for ShadowDirectoryPrefetcher {
                         .iter()
                         .zip(&self.pending_slot)
                         .any(|(&t, &s)| t != NO_TARGET && s as usize == slot);
-                    let e = &mut self.entries[slot];
-                    if e.shadow != Some(ev.line) && !e.confirmed && !in_flight {
-                        e.shadow = Some(ev.line);
-                        e.confirmed = true; // fresh shadow gets one chance
+                    let shadow = ev.line.0 + 1;
+                    if self.shadows[slot] != shadow && !self.confirmed[slot] && !in_flight {
+                        self.shadows[slot] = shadow;
+                        self.confirmed[slot] = true; // fresh shadow gets one chance
                     }
                 }
             }
@@ -217,19 +208,17 @@ impl Prefetcher for ShadowDirectoryPrefetcher {
 
         // Trigger: a confirmed shadow for the accessed line is prefetched.
         let slot = self.lookup_mut(ev.line);
-        let e = &mut self.entries[slot];
-        if e.confirmed {
-            if let Some(shadow) = e.shadow {
-                e.confirmed = false; // must be re-confirmed by use
-                out.push(PrefetchRequest {
-                    line: shadow,
-                    trigger_pc: ev.pc,
-                    source: PrefetchSource::Sdp,
-                    tenant: 0,
-                    depth: 1,
-                });
-                self.push_pending(shadow, slot);
-            }
+        if self.confirmed[slot] && self.shadows[slot] != 0 {
+            let shadow = LineAddr(self.shadows[slot] - 1);
+            self.confirmed[slot] = false; // must be re-confirmed by use
+            out.push(PrefetchRequest {
+                line: shadow,
+                trigger_pc: ev.pc,
+                source: PrefetchSource::Sdp,
+                tenant: 0,
+                depth: 1,
+            });
+            self.push_pending(shadow, slot);
         }
 
         self.last_l2_line = Some(ev.line);

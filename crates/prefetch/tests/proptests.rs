@@ -1,5 +1,7 @@
 //! Property-based tests over the prefetch generators: structural sanity of
-//! every candidate they emit, under arbitrary access streams.
+//! every candidate they emit, under arbitrary access streams; and the
+//! struct-of-arrays shadow directory emits exactly what the record-array
+//! directory it replaced emitted.
 
 use ppf_prefetch::{
     AccessEvent, ComposedPrefetcher, CorrelationPrefetcher, NextSequencePrefetcher, Prefetcher,
@@ -45,6 +47,125 @@ fn event(a: &Access) -> AccessEvent {
         l2_hit: a.l2_hit,
         is_store: false,
     }
+}
+
+/// The record-array shadow directory the struct-of-arrays
+/// [`ShadowDirectoryPrefetcher`] replaced: one entry per slot with an
+/// `Option` shadow and a valid bit, and a pending ring scanned in full on
+/// every access (no presence filter). Kept as the reference the directory
+/// must match event for event.
+#[derive(Debug, Clone, Copy)]
+struct RefSdpEntry {
+    tag: LineAddr,
+    shadow: Option<LineAddr>,
+    confirmed: bool,
+    valid: bool,
+}
+
+struct RefSdp {
+    entries: Vec<RefSdpEntry>,
+    mask: u64,
+    last_l2_line: Option<LineAddr>,
+    /// Outstanding shadow prefetches: (target, issuing slot).
+    pending: [Option<(LineAddr, usize)>; 64],
+    pending_next: usize,
+}
+
+impl RefSdp {
+    fn new(entries: usize) -> Self {
+        let empty = RefSdpEntry {
+            tag: LineAddr(0),
+            shadow: None,
+            confirmed: false,
+            valid: false,
+        };
+        RefSdp {
+            entries: vec![empty; entries],
+            mask: (entries - 1) as u64,
+            last_l2_line: None,
+            pending: [None; 64],
+            pending_next: 0,
+        }
+    }
+
+    fn lookup_mut(&mut self, line: LineAddr) -> usize {
+        let slot = (line.0 & self.mask) as usize;
+        let e = &mut self.entries[slot];
+        if !e.valid || e.tag != line {
+            *e = RefSdpEntry {
+                tag: line,
+                shadow: None,
+                confirmed: false,
+                valid: true,
+            };
+        }
+        slot
+    }
+
+    fn on_access(&mut self, ev: &AccessEvent, out: &mut Vec<PrefetchRequest>) {
+        for p in &mut self.pending {
+            if let Some((target, slot)) = *p {
+                if target == ev.line {
+                    let e = &mut self.entries[slot];
+                    if e.valid && e.shadow == Some(ev.line) {
+                        e.confirmed = true;
+                    }
+                    *p = None;
+                }
+            }
+        }
+        if !ev.l2_accessed {
+            return;
+        }
+        if !ev.l2_hit {
+            if let Some(prev) = self.last_l2_line {
+                if prev != ev.line {
+                    let slot = self.lookup_mut(prev);
+                    let in_flight = self
+                        .pending
+                        .iter()
+                        .any(|p| matches!(*p, Some((_, s)) if s == slot));
+                    let e = &mut self.entries[slot];
+                    if e.shadow != Some(ev.line) && !e.confirmed && !in_flight {
+                        e.shadow = Some(ev.line);
+                        e.confirmed = true;
+                    }
+                }
+            }
+        }
+        let slot = self.lookup_mut(ev.line);
+        let e = &mut self.entries[slot];
+        if e.confirmed {
+            if let Some(shadow) = e.shadow {
+                e.confirmed = false;
+                out.push(PrefetchRequest {
+                    line: shadow,
+                    trigger_pc: ev.pc,
+                    source: PrefetchSource::Sdp,
+                    tenant: 0,
+                    depth: 1,
+                });
+                self.pending[self.pending_next] = Some((shadow, slot));
+                self.pending_next = (self.pending_next + 1) % self.pending.len();
+            }
+        }
+        self.last_l2_line = Some(ev.line);
+    }
+}
+
+/// A dense access stream for the directory check: 48 lines over a small
+/// directory alias, retag and re-reference constantly, and every mix of
+/// L1 hit, L2 hit and L2 miss occurs.
+fn dense_access() -> impl Strategy<Value = Access> {
+    (0u64..8, 0u64..48, any::<bool>(), any::<bool>()).prop_map(|(pc, line, l1_hit, l2_hit)| {
+        Access {
+            pc: 0x1000 + pc * 4,
+            line,
+            l1_hit,
+            nsp_tagged: false,
+            l2_hit,
+        }
+    })
 }
 
 fn drive(p: &mut dyn Prefetcher, accesses: &[Access]) -> Vec<(Access, Vec<PrefetchRequest>)> {
@@ -162,6 +283,24 @@ proptest! {
             let before = lines.len();
             lines.dedup();
             prop_assert_eq!(lines.len(), before, "duplicate line within one event");
+        }
+    }
+
+    #[test]
+    fn sdp_matches_record_array_reference(
+        accesses in prop::collection::vec(dense_access(), 1..600),
+        entries_log in 2u32..7,
+    ) {
+        let entries = 1 << entries_log;
+        let mut sdp = ShadowDirectoryPrefetcher::new(entries);
+        let mut reference = RefSdp::new(entries);
+        let (mut got, mut want) = (Vec::new(), Vec::new());
+        for (i, a) in accesses.iter().enumerate() {
+            got.clear();
+            want.clear();
+            sdp.on_access(&event(a), &mut got);
+            reference.on_access(&event(a), &mut want);
+            prop_assert_eq!(&got, &want, "access {} ({:?})", i, a);
         }
     }
 

@@ -585,7 +585,18 @@ impl SystemConfig {
                 "branch predictor tables must be powers of two",
             ));
         }
-        if self.core.issue_width == 0 || self.core.rob_entries == 0 || self.core.lsq_entries == 0 {
+        if self.core.branch.btb_ways == 0 {
+            return Err(PpfError::config_invalid("BTB must have at least one way"));
+        }
+        // fp_alus may be 0: gzip and mcf issue no floating-point work.
+        let core = &self.core;
+        if core.fetch_width == 0
+            || core.issue_width == 0
+            || core.retire_width == 0
+            || core.int_alus == 0
+            || core.rob_entries == 0
+            || core.lsq_entries == 0
+        {
             return Err(PpfError::config_invalid(
                 "core widths/windows must be nonzero",
             ));
@@ -825,6 +836,30 @@ mod tests {
         let mut c = SystemConfig::paper_default();
         c.prefetch.queue_len = 0;
         assert!(c.validate().is_err());
+
+        let mut c = SystemConfig::paper_default();
+        c.core.branch.btb_ways = 0;
+        assert!(c.validate().is_err(), "way-less BTB");
+
+        // Each of these three wedged a run until the watchdog's stall
+        // detector fired.
+        let mut c = SystemConfig::paper_default();
+        c.core.fetch_width = 0;
+        assert!(c.validate().is_err(), "zero fetch width");
+
+        let mut c = SystemConfig::paper_default();
+        c.core.retire_width = 0;
+        assert!(c.validate().is_err(), "zero retire width");
+
+        let mut c = SystemConfig::paper_default();
+        c.core.int_alus = 0;
+        assert!(c.validate().is_err(), "no integer ALU");
+
+        // No floating-point unit is a valid machine: gzip and mcf issue no
+        // floating-point work.
+        let mut c = SystemConfig::paper_default();
+        c.core.fp_alus = 0;
+        assert!(c.validate().is_ok());
     }
 
     #[test]

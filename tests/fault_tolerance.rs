@@ -184,11 +184,19 @@ fn cell_failure_errors_serialize() {
 
 #[test]
 fn invalid_config_surfaces_structured_error() {
+    let rejected = |cfg: SystemConfig, message: &str| {
+        let err = Simulator::with_seed(cfg, Box::new(Workload::Gcc.stream(1)), 1)
+            .err()
+            .expect("invalid config rejected");
+        assert_eq!(err.kind, PpfErrorKind::ConfigInvalid);
+        assert!(err.to_string().contains(message), "{err}");
+    };
     let mut cfg = SystemConfig::paper_default();
     cfg.prefetch.queue_len = 0;
-    let err = Simulator::with_seed(cfg, Box::new(Workload::Gcc.stream(1)), 1)
-        .err()
-        .expect("invalid config rejected");
-    assert_eq!(err.kind, PpfErrorKind::ConfigInvalid);
-    assert!(err.to_string().contains("queue length"), "{err}");
+    rejected(cfg, "queue length");
+    // A way-less BTB used to pass validation and panic while the simulator
+    // was built.
+    let mut cfg = SystemConfig::paper_default();
+    cfg.core.branch.btb_ways = 0;
+    rejected(cfg, "BTB");
 }
