@@ -4,11 +4,13 @@
 //! allocating them in the L1. Demand accesses probe the L1 and the buffer;
 //! a buffer hit promotes the line into the L1 (and is by definition a *good*
 //! prefetch). A line evicted from the buffer without ever being referenced
-//! is a *bad* prefetch. The paper finds this structure interacts poorly
+//! is a *bad* prefetch. Each entry carries its fill-ready cycle, so a
+//! promoted line's data is not usable before it arrives from the L2 or
+//! memory. The paper finds this structure interacts poorly
 //! with aggressive prefetching and with the pollution filters (Figures
 //! 15–16); this module lets the benches reproduce that comparison.
 
-use ppf_types::{LineAddr, PrefetchOrigin};
+use ppf_types::{Cycle, LineAddr, PrefetchOrigin};
 
 /// An entry evicted from the buffer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -25,6 +27,7 @@ pub struct BufferEvicted {
 struct Slot {
     line: LineAddr,
     origin: PrefetchOrigin,
+    ready: Cycle,
     stamp: u64,
 }
 
@@ -67,23 +70,36 @@ impl PrefetchBuffer {
         self.slots.iter().any(|s| s.line == line)
     }
 
-    /// Demand probe. On a hit the line is *removed* (promoted to the L1 by
-    /// the caller) and its provenance returned — a buffer hit is a good
-    /// prefetch. Misses return `None`.
-    pub fn take(&mut self, line: LineAddr) -> Option<PrefetchOrigin> {
-        let idx = self.slots.iter().position(|s| s.line == line)?;
-        Some(self.slots.swap_remove(idx).origin)
+    /// Buffered lines whose fill is still in flight at `now`.
+    pub fn in_flight(&self, now: Cycle) -> usize {
+        self.slots.iter().filter(|s| s.ready > now).count()
     }
 
-    /// Insert a prefetched line, evicting the LRU entry if full. The evicted
-    /// entry was never referenced (hits promote out of the buffer), so it is
-    /// a bad prefetch.
-    pub fn insert(&mut self, line: LineAddr, origin: PrefetchOrigin) -> Option<BufferEvicted> {
+    /// Demand probe. On a hit the line is *removed* (promoted to the L1 by
+    /// the caller) and its provenance and fill-ready cycle returned — a
+    /// buffer hit is a good prefetch. Misses return `None`.
+    pub fn take(&mut self, line: LineAddr) -> Option<(PrefetchOrigin, Cycle)> {
+        let idx = self.slots.iter().position(|s| s.line == line)?;
+        let slot = self.slots.swap_remove(idx);
+        Some((slot.origin, slot.ready))
+    }
+
+    /// Insert a prefetched line whose data arrives at `ready_at`, evicting
+    /// the LRU entry if full. The evicted entry was never referenced (hits
+    /// promote out of the buffer), so it is a bad prefetch.
+    pub fn insert(
+        &mut self,
+        line: LineAddr,
+        origin: PrefetchOrigin,
+        ready_at: Cycle,
+    ) -> Option<BufferEvicted> {
         let stamp = self.next_stamp;
         self.next_stamp += 1;
         if let Some(s) = self.slots.iter_mut().find(|s| s.line == line) {
-            // Re-prefetch of a buffered line: refresh recency, keep origin.
+            // Re-prefetch of a buffered line: refresh recency, keep origin
+            // and the later fill-ready cycle.
             s.stamp = stamp;
+            s.ready = s.ready.max(ready_at);
             return None;
         }
         let evicted = if self.slots.len() >= self.cap {
@@ -104,6 +120,7 @@ impl PrefetchBuffer {
         self.slots.push(Slot {
             line,
             origin,
+            ready: ready_at,
             stamp,
         });
         evicted
@@ -137,9 +154,9 @@ mod tests {
     #[test]
     fn hit_promotes_and_removes() {
         let mut b = PrefetchBuffer::new(4);
-        b.insert(LineAddr(1), origin(1));
+        b.insert(LineAddr(1), origin(1), 0);
         assert!(b.contains(LineAddr(1)));
-        let o = b.take(LineAddr(1)).expect("hit");
+        let (o, _) = b.take(LineAddr(1)).expect("hit");
         assert_eq!(o.line, LineAddr(1));
         assert!(!b.contains(LineAddr(1)), "promotion removes from buffer");
         assert!(b.take(LineAddr(1)).is_none());
@@ -148,10 +165,10 @@ mod tests {
     #[test]
     fn lru_eviction_when_full() {
         let mut b = PrefetchBuffer::new(2);
-        assert!(b.insert(LineAddr(1), origin(1)).is_none());
-        assert!(b.insert(LineAddr(2), origin(2)).is_none());
+        assert!(b.insert(LineAddr(1), origin(1), 0).is_none());
+        assert!(b.insert(LineAddr(2), origin(2), 0).is_none());
         let ev = b
-            .insert(LineAddr(3), origin(3))
+            .insert(LineAddr(3), origin(3), 0)
             .expect("full buffer evicts");
         assert_eq!(ev.origin.line, LineAddr(1), "oldest entry is the victim");
         assert!(!ev.referenced);
@@ -161,10 +178,10 @@ mod tests {
     #[test]
     fn reinsert_refreshes_recency() {
         let mut b = PrefetchBuffer::new(2);
-        b.insert(LineAddr(1), origin(1));
-        b.insert(LineAddr(2), origin(2));
-        b.insert(LineAddr(1), origin(1)); // refresh 1
-        let ev = b.insert(LineAddr(3), origin(3)).unwrap();
+        b.insert(LineAddr(1), origin(1), 0);
+        b.insert(LineAddr(2), origin(2), 0);
+        b.insert(LineAddr(1), origin(1), 0); // refresh 1
+        let ev = b.insert(LineAddr(3), origin(3), 0).unwrap();
         assert_eq!(
             ev.origin.line,
             LineAddr(2),
@@ -173,18 +190,28 @@ mod tests {
     }
 
     #[test]
+    fn take_returns_the_later_fill_ready_cycle() {
+        let mut b = PrefetchBuffer::new(2);
+        b.insert(LineAddr(1), origin(1), 100);
+        b.insert(LineAddr(1), origin(1), 80);
+        assert_eq!(b.in_flight(99), 1);
+        assert_eq!(b.in_flight(100), 0);
+        assert_eq!(b.take(LineAddr(1)).map(|(_, ready)| ready), Some(100));
+    }
+
+    #[test]
     fn reinsert_does_not_grow() {
         let mut b = PrefetchBuffer::new(2);
-        b.insert(LineAddr(1), origin(1));
-        b.insert(LineAddr(1), origin(1));
+        b.insert(LineAddr(1), origin(1), 0);
+        b.insert(LineAddr(1), origin(1), 0);
         assert_eq!(b.len(), 1);
     }
 
     #[test]
     fn drain_reports_unreferenced() {
         let mut b = PrefetchBuffer::new(4);
-        b.insert(LineAddr(1), origin(1));
-        b.insert(LineAddr(2), origin(2));
+        b.insert(LineAddr(1), origin(1), 0);
+        b.insert(LineAddr(2), origin(2), 0);
         let drained: Vec<_> = b.drain().collect();
         assert_eq!(drained.len(), 2);
         assert!(drained.iter().all(|e| !e.referenced));

@@ -9,6 +9,11 @@
 //!   what lets eviction-time feedback reach the right history-table entry.
 //! * The **NSP tag bit** used by next-sequence prefetching: set on prefetch
 //!   fill, consumed by the first demand hit to re-trigger the prefetcher.
+//! * The **fill-ready cycle**: the cycle the line's data arrives. Every
+//!   fill writes it, and the hierarchy holds every hit to it, so a line
+//!   that is functionally resident but still in flight is never served
+//!   early. Refilling a resident line keeps the later of the two cycles
+//!   (the merge rule of an outstanding-miss register).
 //!
 //! The eviction report [`Evicted`] is the filter's only training input, as in
 //! the paper: "Whenever a cache line is replaced and evicted from the L1, its
@@ -19,10 +24,11 @@
 //! (DESIGN.md §5): an all-zero way is an invalid line, so `vec![0; n]`
 //! (calloc) builds an empty cache without writing a slot. Provenance lives
 //! in an array that only prefetch fills write and that is read only while
-//! the line's PIB is set.
+//! the line's PIB is set; fill-ready cycles live in an array that the first
+//! fill carrying a nonzero cycle sizes.
 
 use crate::replacement::{ReplacementPolicy, ReplacementState};
-use ppf_types::{CacheConfig, LineAddr, PrefetchOrigin, MAX_TENANTS, TENANT_ADDR_SHIFT};
+use ppf_types::{CacheConfig, Cycle, LineAddr, PrefetchOrigin, MAX_TENANTS, TENANT_ADDR_SHIFT};
 
 /// How a line is being filled.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -43,6 +49,8 @@ pub struct ProbeHit {
     pub first_use: bool,
     /// The NSP tag bit was set; the probe consumed (cleared) it.
     pub nsp_tagged: bool,
+    /// The line's fill-ready cycle: the hit's data is not usable earlier.
+    pub ready: Cycle,
 }
 
 /// Eviction report passed to the pollution filter.
@@ -55,6 +63,9 @@ pub struct Evicted {
     /// If the line was prefetched: its provenance and whether it was ever
     /// referenced (the RIB value at eviction).
     pub prefetch: Option<(PrefetchOrigin, bool)>,
+    /// The line's fill-ready cycle, carried wherever the line goes next
+    /// (the victim cache).
+    pub ready: Cycle,
 }
 
 /// Bits of a line's flag byte; a demand fill writes 0.
@@ -90,6 +101,8 @@ pub struct LineState {
     pub nsp_tag: bool,
     /// Prefetch provenance (set iff PIB).
     pub origin: Option<PrefetchOrigin>,
+    /// Fill-ready cycle.
+    pub ready: Cycle,
 }
 
 /// Per-tenant attribution of prefetch outcomes and eviction pressure
@@ -135,6 +148,9 @@ pub struct Cache {
     /// until the first prefetch fill sizes it: only the L1D ever takes
     /// one, so the L2 and L1I never allocate it.
     origins: Vec<PrefetchOrigin>,
+    /// Fill-ready cycles. Empty, and read as 0, until the first fill that
+    /// carries a nonzero cycle sizes it.
+    ready: Vec<Cycle>,
     sets: usize,
     ways: usize,
     set_mask: u64,
@@ -158,6 +174,7 @@ impl Cache {
             stamps: vec![0; slots].into_boxed_slice(),
             flags: vec![0; slots].into_boxed_slice(),
             origins: Vec::new(),
+            ready: Vec::new(),
             sets,
             ways,
             set_mask: (sets - 1) as u64,
@@ -193,6 +210,25 @@ impl Cache {
         (self.flags[idx] & PIB != 0).then(|| self.origins[idx])
     }
 
+    /// Fill-ready cycle of slot `idx`.
+    #[inline]
+    fn ready_at(&self, idx: usize) -> Cycle {
+        self.ready.get(idx).copied().unwrap_or(0)
+    }
+
+    /// Write slot `idx`'s fill-ready cycle, sizing the array on the first
+    /// nonzero cycle (an empty array already reads 0 everywhere).
+    #[inline]
+    fn set_ready(&mut self, idx: usize, ready_at: Cycle) {
+        if self.ready.is_empty() {
+            if ready_at == 0 {
+                return;
+            }
+            self.ready = vec![0; self.tags.len()];
+        }
+        self.ready[idx] = ready_at;
+    }
+
     /// Observable state of valid way slot `idx`.
     fn state_at(&self, idx: usize) -> LineState {
         let f = self.flags[idx];
@@ -203,6 +239,7 @@ impl Cache {
             rib: f & RIB != 0,
             nsp_tag: f & NSP_TAG != 0,
             origin: self.origin_at(idx),
+            ready: self.ready_at(idx),
         }
     }
 
@@ -225,6 +262,7 @@ impl Cache {
             line: self.line_at(idx),
             dirty: f & DIRTY != 0,
             prefetch,
+            ready: self.ready_at(idx),
         }
     }
 
@@ -263,8 +301,9 @@ impl Cache {
     }
 
     /// Demand reference to `line`. On a hit: refreshes replacement stamp
-    /// (LRU), sets RIB on prefetched lines, consumes the NSP tag bit, and
-    /// optionally marks the line dirty (`is_write`). Returns `None` on miss.
+    /// (LRU), sets RIB on prefetched lines, consumes the NSP tag bit,
+    /// optionally marks the line dirty (`is_write`) and reports the line's
+    /// fill-ready cycle. Returns `None` on miss.
     pub fn probe(&mut self, line: LineAddr, is_write: bool) -> Option<ProbeHit> {
         let idx = self.find(line)?;
         if self.repl.touch_on_hit() {
@@ -276,6 +315,7 @@ impl Cache {
             was_prefetched: pib,
             first_use: pib && f & RIB == 0,
             nsp_tagged: f & NSP_TAG != 0,
+            ready: self.ready_at(idx),
         };
         let rib = if pib { RIB } else { 0 };
         let dirty = if is_write { DIRTY } else { 0 };
@@ -283,11 +323,13 @@ impl Cache {
         Some(hit)
     }
 
-    /// Install `line`. Returns the eviction report if a valid line was
-    /// displaced. Filling a line that is already present refreshes its
-    /// metadata in place (this happens when a demand miss races a prefetch
-    /// in the simulator's functional-immediate model) and evicts nothing.
-    pub fn fill(&mut self, line: LineAddr, kind: FillKind) -> Option<Evicted> {
+    /// Install `line`, whose data arrives at `ready_at`. Returns the
+    /// eviction report if a valid line was displaced. Filling a line that
+    /// is already present refreshes its metadata in place (this happens
+    /// when a demand miss races a prefetch in the simulator's
+    /// functional-immediate model), keeps the later fill-ready cycle and
+    /// evicts nothing.
+    pub fn fill(&mut self, line: LineAddr, kind: FillKind, ready_at: Cycle) -> Option<Evicted> {
         let stamp = self.repl.stamp();
         if let Some(idx) = self.find(line) {
             // Already resident: a demand fill of a prefetched line counts as
@@ -298,6 +340,7 @@ impl Cache {
                 self.flags[idx] = (f | RIB) & !NSP_TAG;
             }
             self.stamps[idx] = stamp;
+            self.set_ready(idx, self.ready_at(idx).max(ready_at));
             return None;
         }
         let range = self.set_range(line);
@@ -322,6 +365,7 @@ impl Cache {
         });
         self.tags[idx] = tag_of(line);
         self.stamps[idx] = stamp;
+        self.set_ready(idx, ready_at);
         self.flags[idx] = match kind {
             FillKind::Demand => 0,
             FillKind::Prefetch(origin) => {
@@ -358,6 +402,16 @@ impl Cache {
     /// Number of currently valid lines.
     pub fn valid_lines(&self) -> usize {
         self.tags.iter().filter(|&&t| t != 0).count()
+    }
+
+    /// Valid lines whose fill is still in flight at `now` (a full scan, for
+    /// telemetry sampling only).
+    pub fn in_flight(&self, now: Cycle) -> usize {
+        self.tags
+            .iter()
+            .zip(&self.ready)
+            .filter(|&(&t, &r)| t != 0 && r > now)
+            .count()
     }
 
     /// Snapshot of every resident line's observable state, sorted by line
@@ -441,7 +495,7 @@ mod tests {
         let mut c = Cache::new(&cfg(1024, 1), ReplacementPolicy::Lru, 0);
         let l = LineAddr(5);
         assert!(c.probe(l, false).is_none());
-        assert!(c.fill(l, FillKind::Demand).is_none());
+        assert!(c.fill(l, FillKind::Demand, 0).is_none());
         let hit = c.probe(l, false).expect("hit after fill");
         assert!(!hit.was_prefetched);
         assert!(!hit.first_use);
@@ -452,9 +506,9 @@ mod tests {
     fn direct_mapped_conflict_evicts() {
         // 1KB direct-mapped, 32B lines => 32 sets; lines 1 and 33 collide.
         let mut c = Cache::new(&cfg(1024, 1), ReplacementPolicy::Lru, 0);
-        c.fill(LineAddr(1), FillKind::Demand);
+        c.fill(LineAddr(1), FillKind::Demand, 0);
         let ev = c
-            .fill(LineAddr(33), FillKind::Demand)
+            .fill(LineAddr(33), FillKind::Demand, 0)
             .expect("conflict eviction");
         assert_eq!(ev.line, LineAddr(1));
         assert!(!ev.dirty);
@@ -467,7 +521,7 @@ mod tests {
     fn prefetch_fill_sets_pib_and_nsp_tag() {
         let mut c = Cache::new(&cfg(1024, 1), ReplacementPolicy::Lru, 0);
         let l = LineAddr(7);
-        c.fill(l, FillKind::Prefetch(origin(l)));
+        c.fill(l, FillKind::Prefetch(origin(l)), 0);
         let hit = c.probe(l, false).unwrap();
         assert!(hit.was_prefetched);
         assert!(hit.first_use, "first touch is the RIB 0->1 edge");
@@ -485,15 +539,15 @@ mod tests {
         let a = LineAddr(2);
         let b = LineAddr(34); // same set
                               // Unreferenced prefetch -> bad.
-        c.fill(a, FillKind::Prefetch(origin(a)));
-        let ev = c.fill(b, FillKind::Demand).unwrap();
+        c.fill(a, FillKind::Prefetch(origin(a)), 0);
+        let ev = c.fill(b, FillKind::Demand, 0).unwrap();
         let (o, referenced) = ev.prefetch.expect("prefetched line");
         assert_eq!(o.line, a);
         assert!(!referenced);
         // Referenced prefetch -> good.
-        c.fill(a, FillKind::Prefetch(origin(a)));
+        c.fill(a, FillKind::Prefetch(origin(a)), 0);
         c.probe(a, false);
-        let ev = c.fill(b, FillKind::Demand).unwrap();
+        let ev = c.fill(b, FillKind::Demand, 0).unwrap();
         // b was demand; victim must be a (same set, LRU: b touched later).
         let (_, referenced) = ev.prefetch.expect("prefetched line evicted");
         assert!(referenced);
@@ -502,9 +556,9 @@ mod tests {
     #[test]
     fn store_hit_marks_dirty_and_writeback_reported() {
         let mut c = Cache::new(&cfg(1024, 1), ReplacementPolicy::Lru, 0);
-        c.fill(LineAddr(3), FillKind::Demand);
+        c.fill(LineAddr(3), FillKind::Demand, 0);
         c.probe(LineAddr(3), true);
-        let ev = c.fill(LineAddr(35), FillKind::Demand).unwrap();
+        let ev = c.fill(LineAddr(35), FillKind::Demand, 0).unwrap();
         assert!(ev.dirty, "dirty line must request writeback");
     }
 
@@ -513,10 +567,10 @@ mod tests {
         // 2-way, 2 sets: 128 bytes / 32B = 4 lines.
         let mut c = Cache::new(&cfg(128, 2), ReplacementPolicy::Lru, 0);
         // Set 0 holds even line numbers.
-        c.fill(LineAddr(0), FillKind::Demand);
-        c.fill(LineAddr(2), FillKind::Demand);
+        c.fill(LineAddr(0), FillKind::Demand, 0);
+        c.fill(LineAddr(2), FillKind::Demand, 0);
         c.probe(LineAddr(0), false); // 0 is now MRU
-        let ev = c.fill(LineAddr(4), FillKind::Demand).unwrap();
+        let ev = c.fill(LineAddr(4), FillKind::Demand, 0).unwrap();
         assert_eq!(ev.line, LineAddr(2));
         assert!(c.contains(LineAddr(0)));
         assert!(c.contains(LineAddr(4)));
@@ -525,18 +579,18 @@ mod tests {
     #[test]
     fn fifo_ignores_hits() {
         let mut c = Cache::new(&cfg(128, 2), ReplacementPolicy::Fifo, 0);
-        c.fill(LineAddr(0), FillKind::Demand);
-        c.fill(LineAddr(2), FillKind::Demand);
+        c.fill(LineAddr(0), FillKind::Demand, 0);
+        c.fill(LineAddr(2), FillKind::Demand, 0);
         c.probe(LineAddr(0), false); // should NOT protect 0 under FIFO
-        let ev = c.fill(LineAddr(4), FillKind::Demand).unwrap();
+        let ev = c.fill(LineAddr(4), FillKind::Demand, 0).unwrap();
         assert_eq!(ev.line, LineAddr(0), "FIFO evicts oldest fill despite hit");
     }
 
     #[test]
     fn refill_of_resident_line_evicts_nothing() {
         let mut c = Cache::new(&cfg(1024, 1), ReplacementPolicy::Lru, 0);
-        c.fill(LineAddr(9), FillKind::Demand);
-        assert!(c.fill(LineAddr(9), FillKind::Demand).is_none());
+        c.fill(LineAddr(9), FillKind::Demand, 0);
+        assert!(c.fill(LineAddr(9), FillKind::Demand, 0).is_none());
         assert_eq!(c.valid_lines(), 1);
     }
 
@@ -544,18 +598,33 @@ mod tests {
     fn demand_refill_of_prefetched_line_counts_as_reference() {
         let mut c = Cache::new(&cfg(1024, 1), ReplacementPolicy::Lru, 0);
         let l = LineAddr(4);
-        c.fill(l, FillKind::Prefetch(origin(l)));
-        c.fill(l, FillKind::Demand); // demand touched the prefetched line
+        c.fill(l, FillKind::Prefetch(origin(l)), 0);
+        c.fill(l, FillKind::Demand, 0); // demand touched the prefetched line
         let ev = c.invalidate(l).unwrap();
         let (_, referenced) = ev.prefetch.unwrap();
         assert!(referenced);
     }
 
     #[test]
+    fn fill_ready_cycle_is_reported_and_refill_keeps_the_later() {
+        let mut c = Cache::new(&cfg(1024, 1), ReplacementPolicy::Lru, 0);
+        c.fill(LineAddr(1), FillKind::Demand, 0);
+        assert!(c.ready.is_empty(), "a zero cycle does not size the array");
+        c.fill(LineAddr(1), FillKind::Demand, 100);
+        c.fill(LineAddr(1), FillKind::Demand, 80);
+        assert_eq!(c.probe(LineAddr(1), false).unwrap().ready, 100);
+        assert_eq!(c.in_flight(99), 1);
+        assert_eq!(c.in_flight(100), 0);
+        let ev = c.fill(LineAddr(33), FillKind::Demand, 7).unwrap();
+        assert_eq!(ev.ready, 100, "eviction carries the cycle");
+        assert_eq!(c.probe(LineAddr(33), false).unwrap().ready, 7);
+    }
+
+    #[test]
     fn invalidate_returns_report_and_clears() {
         let mut c = Cache::new(&cfg(1024, 1), ReplacementPolicy::Lru, 0);
         assert!(c.invalidate(LineAddr(1)).is_none());
-        c.fill(LineAddr(1), FillKind::Demand);
+        c.fill(LineAddr(1), FillKind::Demand, 0);
         let ev = c.invalidate(LineAddr(1)).unwrap();
         assert_eq!(ev.line, LineAddr(1));
         assert!(!c.contains(LineAddr(1)));
@@ -564,9 +633,9 @@ mod tests {
     #[test]
     fn drain_reports_all_and_empties() {
         let mut c = Cache::new(&cfg(1024, 1), ReplacementPolicy::Lru, 0);
-        c.fill(LineAddr(1), FillKind::Demand);
+        c.fill(LineAddr(1), FillKind::Demand, 0);
         let l2 = LineAddr(2);
-        c.fill(l2, FillKind::Prefetch(origin(l2)));
+        c.fill(l2, FillKind::Prefetch(origin(l2)), 0);
         let drained: Vec<Evicted> = c.drain().collect();
         assert_eq!(drained.len(), 2);
         assert_eq!(c.valid_lines(), 0);
@@ -577,7 +646,7 @@ mod tests {
     fn mark_dirty() {
         let mut c = Cache::new(&cfg(1024, 1), ReplacementPolicy::Lru, 0);
         assert!(!c.mark_dirty(LineAddr(8)));
-        c.fill(LineAddr(8), FillKind::Demand);
+        c.fill(LineAddr(8), FillKind::Demand, 0);
         assert!(c.mark_dirty(LineAddr(8)));
         let ev = c.invalidate(LineAddr(8)).unwrap();
         assert!(ev.dirty);
@@ -594,10 +663,10 @@ mod tests {
                     c.probe(line, rng.chance(0.3));
                 }
                 1 => {
-                    c.fill(line, FillKind::Demand);
+                    c.fill(line, FillKind::Demand, 0);
                 }
                 2 => {
-                    c.fill(line, FillKind::Prefetch(origin(line)));
+                    c.fill(line, FillKind::Prefetch(origin(line)), 0);
                 }
                 _ => {
                     c.invalidate(line);
@@ -617,12 +686,12 @@ mod tests {
         let mut c = Cache::new(&cfg(1024, 1), ReplacementPolicy::Lru, 0);
         // Tenant 1 prefetches a line into tenant 0's set, unreferenced...
         let victim = LineAddr(5);
-        c.fill(victim, FillKind::Demand);
+        c.fill(victim, FillKind::Demand, 0);
         let mut o = origin(LineAddr(t1 | 37)); // same set (32 sets): 5 + 32
         o.tenant = 1;
-        c.fill(LineAddr(37), FillKind::Prefetch(o));
+        c.fill(LineAddr(37), FillKind::Prefetch(o), 0);
         // ...then the bad prefetch is itself displaced by tenant 0.
-        c.fill(LineAddr(69), FillKind::Demand);
+        c.fill(LineAddr(69), FillKind::Demand, 0);
         let a = c.tenant_attribution();
         assert_eq!(a.cross_evictions[0][1], 1, "t1 displaced t0's line");
         assert_eq!(a.cross_evictions[1][0], 1, "t0 displaced t1's prefetch");
@@ -636,7 +705,7 @@ mod tests {
         let mut c = Cache::new(&cfg(1024, 1), ReplacementPolicy::Lru, 0);
         let mut o = origin(LineAddr(2));
         o.tenant = 2;
-        c.fill(LineAddr(2), FillKind::Prefetch(o));
+        c.fill(LineAddr(2), FillKind::Prefetch(o), 0);
         c.probe(LineAddr(2), false);
         let _ = c.drain().count();
         assert_eq!(c.tenant_attribution().prefetch_good[2], 1);

@@ -11,13 +11,18 @@
 //! With the §5.5 dedicated prefetch buffer enabled, prefetches fill the
 //! buffer instead of the L1; demand accesses probe L1 and buffer in
 //! parallel, and a buffer hit promotes the line into the L1.
+//!
+//! One arrival rule covers every structure that holds a line (L1D, L1I,
+//! L2, prefetch buffer, victim cache): each fill records the cycle the
+//! line's data arrives, and each hit completes at `max(now + that level's
+//! latency, fill-ready cycle)`. A line that moves from the buffer or the
+//! victim cache into the L1 keeps its cycle.
 
 use crate::buffer::{BufferEvicted, PrefetchBuffer};
 use crate::bus::Bus;
 use crate::cache::{Cache, Evicted, FillKind, ProbeHit};
 use crate::classify::MissClassifier;
 use crate::dram::MainMemory;
-use crate::mshr::MshrFile;
 use crate::replacement::ReplacementPolicy;
 use crate::victim::VictimCache;
 use ppf_types::{Cycle, LineAddr, PrefetchOrigin, PrefetchRequest, SimStats, SystemConfig};
@@ -57,8 +62,6 @@ pub struct AccessResult {
     pub l1_probe: Option<ProbeHit>,
     /// L1 eviction caused by this access's fill (filter feedback!).
     pub l1_evicted: Option<Evicted>,
-    /// L2 eviction caused by this access's fill.
-    pub l2_evicted: Option<Evicted>,
     /// Set when the access hit the dedicated prefetch buffer: the promoted
     /// line's provenance (a *good* prefetch).
     pub from_buffer: Option<PrefetchOrigin>,
@@ -77,13 +80,12 @@ pub struct PrefetchIssue {
     pub duplicate: bool,
     /// L1 eviction caused by the prefetch fill.
     pub l1_evicted: Option<Evicted>,
-    /// L2 eviction caused by the prefetch fill.
-    pub l2_evicted: Option<Evicted>,
     /// Eviction from the dedicated prefetch buffer (always a bad prefetch).
     pub buffer_evicted: Option<BufferEvicted>,
 }
 
-/// Two-level hierarchy with bus, memory, MSHRs and optional prefetch buffer.
+/// Two-level hierarchy with bus, memory and optional prefetch buffer and
+/// victim cache.
 #[derive(Debug, Clone)]
 pub struct Hierarchy {
     /// L1 data cache (public: the simulator and prefetchers probe it).
@@ -96,7 +98,6 @@ pub struct Hierarchy {
     victim: Option<VictimCache>,
     bus: Bus,
     mem: MainMemory,
-    mshr: MshrFile,
     l1_lat: u64,
     l2_lat: u64,
     line_bytes: u32,
@@ -131,7 +132,6 @@ impl Hierarchy {
                 .then(|| VictimCache::new(cfg.victim.entries)),
             bus: Bus::new(&cfg.mem),
             mem: MainMemory::new(&cfg.mem),
-            mshr: MshrFile::default(),
             l1_lat: cfg.l1.hit_latency,
             l2_lat: cfg.l2.hit_latency,
             line_bytes: cfg.l1.line_bytes,
@@ -164,21 +164,23 @@ impl Hierarchy {
         self.line_bytes
     }
 
-    /// Fills still in flight at `now` — the interval-telemetry MSHR gauge
-    /// (a read-only observation; never affects timing).
-    pub fn mshr_live(&self, now: Cycle) -> usize {
-        self.mshr.live(now)
+    /// L1D and prefetch-buffer lines whose fill is still in flight at
+    /// `now` — the interval-telemetry gauge. A full scan, so call it only
+    /// when a sample is taken; it never affects timing.
+    pub fn in_flight(&self, now: Cycle) -> usize {
+        self.l1.in_flight(now) + self.buffer.as_ref().map_or(0, |b| b.in_flight(now))
     }
 
-    /// Earliest future state change anywhere below the LSQ — MSHR fill
-    /// completions, the shared bus freeing up, DRAM banks freeing up — for
-    /// the skip-ahead kernel's event calendar. All three structures are
-    /// passive (demand accesses *observe* their timestamps; nothing fires
-    /// spontaneously), so these wake-ups are conservative: waking on them
-    /// can only shorten a jump, never change machine state.
+    /// Earliest future state change anywhere below the LSQ — the shared bus
+    /// freeing up, DRAM banks freeing up — for the skip-ahead kernel's
+    /// event calendar. Both structures are passive (demand accesses
+    /// *observe* their timestamps; nothing fires spontaneously), so these
+    /// wake-ups are conservative: waking on them can only shorten a jump,
+    /// never change machine state. In-flight fills need no entry: every
+    /// access that waits on one is already in the core's retire or issue
+    /// wake-ups.
     pub fn next_event_cycle(&self, now: Cycle) -> Option<Cycle> {
         [
-            self.mshr.next_event_cycle(now),
             self.bus.next_event_cycle(now),
             self.mem.next_event_cycle(now),
         ]
@@ -193,16 +195,16 @@ impl Hierarchy {
         self.l1.contains(line) || self.buffer.as_ref().is_some_and(|b| b.contains(line))
     }
 
-    /// Bring `line` from L2/memory: returns the completion cycle, filling
-    /// the L2 on a miss. `stats` L2 counters attribute the access to demand
-    /// or prefetch via `is_prefetch`.
+    /// Bring `line` from L2/memory: returns the completion cycle and
+    /// whether the L2 hit, filling the L2 on a miss with the memory
+    /// arrival cycle. `client` attributes the access in the L2 counters.
     fn fetch_from_l2(
         &mut self,
         line: LineAddr,
         now: Cycle,
         client: L2Client,
         stats: &mut SimStats,
-    ) -> (Cycle, Option<bool>, Option<Evicted>) {
+    ) -> (Cycle, Option<bool>) {
         // L1 lookup time is charged by the caller; the access then queues
         // for an L2 port (data, prefetch and instruction lookups share
         // them). Only data-side demand lookups enter the L2 *demand*
@@ -221,11 +223,11 @@ impl Hierarchy {
         if count {
             stats.l2.demand_accesses += 1;
         }
-        if self.l2.probe(line, false).is_some() {
+        if let Some(hit) = self.l2.probe(line, false) {
             if count {
                 stats.l2.demand_hits += 1;
             }
-            return (l2_start + self.l2_lat, Some(true), None);
+            return ((l2_start + self.l2_lat).max(hit.ready), Some(true));
         }
         if count {
             stats.l2.demand_misses += 1;
@@ -236,7 +238,7 @@ impl Hierarchy {
         // L2 miss: memory access then line transfer over the shared bus.
         let mem_done = self.mem.access(line, l2_start + self.l2_lat);
         let done = self.bus.request(mem_done, self.line_bytes, stats);
-        let l2_evicted = self.l2.fill(line, FillKind::Demand);
+        let l2_evicted = self.l2.fill(line, FillKind::Demand, done);
         if client == L2Client::Prefetch {
             stats.l2.prefetch_fills += 1;
         }
@@ -248,7 +250,25 @@ impl Hierarchy {
                 self.bus.request(done, self.line_bytes, stats);
             }
         }
-        (done, Some(false), l2_evicted)
+        (done, Some(false))
+    }
+
+    /// Demand-fill `line` into the L1 with its fill-ready cycle, dirtying
+    /// it for a store, and route the displaced line through
+    /// [`Self::writeback_from_l1`]; returns the final eviction record.
+    fn fill_l1(
+        &mut self,
+        line: LineAddr,
+        is_write: bool,
+        ready: Cycle,
+        now: Cycle,
+        stats: &mut SimStats,
+    ) -> Option<Evicted> {
+        let l1_evicted = self.l1.fill(line, FillKind::Demand, ready);
+        if is_write {
+            self.l1.mark_dirty(line);
+        }
+        l1_evicted.and_then(|ev| self.writeback_from_l1(&ev, now, stats))
     }
 
     /// Handle an L1 eviction's writeback: mark the line dirty in the L2, or
@@ -278,21 +298,19 @@ impl Hierarchy {
     }
 
     /// An instruction fetch touching `line` at cycle `now`. Hits are free
-    /// (fetch overlaps with the 1-cycle I-cache pipeline); misses fetch
-    /// through the unified L2 — competing for its port with data traffic —
-    /// and return the cycle the fetch group is available.
+    /// (fetch overlaps with the 1-cycle I-cache pipeline) once the line has
+    /// arrived; misses fetch through the unified L2 — competing for its
+    /// port with data traffic — and return the cycle the fetch group is
+    /// available.
     pub fn inst_access(&mut self, line: LineAddr, now: Cycle, stats: &mut SimStats) -> Cycle {
         stats.l1i.demand_accesses += 1;
-        if self.l1i.probe(line, false).is_some() {
+        if let Some(hit) = self.l1i.probe(line, false) {
             stats.l1i.demand_hits += 1;
-            return now;
+            return now.max(hit.ready);
         }
         stats.l1i.demand_misses += 1;
-        let (data_at, _, l2_evicted) = self.fetch_from_l2(line, now + 1, L2Client::Inst, stats);
-        if let Some(ev) = &l2_evicted {
-            let _ = ev; // unified L2 eviction already accounted by fetch_from_l2
-        }
-        if self.l1i.fill(line, FillKind::Demand).is_some() {
+        let (data_at, _) = self.fetch_from_l2(line, now + 1, L2Client::Inst, stats);
+        if self.l1i.fill(line, FillKind::Demand, data_at).is_some() {
             stats.l1i.evictions += 1;
         }
         data_at
@@ -322,18 +340,12 @@ impl Hierarchy {
                 stats.l1.prefetch_first_use += 1;
             }
             // A hit on a line whose fill is still in flight waits for it.
-            let base = now + self.l1_lat;
-            let complete_at = match self.mshr.ready_at(line, now) {
-                Some(ready) => base.max(ready),
-                None => base,
-            };
             return AccessResult {
-                complete_at,
+                complete_at: (now + self.l1_lat).max(probe.ready),
                 l1_hit: true,
                 l2_hit: None,
                 l1_probe: Some(probe),
                 l1_evicted: None,
-                l2_evicted: None,
                 from_buffer: None,
                 from_victim: None,
             };
@@ -344,74 +356,42 @@ impl Hierarchy {
         }
 
         // Victim-cache probe (one extra cycle, swap back into the L1).
-        if let Some(victim) = &mut self.victim {
-            if let Some(record) = victim.take(line) {
-                let l1_evicted = self.l1.fill(line, FillKind::Demand);
-                if is_write {
-                    self.l1.mark_dirty(line);
-                }
-                let final_evicted = match l1_evicted {
-                    Some(ev) => self.writeback_from_l1(&ev, now, stats),
-                    None => None,
-                };
-                return AccessResult {
-                    complete_at: now + self.l1_lat + 1,
-                    l1_hit: false,
-                    l2_hit: None,
-                    l1_probe: None,
-                    l1_evicted: final_evicted,
-                    l2_evicted: None,
-                    from_buffer: None,
-                    from_victim: Some(record),
-                };
-            }
+        if let Some(record) = self.victim.as_mut().and_then(|v| v.take(line)) {
+            return AccessResult {
+                complete_at: (now + self.l1_lat + 1).max(record.ready),
+                l1_hit: false,
+                l2_hit: None,
+                l1_probe: None,
+                l1_evicted: self.fill_l1(line, is_write, record.ready, now, stats),
+                from_buffer: None,
+                from_victim: Some(record),
+            };
         }
 
         // Probe the dedicated prefetch buffer (parallel probe: no extra
         // latency beyond the L1 lookup).
-        if let Some(buffer) = &mut self.buffer {
-            if let Some(origin) = buffer.take(line) {
-                stats.buffer_hits += 1;
-                let l1_evicted = self.l1.fill(line, FillKind::Demand);
-                if is_write {
-                    self.l1.mark_dirty(line);
-                }
-                let final_evicted = match l1_evicted {
-                    Some(ev) => self.writeback_from_l1(&ev, now, stats),
-                    None => None,
-                };
-                return AccessResult {
-                    complete_at: now + self.l1_lat,
-                    l1_hit: false,
-                    l2_hit: None,
-                    l1_probe: None,
-                    l1_evicted: final_evicted,
-                    l2_evicted: None,
-                    from_buffer: Some(origin),
-                    from_victim: None,
-                };
-            }
+        if let Some((origin, ready)) = self.buffer.as_mut().and_then(|b| b.take(line)) {
+            stats.buffer_hits += 1;
+            return AccessResult {
+                complete_at: (now + self.l1_lat).max(ready),
+                l1_hit: false,
+                l2_hit: None,
+                l1_probe: None,
+                l1_evicted: self.fill_l1(line, is_write, ready, now, stats),
+                from_buffer: Some(origin),
+                from_victim: None,
+            };
         }
 
         // Miss: go to L2 (and memory beyond).
-        let (data_at, l2_hit, l2_evicted) =
+        let (data_at, l2_hit) =
             self.fetch_from_l2(line, now + self.l1_lat, L2Client::DemandData, stats);
-        let l1_evicted = self.l1.fill(line, FillKind::Demand);
-        if is_write {
-            self.l1.mark_dirty(line);
-        }
-        let final_evicted = match l1_evicted {
-            Some(ev) => self.writeback_from_l1(&ev, now, stats),
-            None => None,
-        };
-        self.mshr.insert(line, data_at, now);
         AccessResult {
             complete_at: data_at,
             l1_hit: false,
             l2_hit,
             l1_probe: None,
-            l1_evicted: final_evicted,
-            l2_evicted,
+            l1_evicted: self.fill_l1(line, is_write, data_at, now, stats),
             from_buffer: None,
             from_victim: None,
         }
@@ -431,43 +411,33 @@ impl Hierarchy {
                 complete_at: now,
                 duplicate: true,
                 l1_evicted: None,
-                l2_evicted: None,
                 buffer_evicted: None,
             };
         }
-        let (data_at, _l2_hit, l2_evicted) =
+        let (data_at, _) =
             self.fetch_from_l2(req.line, now + self.l1_lat, L2Client::Prefetch, stats);
-        if let Some(ev) = &l2_evicted {
-            // If the L2 victim is in the L1 we leave it (non-inclusive).
-            let _ = ev;
-        }
         let origin = req.origin();
+        stats.l1.prefetch_fills += 1; // the buffer, when present, stands in for the L1
         if let Some(buffer) = &mut self.buffer {
-            let buffer_evicted = buffer.insert(req.line, origin);
+            let buffer_evicted = buffer.insert(req.line, origin, data_at);
             if buffer_evicted.is_some() {
                 stats.buffer_bad_evictions += 1;
             }
-            stats.l1.prefetch_fills += 1; // buffer stands in for the L1
             return PrefetchIssue {
                 complete_at: data_at,
                 duplicate: false,
                 l1_evicted: None,
-                l2_evicted,
                 buffer_evicted,
             };
         }
-        let l1_evicted = self.l1.fill(req.line, FillKind::Prefetch(origin));
-        stats.l1.prefetch_fills += 1;
-        let final_evicted = match l1_evicted {
-            Some(ev) => self.writeback_from_l1(&ev, now, stats),
-            None => None,
-        };
-        self.mshr.insert(req.line, data_at, now);
+        let l1_evicted = self
+            .l1
+            .fill(req.line, FillKind::Prefetch(origin), data_at)
+            .and_then(|ev| self.writeback_from_l1(&ev, now, stats));
         PrefetchIssue {
             complete_at: data_at,
             duplicate: false,
-            l1_evicted: final_evicted,
-            l2_evicted,
+            l1_evicted,
             buffer_evicted: None,
         }
     }
@@ -613,6 +583,79 @@ mod tests {
         let r = h.demand_access(LineAddr(30), AccessKind::Load, 5, &mut s);
         assert!(r.l1_hit, "functionally present");
         assert_eq!(r.complete_at, p.complete_at, "but waits for the fill");
+    }
+
+    #[test]
+    fn buffer_hit_waits_for_in_flight_prefetch() {
+        let mut cfg = SystemConfig::paper_default();
+        cfg.buffer.enabled = true;
+        let mut h = Hierarchy::new(&cfg, 7);
+        let mut s = SimStats::default();
+        let p = h.issue_prefetch(&pf(50), 0, &mut s);
+        assert!(p.complete_at > 100, "cold prefetch goes to memory");
+        let r = h.demand_access(LineAddr(50), AccessKind::Load, 1, &mut s);
+        assert!(r.from_buffer.is_some());
+        assert_eq!(r.complete_at, p.complete_at, "the data is not there yet");
+        // The promoted line keeps its cycle in the L1.
+        let r2 = h.demand_access(LineAddr(50), AccessKind::Load, 2, &mut s);
+        assert!(r2.l1_hit);
+        assert_eq!(r2.complete_at, p.complete_at);
+    }
+
+    #[test]
+    fn l2_hit_on_in_flight_line_waits() {
+        let (mut h, mut s) = hierarchy();
+        let r1 = h.demand_access(LineAddr(10), AccessKind::Load, 0, &mut s);
+        // Conflict-evict line 10 from the direct-mapped L1 while its
+        // memory fill is still in flight, then demand it again.
+        h.demand_access(LineAddr(10 + 256), AccessKind::Load, 1, &mut s);
+        assert!(!h.l1.contains(LineAddr(10)));
+        let r = h.demand_access(LineAddr(10), AccessKind::Load, 2, &mut s);
+        assert_eq!(r.l2_hit, Some(true));
+        assert_eq!(r.complete_at, r1.complete_at, "not at L1 + L2 latency");
+    }
+
+    #[test]
+    fn victim_hit_on_in_flight_line_waits() {
+        let cfg = SystemConfig::paper_default().with_victim_cache(8);
+        let mut h = Hierarchy::new(&cfg, 7);
+        let mut s = SimStats::default();
+        let r1 = h.demand_access(LineAddr(10), AccessKind::Load, 0, &mut s);
+        h.demand_access(LineAddr(10 + 256), AccessKind::Load, 1, &mut s);
+        let r = h.demand_access(LineAddr(10), AccessKind::Load, 2, &mut s);
+        assert!(r.from_victim.is_some());
+        assert_eq!(r.complete_at, r1.complete_at);
+    }
+
+    #[test]
+    fn hit_waits_with_more_misses_in_flight_than_sixteen() {
+        let (mut h, mut s) = hierarchy();
+        let first = h.demand_access(LineAddr(0), AccessKind::Load, 0, &mut s);
+        for line in 1..17u64 {
+            h.demand_access(LineAddr(line), AccessKind::Load, line, &mut s);
+        }
+        let r = h.demand_access(LineAddr(0), AccessKind::Load, 17, &mut s);
+        assert!(r.l1_hit);
+        assert_eq!(r.complete_at, first.complete_at);
+    }
+
+    #[test]
+    fn inst_fetch_hit_on_in_flight_line_waits() {
+        let (mut h, mut s) = hierarchy();
+        let first = h.inst_access(LineAddr(70), 0, &mut s);
+        assert!(first > 100, "cold fetch goes to memory");
+        assert_eq!(h.inst_access(LineAddr(70), 1, &mut s), first);
+        assert_eq!(s.l1i.demand_hits, 1);
+        assert_eq!(h.inst_access(LineAddr(70), first + 5, &mut s), first + 5);
+    }
+
+    #[test]
+    fn in_flight_counts_a_cold_miss_until_it_arrives() {
+        let (mut h, mut s) = hierarchy();
+        assert_eq!(h.in_flight(0), 0);
+        let r = h.demand_access(LineAddr(10), AccessKind::Load, 0, &mut s);
+        assert_eq!(h.in_flight(1), 1);
+        assert_eq!(h.in_flight(r.complete_at), 0);
     }
 
     #[test]

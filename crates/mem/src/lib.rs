@@ -4,7 +4,8 @@
 //!
 //! * [`cache`] — set-associative caches whose lines carry the paper's
 //!   **PIB** (Prefetch Indication Bit) and **RIB** (Reference Indication
-//!   Bit) plus full prefetch provenance for eviction-time filter feedback.
+//!   Bit) plus full prefetch provenance for eviction-time filter feedback,
+//!   and each line's fill-ready cycle.
 //! * [`replacement`] — LRU / FIFO / random victim selection.
 //! * [`ports`] — the per-cycle arbiter for the L1's universal ports, where
 //!   the prefetch queue competes with demand accesses (§4, Figure 3).
@@ -12,8 +13,7 @@
 //! * [`dram`] — fixed-leadoff-latency main memory.
 //! * [`queue`] — the 64-entry prefetch queue with duplicate squashing.
 //! * [`buffer`] — the §5.5 dedicated fully-associative prefetch buffer.
-//! * [`mshr`] — a small outstanding-miss file so that hits on in-flight
-//!   lines observe the fill's completion time.
+//! * [`victim`] — the victim-cache ablation (Jouppi).
 //! * [`classify`] — optional shadow-tag structures splitting every demand
 //!   miss into compulsory/capacity/conflict (the 3C taxonomy), enabled via
 //!   [`ppf_types::DiagnosticsConfig`].
@@ -23,10 +23,13 @@
 //!
 //! The hierarchy is *functionally immediate, timing deferred*: state changes
 //! (fills, evictions, LRU updates) apply at access time, while the returned
-//! completion cycle carries the latency. Hits on lines whose fill is still
-//! in flight are held to the fill's completion time via the MSHR file. This
-//! is the same discipline SimpleScalar's `sim-outorder` cache module uses
-//! and keeps the simulator single-pass.
+//! completion cycle carries the latency. Every structure that holds a line
+//! (L1D, L1I, L2, prefetch buffer, victim cache) stores the cycle its data
+//! arrives, and every hit completes at `max(now + that level's latency,
+//! fill-ready cycle)`, so a line in flight is never served early; a second
+//! miss to an in-flight line merges by keeping the later cycle. This is the
+//! same discipline SimpleScalar's `sim-outorder` cache module uses and keeps
+//! the simulator single-pass.
 
 #![warn(missing_docs)]
 
@@ -36,7 +39,6 @@ pub mod cache;
 pub mod classify;
 pub mod dram;
 pub mod hierarchy;
-pub mod mshr;
 pub mod ports;
 pub mod queue;
 pub mod replacement;
@@ -48,7 +50,6 @@ pub use cache::{Cache, Evicted, FillKind, LineState, ProbeHit, TenantAttribution
 pub use classify::{MissClassifier, MissKind};
 pub use dram::MainMemory;
 pub use hierarchy::{AccessKind, AccessResult, Hierarchy, PrefetchIssue};
-pub use mshr::MshrFile;
 pub use ports::PortArbiter;
 pub use queue::PrefetchQueue;
 pub use replacement::ReplacementPolicy;

@@ -7,9 +7,9 @@
 //! conflict misses; the `ablations` experiment quantifies how much of the
 //! pollution filter's benefit a victim cache captures instead.
 //!
-//! Evicted L1 lines (with their PIB/RIB/provenance metadata intact) enter
-//! the victim cache; a demand miss that hits a victim swaps the line back
-//! into the L1. A prefetched line recovered from the victim cache before
+//! Evicted L1 lines (with their PIB/RIB/provenance metadata and fill-ready
+//! cycle intact) enter the victim cache; a demand miss that hits a victim
+//! swaps the line back into the L1, where it still waits for its data. A prefetched line recovered from the victim cache before
 //! any use continues its lifetime — its good/bad classification is decided
 //! only when it finally leaves the L1-side hierarchy, so the filter's
 //! feedback stays consistent.
@@ -140,6 +140,7 @@ mod tests {
                 },
                 false,
             )),
+            ready: 0,
         }
     }
 

@@ -2,11 +2,15 @@
 //! must hold under arbitrary operation sequences.
 
 use ppf_mem::cache::{Cache, FillKind};
-use ppf_mem::mshr::MshrFile;
+use ppf_mem::hierarchy::{AccessKind, Hierarchy};
 use ppf_mem::queue::{PrefetchQueue, PushOutcome};
 use ppf_mem::replacement::ReplacementPolicy;
-use ppf_types::{CacheConfig, LineAddr, PrefetchOrigin, PrefetchRequest, PrefetchSource};
+use ppf_types::{
+    CacheConfig, Cycle, LineAddr, PrefetchOrigin, PrefetchRequest, PrefetchSource, SimStats,
+    SystemConfig,
+};
 use proptest::prelude::*;
+use std::collections::HashMap;
 
 #[derive(Debug, Clone)]
 enum CacheOp {
@@ -23,6 +27,35 @@ fn cache_op() -> impl Strategy<Value = CacheOp> {
         (0u64..512).prop_map(CacheOp::FillPrefetch),
         (0u64..512).prop_map(CacheOp::Invalidate),
     ]
+}
+
+#[derive(Debug, Clone, Copy)]
+enum MemOp {
+    Demand(AccessKind),
+    Prefetch,
+    Fetch,
+}
+
+/// One hierarchy operation: what, on which pool line, and how many cycles
+/// after the previous one (at least one, so "later" is unambiguous).
+fn mem_op() -> impl Strategy<Value = (MemOp, u64, u64)> {
+    (
+        prop_oneof![
+            Just(MemOp::Demand(AccessKind::Load)),
+            Just(MemOp::Demand(AccessKind::Store)),
+            Just(MemOp::Prefetch),
+            Just(MemOp::Fetch),
+        ],
+        0u64..16,
+        1u64..40,
+    )
+}
+
+/// Pool line `i`: four L1 sets, each shared by four lines a whole L1
+/// (256 lines) apart, so the direct-mapped L1s, the prefetch buffer and the
+/// victim cache keep evicting lines whose fills are still in flight.
+fn pool_line(i: u64) -> LineAddr {
+    LineAddr(i % 4 + 256 * (i / 4))
 }
 
 fn origin(line: u64) -> PrefetchOrigin {
@@ -57,9 +90,9 @@ proptest! {
         for op in ops {
             match op {
                 CacheOp::Probe(l, w) => { c.probe(LineAddr(l), w); }
-                CacheOp::FillDemand(l) => { c.fill(LineAddr(l), FillKind::Demand); }
+                CacheOp::FillDemand(l) => { c.fill(LineAddr(l), FillKind::Demand, 0); }
                 CacheOp::FillPrefetch(l) => {
-                    c.fill(LineAddr(l), FillKind::Prefetch(origin(l)));
+                    c.fill(LineAddr(l), FillKind::Prefetch(origin(l)), 0);
                 }
                 CacheOp::Invalidate(l) => { c.invalidate(LineAddr(l)); }
             }
@@ -79,7 +112,7 @@ proptest! {
         };
         let mut c = Cache::new(&cfg, ReplacementPolicy::Lru, 0);
         for l in lines {
-            c.fill(LineAddr(l), FillKind::Demand);
+            c.fill(LineAddr(l), FillKind::Demand, 0);
             prop_assert!(c.probe(LineAddr(l), false).is_some(), "just-filled line must hit");
         }
     }
@@ -102,7 +135,7 @@ proptest! {
         let mut reports = 0u64;
         for l in lines {
             if !c.contains(LineAddr(l)) {
-                if let Some(ev) = c.fill(LineAddr(l), FillKind::Prefetch(origin(l))) {
+                if let Some(ev) = c.fill(LineAddr(l), FillKind::Prefetch(origin(l)), 0) {
                     if ev.prefetch.is_some() {
                         reports += 1;
                     }
@@ -147,18 +180,62 @@ proptest! {
         }
     }
 
+    // The buffer and the victim cache are each on or off, but not both on:
+    // then a prefetch of a line parked in the victim cache fetches a second
+    // copy into the buffer, and a demand served from the older victim copy
+    // rightly completes before that second copy arrives.
     #[test]
-    fn mshr_ready_times_respect_insertion(
-        inserts in prop::collection::vec((0u64..128, 1u64..500), 1..64),
+    fn no_access_completes_before_its_line_arrives(
+        ops in prop::collection::vec(mem_op(), 1..300),
+        (buffer, victim) in prop_oneof![
+            Just((false, false)),
+            Just((true, false)),
+            Just((false, true)),
+        ],
     ) {
-        let mut m = MshrFile::new(16);
-        for (now, (line, delay)) in inserts.into_iter().enumerate() {
-            let now = now as u64;
-            m.insert(LineAddr(line), now + delay, now);
-            // Whatever is reported must be in the future.
-            if let Some(ready) = m.ready_at(LineAddr(line), now) {
-                prop_assert!(ready > now);
-            }
+        let mut cfg = SystemConfig::paper_default();
+        cfg.buffer.enabled = buffer;
+        if victim {
+            cfg = cfg.with_victim_cache(8);
+        }
+        let mut h = Hierarchy::new(&cfg, 7);
+        let mut stats = SimStats::default();
+        // Per line, the latest completion any access or non-duplicate
+        // prefetch reported. The L1I and the L1D hold separate copies of a
+        // line, and an L1I hit is free, so each side keeps its own history.
+        let mut data: HashMap<LineAddr, Cycle> = HashMap::new();
+        let mut inst: HashMap<LineAddr, Cycle> = HashMap::new();
+        let mut now = 0;
+        for (op, i, gap) in ops {
+            now += gap;
+            let line = pool_line(i);
+            let (complete, history) = match op {
+                MemOp::Demand(kind) => {
+                    (h.demand_access(line, kind, now, &mut stats).complete_at, &mut data)
+                }
+                MemOp::Prefetch => {
+                    let req = PrefetchRequest {
+                        line,
+                        trigger_pc: 0x4400,
+                        source: PrefetchSource::Nsp,
+                        tenant: 0,
+                        depth: 1,
+                    };
+                    let issue = h.issue_prefetch(&req, now, &mut stats);
+                    if issue.duplicate {
+                        continue;
+                    }
+                    (issue.complete_at, &mut data)
+                }
+                MemOp::Fetch => (h.inst_access(line, now, &mut stats), &mut inst),
+            };
+            let arrival = history.entry(line).or_insert(0);
+            prop_assert!(
+                now >= *arrival || complete >= *arrival,
+                "{:?} of line {} at cycle {} completed at {}, before its data arrives at {}",
+                op, line.0, now, complete, *arrival
+            );
+            *arrival = (*arrival).max(complete);
         }
     }
 }

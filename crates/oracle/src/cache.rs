@@ -11,6 +11,9 @@
 //!   is the "good prefetch" moment) and consumes the NSP tag.
 //! * Eviction reports the line, its dirty bit, and — for prefetched lines —
 //!   the provenance plus the RIB value, the filter's only training input.
+//! * Every fill carries the cycle the line's data arrives; refilling a
+//!   resident line keeps the later cycle (two in-flight fills of one line
+//!   merge), and probes and evictions report it.
 //!
 //! Recency bookkeeping mirrors the real stamp discipline: a *fill* always
 //! refreshes recency (even under FIFO — re-filling a resident line restamps
@@ -24,7 +27,7 @@ use crate::Harness;
 use ppf_mem::cache::{Cache, Evicted, FillKind, LineState, ProbeHit};
 use ppf_mem::replacement::ReplacementPolicy;
 use ppf_types::{
-    CacheConfig, FromJson, JsonValue, LineAddr, PrefetchOrigin, PrefetchSource, ToJson,
+    CacheConfig, Cycle, FromJson, JsonValue, LineAddr, PrefetchOrigin, PrefetchSource, ToJson,
 };
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -35,6 +38,7 @@ struct RefLine {
     rib: bool,
     nsp_tag: bool,
     origin: Option<PrefetchOrigin>,
+    ready: Cycle,
 }
 
 impl RefLine {
@@ -46,6 +50,7 @@ impl RefLine {
             rib: self.rib,
             nsp_tag: self.nsp_tag,
             origin: self.origin,
+            ready: self.ready,
         }
     }
 
@@ -56,6 +61,7 @@ impl RefLine {
             prefetch: self
                 .pib
                 .then(|| (self.origin.expect("PIB line carries its origin"), self.rib)),
+            ready: self.ready,
         }
     }
 }
@@ -108,6 +114,7 @@ impl RefCache {
             was_prefetched: l.pib,
             first_use: l.pib && !l.rib,
             nsp_tagged: l.nsp_tag,
+            ready: l.ready,
         };
         if l.pib {
             l.rib = true;
@@ -124,18 +131,20 @@ impl RefCache {
     }
 
     /// Install a line; mirrors [`Cache::fill`]'s observable contract.
-    pub fn fill(&mut self, line: LineAddr, kind: FillKind) -> Option<Evicted> {
+    pub fn fill(&mut self, line: LineAddr, kind: FillKind, ready_at: Cycle) -> Option<Evicted> {
         let ways = self.ways;
         let set = self.set_of(line);
         if let Some(pos) = set.iter().position(|l| l.line == line) {
             // Resident refill: a demand fill of a prefetched line counts as
             // a reference; any fill refreshes recency (the real array
-            // restamps unconditionally, under FIFO too).
+            // restamps unconditionally, under FIFO too) and the data
+            // arrives with the later of the two fills.
             let mut l = set.remove(pos);
             if matches!(kind, FillKind::Demand) && l.pib {
                 l.rib = true;
                 l.nsp_tag = false;
             }
+            l.ready = l.ready.max(ready_at);
             set.push(l);
             return None;
         }
@@ -152,6 +161,7 @@ impl RefCache {
                 rib: false,
                 nsp_tag: false,
                 origin: None,
+                ready: ready_at,
             },
             FillKind::Prefetch(origin) => RefLine {
                 line,
@@ -160,6 +170,7 @@ impl RefCache {
                 rib: false,
                 nsp_tag: true,
                 origin: Some(origin),
+                ready: ready_at,
             },
         });
         report
@@ -304,17 +315,21 @@ impl Harness for CacheHarness {
                     self.oracle.probe(line, w),
                 )?;
             }
-            "fill_demand" => diff(
-                "demand-fill eviction",
-                self.real.fill(line, FillKind::Demand),
-                self.oracle.fill(line, FillKind::Demand),
-            )?,
+            "fill_demand" => {
+                let ready = u_or(event, "ready_at", 0);
+                diff(
+                    "demand-fill eviction",
+                    self.real.fill(line, FillKind::Demand, ready),
+                    self.oracle.fill(line, FillKind::Demand, ready),
+                )?;
+            }
             "fill_prefetch" => {
                 let origin = Self::origin_of(event);
+                let ready = u_or(event, "ready_at", 0);
                 diff(
                     "prefetch-fill eviction",
-                    self.real.fill(line, FillKind::Prefetch(origin)),
-                    self.oracle.fill(line, FillKind::Prefetch(origin)),
+                    self.real.fill(line, FillKind::Prefetch(origin), ready),
+                    self.oracle.fill(line, FillKind::Prefetch(origin), ready),
                 )?;
             }
             "mark_dirty" => diff(
@@ -369,7 +384,7 @@ mod tests {
     fn pib_rib_lifecycle_matches_paper() {
         let mut c = RefCache::new(&cfg(128, 2), ReplacementPolicy::Lru);
         let a = LineAddr(0);
-        assert!(c.fill(a, FillKind::Prefetch(origin(a))).is_none());
+        assert!(c.fill(a, FillKind::Prefetch(origin(a)), 0).is_none());
         let hit = c.probe(a, false).unwrap();
         assert!(hit.was_prefetched && hit.first_use && hit.nsp_tagged);
         let ev = c.invalidate(a).unwrap();
@@ -379,15 +394,25 @@ mod tests {
     #[test]
     fn fifo_ignores_probe_recency_but_not_refill() {
         let mut c = RefCache::new(&cfg(64, 2), ReplacementPolicy::Fifo);
-        c.fill(LineAddr(0), FillKind::Demand);
-        c.fill(LineAddr(2), FillKind::Demand);
+        c.fill(LineAddr(0), FillKind::Demand, 0);
+        c.fill(LineAddr(2), FillKind::Demand, 0);
         c.probe(LineAddr(0), false);
-        let ev = c.fill(LineAddr(4), FillKind::Demand).unwrap();
+        let ev = c.fill(LineAddr(4), FillKind::Demand, 0).unwrap();
         assert_eq!(ev.line, LineAddr(0), "probe must not protect under FIFO");
         // A refill, by contrast, restamps even under FIFO.
-        c.fill(LineAddr(2), FillKind::Demand);
-        let ev = c.fill(LineAddr(6), FillKind::Demand).unwrap();
+        c.fill(LineAddr(2), FillKind::Demand, 0);
+        let ev = c.fill(LineAddr(6), FillKind::Demand, 0).unwrap();
         assert_eq!(ev.line, LineAddr(4));
+    }
+
+    #[test]
+    fn refill_keeps_the_later_ready_cycle_and_eviction_reports_it() {
+        let mut c = RefCache::new(&cfg(64, 1), ReplacementPolicy::Lru);
+        c.fill(LineAddr(0), FillKind::Demand, 90);
+        c.fill(LineAddr(0), FillKind::Demand, 40);
+        assert_eq!(c.probe(LineAddr(0), false).unwrap().ready, 90);
+        let ev = c.fill(LineAddr(2), FillKind::Demand, 5).unwrap();
+        assert_eq!(ev.ready, 90);
     }
 
     #[test]

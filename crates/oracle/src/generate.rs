@@ -7,8 +7,9 @@
 //!
 //! The streams are deliberately *hostile* rather than realistic: tiny
 //! geometries so sets/tables alias constantly, repeated lines so merge and
-//! recycle paths fire, stale timestamps for the port arbiter, and ~10%
-//! already-expired MSHR inserts. Realistic traffic is the simulator's job
+//! refill paths fire, stale timestamps for the port arbiter, and fill-ready
+//! cycles drawn independently of order so refills race earlier and later
+//! arrivals. Realistic traffic is the simulator's job
 //! (covered by the end-to-end tap test); the generator's job is corner
 //! pressure.
 
@@ -24,7 +25,6 @@ pub fn case(kind: &str, seed: u64) -> (JsonValue, Vec<JsonValue>) {
     match kind {
         "cache" => cache_case(&mut rng),
         "filter" => filter_case(&mut rng),
-        "mshr" => mshr_case(&mut rng),
         "ports" => ports_case(&mut rng),
         other => panic!("no generator for kind `{other}`"),
     }
@@ -65,6 +65,15 @@ fn cache_case(rng: &mut SplitMix64) -> (JsonValue, Vec<JsonValue>) {
     let lines = capacity * 3;
     let n = 160 + 4 * capacity + rng.below(80);
     let mut events = Vec::with_capacity(n as usize);
+    // A quarter of the fills carry cycle 0, the value an unsized ready
+    // array reads, so the lazy sizing path runs in both orders.
+    let ready_at = |rng: &mut SplitMix64| {
+        if rng.chance(0.25) {
+            0
+        } else {
+            rng.range(1, 500)
+        }
+    };
     for _ in 0..n {
         let line = rng.below(lines).to_json();
         let roll = rng.below(100);
@@ -74,7 +83,11 @@ fn cache_case(rng: &mut SplitMix64) -> (JsonValue, Vec<JsonValue>) {
                 ("line", line),
                 ("write", rng.chance(0.3).to_json()),
             ]),
-            35..=59 => obj(&[("op", JsonValue::Str("fill_demand".into())), ("line", line)]),
+            35..=59 => obj(&[
+                ("op", JsonValue::Str("fill_demand".into())),
+                ("line", line),
+                ("ready_at", ready_at(rng).to_json()),
+            ]),
             60..=79 => obj(&[
                 ("op", JsonValue::Str("fill_prefetch".into())),
                 ("line", line),
@@ -82,6 +95,7 @@ fn cache_case(rng: &mut SplitMix64) -> (JsonValue, Vec<JsonValue>) {
                 ("source", source(rng)),
                 ("tenant", rng.below(MAX_TENANTS as u64).to_json()),
                 ("depth", rng.below(20).to_json()),
+                ("ready_at", ready_at(rng).to_json()),
             ]),
             80..=89 => obj(&[("op", JsonValue::Str("mark_dirty".into())), ("line", line)]),
             90..=94 => obj(&[("op", JsonValue::Str("invalidate".into())), ("line", line)]),
@@ -174,46 +188,6 @@ fn filter_case(rng: &mut SplitMix64) -> (JsonValue, Vec<JsonValue>) {
     (config, events)
 }
 
-fn mshr_case(rng: &mut SplitMix64) -> (JsonValue, Vec<JsonValue>) {
-    let cap = *rng.pick(&[2u64, 4, 8]);
-    let config = obj(&[("cap", cap.to_json())]);
-    let n = 160 + rng.below(80);
-    let mut events = Vec::with_capacity(n as usize);
-    let mut now = 0u64;
-    for _ in 0..n {
-        now += rng.below(30);
-        // Few distinct lines so merges are common at every capacity.
-        let line = rng.below(cap * 2).to_json();
-        let roll = rng.below(100);
-        events.push(match roll {
-            0..=59 => {
-                // ~10% of inserts are already expired on arrival.
-                let ready_at = if rng.chance(0.1) {
-                    now.saturating_sub(rng.below(20))
-                } else {
-                    now + rng.below(100)
-                };
-                obj(&[
-                    ("op", JsonValue::Str("insert".into())),
-                    ("line", line),
-                    ("ready_at", ready_at.to_json()),
-                    ("now", now.to_json()),
-                ])
-            }
-            60..=84 => obj(&[
-                ("op", JsonValue::Str("ready_at".into())),
-                ("line", line),
-                ("now", now.to_json()),
-            ]),
-            _ => obj(&[
-                ("op", JsonValue::Str("live".into())),
-                ("now", now.to_json()),
-            ]),
-        });
-    }
-    (config, events)
-}
-
 fn ports_case(rng: &mut SplitMix64) -> (JsonValue, Vec<JsonValue>) {
     let ports = rng.range(1, 4);
     let config = obj(&[("ports", ports.to_json())]);
@@ -254,7 +228,7 @@ mod tests {
 
     #[test]
     fn cases_are_deterministic_per_seed() {
-        for kind in ["cache", "filter", "mshr", "ports"] {
+        for kind in ["cache", "filter", "ports"] {
             assert_eq!(case(kind, 42), case(kind, 42), "{kind} must be stable");
             assert_ne!(case(kind, 1).1, case(kind, 2).1, "{kind} seeds must differ");
         }

@@ -1,8 +1,8 @@
 //! Differential-oracle conformance subsystem.
 //!
 //! The optimized structures in `ppf-mem` and `ppf-filter` (intrusive-list
-//! shadow tags, forward-rolling port arbiters, in-place MSHR recycling, the
-//! hybrid tournament chooser) have each shipped a silent-corruption bug that
+//! shadow tags, forward-rolling port arbiters, the hybrid tournament
+//! chooser) have each shipped a silent-corruption bug that
 //! only a hand-written regression test caught. This crate provides the
 //! machine-checked ground truth instead: deliberately **naive, untimed
 //! reference models** of each structure, written straight from the paper's
@@ -11,12 +11,10 @@
 //! the real structure and the oracle and diffs every observable after every
 //! step.
 //!
-//! * [`cache`] — set-associative cache with PIB/RIB/NSP metadata, modelled
-//!   as per-set recency-ordered vectors.
+//! * [`cache`] — set-associative cache with PIB/RIB/NSP metadata and
+//!   fill-ready cycles, modelled as per-set recency-ordered vectors.
 //! * [`filter`] — the PA/PC/Hybrid history tables, chooser, and reject log,
 //!   modelled as plain `Vec<u8>` counter arrays.
-//! * [`mshr`] — the outstanding-miss file as a flat list of
-//!   `(line, ready_at)` pairs.
 //! * [`ports`] — the per-cycle L1 port budget as three integers.
 //! * [`lockstep`] — drives a [`Harness`] over an event stream and reports
 //!   the first [`lockstep::Divergence`].
@@ -36,7 +34,6 @@ pub mod cache;
 pub mod filter;
 pub mod generate;
 pub mod lockstep;
-pub mod mshr;
 pub mod ports;
 pub mod repro;
 pub mod shrink;
@@ -44,7 +41,6 @@ pub mod shrink;
 pub use cache::{CacheHarness, RefCache};
 pub use filter::{FilterHarness, RefFilter};
 pub use lockstep::{run_lockstep, Divergence};
-pub use mshr::{MshrHarness, RefMshr};
 pub use ports::{PortsHarness, RefPorts};
 pub use repro::Repro;
 pub use shrink::minimize;
@@ -59,7 +55,7 @@ use ppf_types::JsonValue;
 /// description of the divergence. A malformed event is a *harness* bug, not
 /// a divergence, and panics.
 pub trait Harness {
-    /// Structure kind tag (`"cache"`, `"filter"`, `"mshr"`, `"ports"`) —
+    /// Structure kind tag (`"cache"`, `"filter"`, `"ports"`) —
     /// the registry key used by [`harness_for`] and the repro format.
     fn kind(&self) -> &'static str;
     /// The configuration both sides were built from, as stored in a repro
@@ -77,7 +73,6 @@ pub fn harness_for(kind: &str, config: &JsonValue) -> Result<Box<dyn Harness>, S
     match kind {
         "cache" => Ok(Box::new(CacheHarness::from_config(config)?)),
         "filter" => Ok(Box::new(FilterHarness::from_config(config)?)),
-        "mshr" => Ok(Box::new(MshrHarness::from_config(config)?)),
         "ports" => Ok(Box::new(PortsHarness::from_config(config)?)),
         other => Err(format!("unknown harness kind `{other}`")),
     }
@@ -151,7 +146,6 @@ mod tests {
         for (kind, config) in [
             ("cache", generate::case("cache", 1).0),
             ("filter", generate::case("filter", 1).0),
-            ("mshr", generate::case("mshr", 1).0),
             ("ports", generate::case("ports", 1).0),
         ] {
             let h = harness_for(kind, &config).expect(kind);
@@ -164,7 +158,7 @@ mod tests {
     fn generated_streams_run_clean_smoke() {
         // A tiny inline smoke so the crate's own tests catch gross breakage;
         // the real ≥1000-case campaign lives in tests/oracle.rs.
-        for kind in ["cache", "filter", "mshr", "ports"] {
+        for kind in ["cache", "filter", "ports"] {
             for seed in 0..8u64 {
                 let (config, events) = generate::case(kind, seed);
                 let mut h = harness_for(kind, &config).expect(kind);

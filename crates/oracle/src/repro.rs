@@ -23,7 +23,7 @@ pub const FORMAT_VERSION: u64 = 1;
 /// A parsed (or about-to-be-written) repro case.
 #[derive(Debug, Clone)]
 pub struct Repro {
-    /// Harness kind (`"cache"`, `"filter"`, `"mshr"`, `"ports"`).
+    /// Harness kind (`"cache"`, `"filter"`, `"ports"`).
     pub kind: String,
     /// Configuration both sides are rebuilt from.
     pub config: JsonValue,
@@ -150,9 +150,9 @@ mod tests {
 
     #[test]
     fn jsonl_round_trip_preserves_everything() {
-        let (config, events) = generate::case("mshr", 7);
+        let (config, events) = generate::case("filter", 7);
         let repro = Repro {
-            kind: "mshr".into(),
+            kind: "filter".into(),
             config,
             events,
             note: Some("seed 7".into()),
@@ -192,6 +192,6 @@ mod tests {
 
     #[test]
     fn wrong_version_is_rejected() {
-        assert!(Repro::parse_jsonl("{\"version\":2,\"kind\":\"mshr\",\"config\":{}}").is_err());
+        assert!(Repro::parse_jsonl("{\"version\":2,\"kind\":\"ports\",\"config\":{}}").is_err());
     }
 }

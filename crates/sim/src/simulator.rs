@@ -291,9 +291,10 @@ impl MemSystem {
         self.stats.check_funnel_conservation(self.queue_backlog())
     }
 
-    /// Fills still in flight at `now` — the interval-telemetry MSHR gauge.
-    pub fn mshr_live(&self, now: Cycle) -> usize {
-        self.hierarchy.mshr_live(now)
+    /// L1D and prefetch-buffer lines still in flight at `now` — the
+    /// interval-telemetry `mshr_live` gauge.
+    pub fn in_flight(&self, now: Cycle) -> usize {
+        self.hierarchy.in_flight(now)
     }
 
     /// Per-tenant prefetch-outcome and interference counters from the L1
@@ -391,8 +392,8 @@ impl MemSystem {
 
     /// The memory side's entry in the skip-ahead kernel's event calendar:
     /// the prefetch queue wants a port next cycle whenever it is non-empty,
-    /// and the hierarchy's passive structures (MSHR fills, bus, DRAM banks)
-    /// contribute their next completion as conservative wake-ups.
+    /// and the hierarchy's passive structures (bus, DRAM banks) contribute
+    /// their next completion as conservative wake-ups.
     pub fn next_event_cycle(&self, now: Cycle) -> Option<Cycle> {
         match (
             self.queue.next_event_cycle(now),
@@ -768,7 +769,7 @@ impl Simulator {
             return;
         }
         let fraction_good = self.mem.filter().fraction_good();
-        let mshr_live = self.mem.mshr_live(self.now) as u64;
+        let mshr_live = self.mem.in_flight(self.now) as u64;
         let queue_backlog = self.mem.queue_backlog();
         let sampler = self.telemetry.as_mut().expect("guarded by is_some");
         sampler.set_gauges(fraction_good, mshr_live, queue_backlog);

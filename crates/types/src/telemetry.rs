@@ -15,7 +15,7 @@
 //!   prefetch issued/filtered/dropped, bus occupancy, …), plus three
 //!   instantaneous gauges the simulator pushes because they cannot be
 //!   derived from the cumulative [`SimStats`] counters (filter
-//!   `fraction_good`, live MSHR entries, prefetch-queue backlog).
+//!   `fraction_good`, lines still in flight, prefetch-queue backlog).
 //! * [`JsonlSink`] — writes records as JSON lines with the same atomic
 //!   write discipline (`.tmp` sibling + rename) as the checkpoint layer, so
 //!   telemetry streams can live alongside checkpoint directories without a
@@ -115,7 +115,9 @@ pub struct IntervalRecord {
     pub fraction_good: f64,
     /// Fraction of interval cycles the memory bus was busy.
     pub bus_occupancy: f64,
-    /// MSHR entries in flight at sample time.
+    /// L1D and prefetch-buffer lines whose fill-ready cycle is after the
+    /// sample cycle: the fills still in flight. The key keeps its name so
+    /// the JSONL schema stays stable.
     pub mshr_live: u64,
     /// Prefetch-queue backlog at sample time.
     pub queue_backlog: u64,

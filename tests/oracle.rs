@@ -92,11 +92,6 @@ fn filter_campaign() {
 }
 
 #[test]
-fn mshr_campaign() {
-    campaign("mshr", 0x0A11_0517);
-}
-
-#[test]
 fn ports_campaign() {
     campaign("ports", 0x0A11_7017);
 }
@@ -282,16 +277,18 @@ const SEED_CORPUS: &[(&str, &str)] = &[
 "#,
     ),
     (
-        "mshr-merge-and-replacement",
-        r#"# Same-line inserts merge keeping the later completion; a full file
-# replaces the first soonest-completing live entry.
-{"version":1,"kind":"mshr","config":{"cap":2},"note":"merge keeps later ready_at; full file replaces first-minimal live slot"}
-{"op":"insert","line":5,"ready_at":100,"now":0}
-{"op":"insert","line":5,"ready_at":80,"now":10}
-{"op":"ready_at","line":5,"now":20}
-{"op":"insert","line":6,"ready_at":90,"now":20}
-{"op":"insert","line":7,"ready_at":300,"now":20}
-{"op":"live","now":50}
+        "cache-refill-keeps-later-ready-cycle",
+        r#"# Two in-flight fills of one line merge: a refill keeps the later
+# fill-ready cycle, whichever order they arrive in, and the eviction that
+# displaces the line reports that cycle.
+{"version":1,"kind":"cache","config":{"size_bytes":64,"line_bytes":32,"ways":1,"policy":"Lru"},"note":"refill keeps the later ready cycle; probes and evictions report it"}
+{"op":"fill_demand","line":4,"ready_at":100}
+{"op":"fill_prefetch","line":4,"pc":4096,"source":"Nsp","ready_at":80}
+{"op":"probe","line":4,"write":false}
+{"op":"fill_prefetch","line":5,"pc":4100,"source":"Sdp","ready_at":60}
+{"op":"fill_demand","line":5,"ready_at":90}
+{"op":"fill_demand","line":6}
+{"op":"invalidate","line":5}
 "#,
     ),
     (
