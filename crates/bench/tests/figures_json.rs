@@ -7,8 +7,9 @@
 //! (`--inject-fault`) drives the partial path deterministically. A
 //! checkpointed resume must reproduce the same documents without
 //! re-running a cell, and must still stream telemetry. Every document of
-//! a small `all` run must hash to its committed digest, so no simulated
-//! result moves unannounced.
+//! a small `all` run, and the tables it prints, must hash to their
+//! committed digests, so no simulated result or rendered number moves
+//! unannounced.
 
 use ppf_bench::figures::ExperimentDoc;
 use ppf_sim::schedule::{fnv1a, FNV_OFFSET};
@@ -250,7 +251,8 @@ const DIGEST_GOLDEN: &str = concat!(
 );
 
 /// Run `figures --insts 20000 --json DIR all` and render one FNV-1a hash
-/// of each JSON document it writes, by experiment name.
+/// of each JSON document it writes, by experiment name, and one of its
+/// stdout, so a renderer change that leaves every report alone shows too.
 fn figures_digest() -> String {
     let dir = temp_dir("ppf-figures-digest-test");
     let out = figures()
@@ -285,15 +287,20 @@ fn figures_digest() -> String {
                     .collect(),
             ),
         ),
+        (
+            "stdout_fnv1a".to_string(),
+            JsonValue::Str(format!("{:016x}", fnv1a(FNV_OFFSET, &out.stdout))),
+        ),
     ]);
     let mut text = doc.pretty();
     text.push('\n');
     text
 }
 
-/// A change that moves any simulated result changes a document's hash.
-/// If the change is meant, regenerate the golden and say in CHANGES.md
-/// which documents moved and why.
+/// A change that moves any simulated result changes a document's hash;
+/// one that moves a rendered table changes the stdout hash. If the change
+/// is meant, regenerate the golden and say in CHANGES.md which documents
+/// moved and why.
 #[test]
 fn every_figures_document_matches_committed_digest() {
     let golden = std::fs::read_to_string(DIGEST_GOLDEN).expect(
