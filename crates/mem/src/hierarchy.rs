@@ -189,10 +189,13 @@ impl Hierarchy {
         .min()
     }
 
-    /// True if `line` is resident in the L1 or the prefetch buffer —
-    /// the duplicate-squash predicate for incoming prefetches.
+    /// True if `line` is resident in the L1, the prefetch buffer or the
+    /// victim cache — the duplicate-squash predicate for incoming
+    /// prefetches, so a line is held in at most one L1-side place.
     pub fn prefetch_target_resident(&self, line: LineAddr) -> bool {
-        self.l1.contains(line) || self.buffer.as_ref().is_some_and(|b| b.contains(line))
+        self.l1.contains(line)
+            || self.buffer.as_ref().is_some_and(|b| b.contains(line))
+            || self.victim.as_ref().is_some_and(|v| v.contains(line))
     }
 
     /// Bring `line` from L2/memory: returns the completion cycle and
@@ -748,6 +751,20 @@ mod tests {
         let (origin, referenced) = final_ev.prefetch.expect("prefetched");
         assert_eq!(origin.line, LineAddr(20));
         assert!(!referenced, "never referenced: finally a bad prefetch");
+    }
+
+    #[test]
+    fn prefetch_of_a_victim_parked_line_is_a_duplicate() {
+        let cfg = SystemConfig::paper_default().with_victim_cache(8);
+        let mut h = Hierarchy::new(&cfg, 7);
+        let mut s = SimStats::default();
+        h.demand_access(LineAddr(10), AccessKind::Load, 0, &mut s);
+        h.demand_access(LineAddr(10 + 256), AccessKind::Load, 500, &mut s);
+        assert!(!h.l1.contains(LineAddr(10)));
+        assert!(
+            h.prefetch_target_resident(LineAddr(10)),
+            "parked in the victim cache, so a prefetch of it is squashed"
+        );
     }
 
     #[test]
