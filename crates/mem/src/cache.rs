@@ -53,7 +53,8 @@ pub struct ProbeHit {
     pub ready: Cycle,
 }
 
-/// Eviction report passed to the pollution filter.
+/// Eviction report passed to the pollution filter, and the record a side
+/// store (prefetch buffer, victim cache) holds for a line.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Evicted {
     /// The evicted line.
@@ -64,7 +65,7 @@ pub struct Evicted {
     /// referenced (the RIB value at eviction).
     pub prefetch: Option<(PrefetchOrigin, bool)>,
     /// The line's fill-ready cycle, carried wherever the line goes next
-    /// (the victim cache).
+    /// (a side store, or back into the L1).
     pub ready: Cycle,
 }
 

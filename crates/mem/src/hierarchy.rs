@@ -10,7 +10,11 @@
 //!
 //! With the §5.5 dedicated prefetch buffer enabled, prefetches fill the
 //! buffer instead of the L1; demand accesses probe L1 and buffer in
-//! parallel, and a buffer hit promotes the line into the L1.
+//! parallel, and a buffer hit promotes the line into the L1. With the
+//! victim-cache ablation, L1 evictions park in a victim cache first. Both
+//! are one [`SideStore`], and a line lives in at most one L1-side place
+//! (L1D, buffer or victim cache): a prefetch of a line held in any of them
+//! is squashed as a duplicate.
 //!
 //! One arrival rule covers every structure that holds a line (L1D, L1I,
 //! L2, prefetch buffer, victim cache): each fill records the cycle the
@@ -18,13 +22,12 @@
 //! latency, fill-ready cycle)`. A line that moves from the buffer or the
 //! victim cache into the L1 keeps its cycle.
 
-use crate::buffer::{BufferEvicted, PrefetchBuffer};
 use crate::bus::Bus;
 use crate::cache::{Cache, Evicted, FillKind, ProbeHit};
 use crate::classify::MissClassifier;
 use crate::dram::MainMemory;
 use crate::replacement::ReplacementPolicy;
-use crate::victim::VictimCache;
+use crate::side::SideStore;
 use ppf_types::{Cycle, LineAddr, PrefetchOrigin, PrefetchRequest, SimStats, SystemConfig};
 
 /// Who is looking up the L2 (statistics attribution only; all clients
@@ -60,15 +63,17 @@ pub struct AccessResult {
     pub l2_hit: Option<bool>,
     /// L1 probe detail on a hit (PIB/RIB/NSP-tag view).
     pub l1_probe: Option<ProbeHit>,
-    /// L1 eviction caused by this access's fill (filter feedback!).
-    pub l1_evicted: Option<Evicted>,
-    /// Set when the access hit the dedicated prefetch buffer: the promoted
-    /// line's provenance (a *good* prefetch).
-    pub from_buffer: Option<PrefetchOrigin>,
-    /// Set when the access was served by the victim cache (ablation): the
-    /// recovered line's carried eviction record. A prefetched line
-    /// recovered this way was referenced after all — a *good* prefetch.
-    pub from_victim: Option<Evicted>,
+    /// Served by the dedicated prefetch buffer, which is probed in parallel
+    /// with the L1.
+    pub buffer_hit: bool,
+    /// The final eviction record this access's L1 fill produced (filter
+    /// feedback!): the displaced line, or with the victim cache the record
+    /// that aged out of it.
+    pub evicted: Option<Evicted>,
+    /// Provenance of a prefetched line this access moved from the buffer or
+    /// the victim cache into the L1: referenced after all, a *good*
+    /// prefetch.
+    pub promoted: Option<PrefetchOrigin>,
 }
 
 /// Everything an issued prefetch produced.
@@ -76,12 +81,10 @@ pub struct AccessResult {
 pub struct PrefetchIssue {
     /// Cycle at which the prefetched line is fully resident.
     pub complete_at: Cycle,
-    /// True if the target was already resident (squashed; no fill happened).
-    pub duplicate: bool,
-    /// L1 eviction caused by the prefetch fill.
-    pub l1_evicted: Option<Evicted>,
-    /// Eviction from the dedicated prefetch buffer (always a bad prefetch).
-    pub buffer_evicted: Option<BufferEvicted>,
+    /// The final eviction record the fill produced: the L1 line it
+    /// displaced (with the victim cache, the record that aged out), or the
+    /// buffered prefetch it pushed out of a full buffer (a bad prefetch).
+    pub evicted: Option<Evicted>,
 }
 
 /// Two-level hierarchy with bus, memory and optional prefetch buffer and
@@ -94,8 +97,8 @@ pub struct Hierarchy {
     pub l1i: Cache,
     /// Unified L2 (public for SDP's shadow-directory access).
     pub l2: Cache,
-    buffer: Option<PrefetchBuffer>,
-    victim: Option<VictimCache>,
+    buffer: Option<SideStore>,
+    victim: Option<SideStore>,
     bus: Bus,
     mem: MainMemory,
     l1_lat: u64,
@@ -122,14 +125,8 @@ impl Hierarchy {
             l1: Cache::new(&cfg.l1, ReplacementPolicy::Lru, seed ^ 0x11),
             l1i: Cache::new(&cfg.l1i, ReplacementPolicy::Lru, seed ^ 0x33),
             l2: Cache::new(&cfg.l2, ReplacementPolicy::Lru, seed ^ 0x22),
-            buffer: cfg
-                .buffer
-                .enabled
-                .then(|| PrefetchBuffer::new(cfg.buffer.entries)),
-            victim: cfg
-                .victim
-                .enabled
-                .then(|| VictimCache::new(cfg.victim.entries)),
+            buffer: (cfg.buffer.entries > 0).then(|| SideStore::new(cfg.buffer.entries)),
+            victim: (cfg.victim.entries > 0).then(|| SideStore::new(cfg.victim.entries)),
             bus: Bus::new(&cfg.mem),
             mem: MainMemory::new(&cfg.mem),
             l1_lat: cfg.l1.hit_latency,
@@ -187,6 +184,16 @@ impl Hierarchy {
         .into_iter()
         .flatten()
         .min()
+    }
+
+    /// The dedicated prefetch buffer, if configured.
+    pub fn buffer(&self) -> Option<&SideStore> {
+        self.buffer.as_ref()
+    }
+
+    /// The victim cache, if configured.
+    pub fn victim(&self) -> Option<&SideStore> {
+        self.victim.as_ref()
     }
 
     /// True if `line` is resident in the L1, the prefetch buffer or the
@@ -348,9 +355,9 @@ impl Hierarchy {
                 l1_hit: true,
                 l2_hit: None,
                 l1_probe: Some(probe),
-                l1_evicted: None,
-                from_buffer: None,
-                from_victim: None,
+                buffer_hit: false,
+                evicted: None,
+                promoted: None,
             };
         }
         stats.l1.demand_misses += 1;
@@ -358,31 +365,26 @@ impl Hierarchy {
             kind.tally(&mut stats.l1.miss_class);
         }
 
-        // Victim-cache probe (one extra cycle, swap back into the L1).
-        if let Some(record) = self.victim.as_mut().and_then(|v| v.take(line)) {
-            return AccessResult {
-                complete_at: (now + self.l1_lat + 1).max(record.ready),
-                l1_hit: false,
-                l2_hit: None,
-                l1_probe: None,
-                l1_evicted: self.fill_l1(line, is_write, record.ready, now, stats),
-                from_buffer: None,
-                from_victim: Some(record),
-            };
-        }
-
-        // Probe the dedicated prefetch buffer (parallel probe: no extra
-        // latency beyond the L1 lookup).
-        if let Some((origin, ready)) = self.buffer.as_mut().and_then(|b| b.take(line)) {
+        // The victim cache costs one extra cycle; the prefetch buffer is
+        // probed in parallel with the L1, so it adds no latency. A hit
+        // moves the line into the L1 with its fill-ready cycle.
+        let side_hit = if let Some(record) = self.victim.as_mut().and_then(|v| v.take(line)) {
+            Some((record, self.l1_lat + 1, false))
+        } else if let Some(record) = self.buffer.as_mut().and_then(|b| b.take(line)) {
             stats.buffer_hits += 1;
+            Some((record, self.l1_lat, true))
+        } else {
+            None
+        };
+        if let Some((record, latency, buffer_hit)) = side_hit {
             return AccessResult {
-                complete_at: (now + self.l1_lat).max(ready),
+                complete_at: (now + latency).max(record.ready),
                 l1_hit: false,
                 l2_hit: None,
                 l1_probe: None,
-                l1_evicted: self.fill_l1(line, is_write, ready, now, stats),
-                from_buffer: Some(origin),
-                from_victim: None,
+                buffer_hit,
+                evicted: self.fill_l1(line, is_write, record.ready, now, stats),
+                promoted: record.prefetch.map(|(origin, _)| origin),
             };
         }
 
@@ -394,87 +396,64 @@ impl Hierarchy {
             l1_hit: false,
             l2_hit,
             l1_probe: None,
-            l1_evicted: self.fill_l1(line, is_write, data_at, now, stats),
-            from_buffer: None,
-            from_victim: None,
+            buffer_hit: false,
+            evicted: self.fill_l1(line, is_write, data_at, now, stats),
+            promoted: None,
         }
     }
 
     /// Issue a prefetch that already passed the pollution filter and won an
-    /// L1 port at cycle `now`.
+    /// L1 port at cycle `now`. The caller has squashed it if its target is
+    /// resident ([`Self::prefetch_target_resident`]).
     pub fn issue_prefetch(
         &mut self,
         req: &PrefetchRequest,
         now: Cycle,
         stats: &mut SimStats,
     ) -> PrefetchIssue {
-        if self.prefetch_target_resident(req.line) {
-            // Duplicate slipped between enqueue and issue; squash.
-            return PrefetchIssue {
-                complete_at: now,
-                duplicate: true,
-                l1_evicted: None,
-                buffer_evicted: None,
-            };
-        }
+        debug_assert!(
+            !self.prefetch_target_resident(req.line),
+            "prefetch of resident line {:?}",
+            req.line
+        );
         let (data_at, _) =
             self.fetch_from_l2(req.line, now + self.l1_lat, L2Client::Prefetch, stats);
         let origin = req.origin();
         stats.l1.prefetch_fills += 1; // the buffer, when present, stands in for the L1
-        if let Some(buffer) = &mut self.buffer {
-            let buffer_evicted = buffer.insert(req.line, origin, data_at);
-            if buffer_evicted.is_some() {
-                stats.buffer_bad_evictions += 1;
+        let evicted = match &mut self.buffer {
+            Some(buffer) => {
+                let displaced = buffer.insert(Evicted {
+                    line: req.line,
+                    dirty: false,
+                    prefetch: Some((origin, false)),
+                    ready: data_at,
+                });
+                if displaced.is_some() {
+                    stats.buffer_bad_evictions += 1;
+                }
+                displaced
             }
-            return PrefetchIssue {
-                complete_at: data_at,
-                duplicate: false,
-                l1_evicted: None,
-                buffer_evicted,
-            };
-        }
-        let l1_evicted = self
-            .l1
-            .fill(req.line, FillKind::Prefetch(origin), data_at)
-            .and_then(|ev| self.writeback_from_l1(&ev, now, stats));
+            None => self
+                .l1
+                .fill(req.line, FillKind::Prefetch(origin), data_at)
+                .and_then(|ev| self.writeback_from_l1(&ev, now, stats)),
+        };
         PrefetchIssue {
             complete_at: data_at,
-            duplicate: false,
-            l1_evicted,
-            buffer_evicted: None,
+            evicted,
         }
     }
 
-    /// End-of-run census: report every resident L1 line and buffered line so
-    /// prefetches that were never evicted are classified too. The L1 reports
-    /// are routed through the same eviction records the filter trains on.
-    pub fn drain_l1(&mut self) -> Vec<Evicted> {
-        self.l1.drain().collect()
-    }
-
-    /// End-of-run census of the prefetch buffer.
-    pub fn drain_buffer(&mut self) -> Vec<BufferEvicted> {
-        match &mut self.buffer {
-            Some(b) => b.drain().collect(),
-            None => Vec::new(),
+    /// End-of-run census: remove and report every line still held on the
+    /// L1 side — the L1's, then the victim cache's, then the buffer's — so
+    /// prefetches that were never evicted are classified too, through the
+    /// same eviction records the filter trains on.
+    pub fn drain(&mut self) -> Vec<Evicted> {
+        let mut records: Vec<Evicted> = self.l1.drain().collect();
+        for store in [&mut self.victim, &mut self.buffer].into_iter().flatten() {
+            records.extend(store.drain());
         }
-    }
-
-    /// End-of-run census of the victim cache (records parked there are
-    /// final at the end of the run).
-    pub fn drain_victim(&mut self) -> Vec<Evicted> {
-        match &mut self.victim {
-            Some(v) => v.drain().collect(),
-            None => Vec::new(),
-        }
-    }
-
-    /// Victim-cache statistics: (hits, aged-out lines); zeros without one.
-    pub fn victim_stats(&self) -> (u64, u64) {
-        self.victim
-            .as_ref()
-            .map(|v| (v.hits, v.final_evictions))
-            .unwrap_or((0, 0))
+        records
     }
 }
 
@@ -542,13 +521,12 @@ mod tests {
     #[test]
     fn prefetch_fill_sets_provenance_and_feedback() {
         let (mut h, mut s) = hierarchy();
-        let r = h.issue_prefetch(&pf(20), 0, &mut s);
-        assert!(!r.duplicate);
+        h.issue_prefetch(&pf(20), 0, &mut s);
         assert!(h.l1.contains(LineAddr(20)));
         assert_eq!(s.l1.prefetch_fills, 1);
         // Unreferenced: evict via conflict -> bad feedback record.
         let r2 = h.demand_access(LineAddr(20 + 256), AccessKind::Load, 500, &mut s);
-        let ev = r2.l1_evicted.expect("conflict eviction");
+        let ev = r2.evicted.expect("conflict eviction");
         let (origin, referenced) = ev.prefetch.expect("prefetched line");
         assert_eq!(origin.line, LineAddr(20));
         assert_eq!(origin.trigger_pc, 0x4400);
@@ -565,16 +543,16 @@ mod tests {
         assert!(r.l1_probe.unwrap().first_use);
         assert_eq!(s.l1.prefetch_first_use, 1);
         let r2 = h.demand_access(LineAddr(20 + 256), AccessKind::Load, 800, &mut s);
-        let (_, referenced) = r2.l1_evicted.unwrap().prefetch.unwrap();
+        let (_, referenced) = r2.evicted.unwrap().prefetch.unwrap();
         assert!(referenced);
     }
 
     #[test]
-    fn duplicate_prefetch_squashed() {
+    fn prefetched_line_is_resident_for_squashing() {
         let (mut h, mut s) = hierarchy();
+        assert!(!h.prefetch_target_resident(LineAddr(20)));
         h.issue_prefetch(&pf(20), 0, &mut s);
-        let r = h.issue_prefetch(&pf(20), 1, &mut s);
-        assert!(r.duplicate);
+        assert!(h.prefetch_target_resident(LineAddr(20)));
         assert_eq!(s.l1.prefetch_fills, 1);
     }
 
@@ -590,14 +568,13 @@ mod tests {
 
     #[test]
     fn buffer_hit_waits_for_in_flight_prefetch() {
-        let mut cfg = SystemConfig::paper_default();
-        cfg.buffer.enabled = true;
+        let cfg = SystemConfig::paper_default().with_prefetch_buffer();
         let mut h = Hierarchy::new(&cfg, 7);
         let mut s = SimStats::default();
         let p = h.issue_prefetch(&pf(50), 0, &mut s);
         assert!(p.complete_at > 100, "cold prefetch goes to memory");
         let r = h.demand_access(LineAddr(50), AccessKind::Load, 1, &mut s);
-        assert!(r.from_buffer.is_some());
+        assert!(r.buffer_hit);
         assert_eq!(r.complete_at, p.complete_at, "the data is not there yet");
         // The promoted line keeps its cycle in the L1.
         let r2 = h.demand_access(LineAddr(50), AccessKind::Load, 2, &mut s);
@@ -626,7 +603,7 @@ mod tests {
         let r1 = h.demand_access(LineAddr(10), AccessKind::Load, 0, &mut s);
         h.demand_access(LineAddr(10 + 256), AccessKind::Load, 1, &mut s);
         let r = h.demand_access(LineAddr(10), AccessKind::Load, 2, &mut s);
-        assert!(r.from_victim.is_some());
+        assert_eq!(r.l2_hit, None, "served by the victim cache");
         assert_eq!(r.complete_at, r1.complete_at);
     }
 
@@ -675,8 +652,7 @@ mod tests {
 
     #[test]
     fn buffer_mode_prefetch_fills_buffer_not_l1() {
-        let mut cfg = SystemConfig::paper_default();
-        cfg.buffer.enabled = true;
+        let cfg = SystemConfig::paper_default().with_prefetch_buffer();
         let mut h = Hierarchy::new(&cfg, 7);
         let mut s = SimStats::default();
         h.issue_prefetch(&pf(50), 0, &mut s);
@@ -685,7 +661,8 @@ mod tests {
         // Demand access hits the buffer, promotes into L1.
         let r = h.demand_access(LineAddr(50), AccessKind::Load, 10, &mut s);
         assert!(!r.l1_hit);
-        assert_eq!(r.from_buffer.unwrap().line, LineAddr(50));
+        assert!(r.buffer_hit);
+        assert_eq!(r.promoted.unwrap().line, LineAddr(50), "a good prefetch");
         assert!(h.l1.contains(LineAddr(50)));
         assert_eq!(s.buffer_hits, 1);
     }
@@ -693,15 +670,16 @@ mod tests {
     #[test]
     fn buffer_overflow_reports_bad() {
         let mut cfg = SystemConfig::paper_default();
-        cfg.buffer.enabled = true;
         cfg.buffer.entries = 2;
         let mut h = Hierarchy::new(&cfg, 7);
         let mut s = SimStats::default();
         h.issue_prefetch(&pf(1), 0, &mut s);
         h.issue_prefetch(&pf(2), 1, &mut s);
         let r = h.issue_prefetch(&pf(3), 2, &mut s);
-        let ev = r.buffer_evicted.expect("LRU spill");
-        assert_eq!(ev.origin.line, LineAddr(1));
+        let ev = r.evicted.expect("LRU spill");
+        let (origin, referenced) = ev.prefetch.expect("a buffered prefetch");
+        assert_eq!(origin.line, LineAddr(1));
+        assert!(!referenced, "never referenced: a bad prefetch");
         assert_eq!(s.buffer_bad_evictions, 1);
     }
 
@@ -710,10 +688,25 @@ mod tests {
         let (mut h, mut s) = hierarchy();
         h.issue_prefetch(&pf(60), 0, &mut s);
         h.demand_access(LineAddr(61), AccessKind::Load, 10, &mut s);
-        let drained = h.drain_l1();
+        let drained = h.drain();
         assert_eq!(drained.len(), 2);
         assert_eq!(drained.iter().filter(|e| e.prefetch.is_some()).count(), 1);
         assert!(!h.l1.contains(LineAddr(60)));
+    }
+
+    #[test]
+    fn drain_reports_l1_then_victim_cache_then_buffer() {
+        let cfg = SystemConfig::paper_default()
+            .with_prefetch_buffer()
+            .with_victim_cache(8);
+        let mut h = Hierarchy::new(&cfg, 7);
+        let mut s = SimStats::default();
+        h.demand_access(LineAddr(10), AccessKind::Load, 0, &mut s);
+        h.demand_access(LineAddr(10 + 256), AccessKind::Load, 1, &mut s);
+        h.issue_prefetch(&pf(50), 2, &mut s);
+        let lines: Vec<u64> = h.drain().iter().map(|e| e.line.0).collect();
+        assert_eq!(lines, vec![10 + 256, 10, 50]);
+        assert!(h.drain().is_empty());
     }
 
     #[test]
@@ -727,10 +720,10 @@ mod tests {
         assert!(!h.l1.contains(LineAddr(10)));
         // ...then re-demand it: served from the victim cache, fast.
         let r = h.demand_access(LineAddr(10), AccessKind::Load, 1000, &mut s);
-        assert!(r.from_victim.is_some());
+        assert_eq!(r.l2_hit, None, "served by the victim cache");
         assert_eq!(r.complete_at, 1000 + 1 + 1, "L1 latency + swap cycle");
         assert!(h.l1.contains(LineAddr(10)));
-        assert_eq!(h.victim_stats().0, 1);
+        assert!(!h.victim().unwrap().contains(LineAddr(10)));
     }
 
     #[test]
@@ -743,10 +736,10 @@ mod tests {
         // through the 1-entry victim cache: 20's record ages out as final.
         h.issue_prefetch(&pf(20), 0, &mut s);
         let r1 = h.demand_access(LineAddr(20 + 256), AccessKind::Load, 100, &mut s);
-        assert!(r1.l1_evicted.is_none(), "record parked in the victim cache");
+        assert!(r1.evicted.is_none(), "record parked in the victim cache");
         h.demand_access(LineAddr(30), AccessKind::Load, 200, &mut s);
         let r2 = h.demand_access(LineAddr(30 + 256), AccessKind::Load, 300, &mut s);
-        let final_ev = r2.l1_evicted.expect("aged-out record surfaces");
+        let final_ev = r2.evicted.expect("aged-out record surfaces");
         assert_eq!(final_ev.line, LineAddr(20));
         let (origin, referenced) = final_ev.prefetch.expect("prefetched");
         assert_eq!(origin.line, LineAddr(20));
@@ -768,19 +761,18 @@ mod tests {
     }
 
     #[test]
-    fn recovered_prefetched_line_reports_through_from_victim() {
+    fn recovered_prefetched_line_is_promoted_from_the_victim_cache() {
         let cfg = SystemConfig::paper_default().with_victim_cache(8);
         let mut h = Hierarchy::new(&cfg, 7);
         let mut s = SimStats::default();
         h.issue_prefetch(&pf(40), 0, &mut s);
-        h.demand_access(LineAddr(40 + 256), AccessKind::Load, 100, &mut s);
-        // The prefetched line was evicted unused but is demanded soon
-        // after: the victim cache rescues it and the record says so.
+        let r1 = h.demand_access(LineAddr(40 + 256), AccessKind::Load, 100, &mut s);
+        assert!(r1.evicted.is_none(), "evicted unused, parked, not final");
+        // Demanded soon after: the victim cache rescues it, a good
+        // prefetch.
         let r = h.demand_access(LineAddr(40), AccessKind::Load, 150, &mut s);
-        let record = r.from_victim.expect("victim hit");
-        let (origin, referenced) = record.prefetch.expect("prefetched line");
-        assert_eq!(origin.line, LineAddr(40));
-        assert!(!referenced, "RIB was still 0 when it was evicted");
+        assert_eq!(r.promoted.expect("prefetched line").line, LineAddr(40));
+        assert!(!r.buffer_hit);
     }
 
     #[test]

@@ -12,8 +12,9 @@
 //! * [`bus`] — occupancy model of the 64-byte L2↔memory bus.
 //! * [`dram`] — fixed-leadoff-latency main memory.
 //! * [`queue`] — the 64-entry prefetch queue with duplicate squashing.
-//! * [`buffer`] — the §5.5 dedicated fully-associative prefetch buffer.
-//! * [`victim`] — the victim-cache ablation (Jouppi).
+//! * [`side`] — the fully-associative LRU side store of eviction records,
+//!   used as the §5.5 dedicated prefetch buffer and as the victim-cache
+//!   ablation (Jouppi).
 //! * [`classify`] — optional shadow-tag structures splitting every demand
 //!   miss into compulsory/capacity/conflict (the 3C taxonomy), enabled via
 //!   [`ppf_types::DiagnosticsConfig`].
@@ -33,7 +34,6 @@
 
 #![warn(missing_docs)]
 
-pub mod buffer;
 pub mod bus;
 pub mod cache;
 pub mod classify;
@@ -42,9 +42,8 @@ pub mod hierarchy;
 pub mod ports;
 pub mod queue;
 pub mod replacement;
-pub mod victim;
+pub mod side;
 
-pub use buffer::PrefetchBuffer;
 pub use bus::Bus;
 pub use cache::{Cache, Evicted, FillKind, LineState, ProbeHit, TenantAttribution};
 pub use classify::{MissClassifier, MissKind};
@@ -53,4 +52,4 @@ pub use hierarchy::{AccessKind, AccessResult, Hierarchy, PrefetchIssue};
 pub use ports::PortArbiter;
 pub use queue::PrefetchQueue;
 pub use replacement::ReplacementPolicy;
-pub use victim::VictimCache;
+pub use side::SideStore;

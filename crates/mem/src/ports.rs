@@ -70,19 +70,6 @@ impl PortArbiter {
         }
     }
 
-    /// Return one grant taken in cycle `now` (the caller acquired a port
-    /// and then discovered the access was unnecessary — e.g. a prefetch
-    /// target that turned out to be resident, which §5.1 requires to cost
-    /// nothing). A release for a cycle other than the one the grant was
-    /// taken in is a no-op: the budget of a past cycle is gone either way,
-    /// and a future cycle's budget was never touched.
-    #[inline]
-    pub fn release(&mut self, now: Cycle) {
-        if now == self.current_cycle && self.used > 0 {
-            self.used -= 1;
-        }
-    }
-
     /// Ports still free in cycle `now`. A pure read: querying never rolls
     /// the grant counter. A future cycle reports every port free; a stale
     /// cycle reports zero (matching [`PortArbiter::try_acquire`]'s refusal

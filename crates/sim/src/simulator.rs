@@ -12,12 +12,13 @@
 //!
 //! Every prefetch candidate flows: generator → duplicate squash → pollution
 //! filter → prefetch queue → port arbitration → L1 fill with provenance.
-//! Every L1 eviction of a prefetched line (and the end-of-run drain) flows
-//! back into the filter's history table and the good/bad census.
+//! Every prefetched line is classified once, when it leaves the L1 side
+//! (an eviction, a demand hit in the prefetch buffer or victim cache, or
+//! the end-of-run drain): one function, `MemSystem::census`, feeds the
+//! filter's history table and the good/bad census.
 
 use ppf_cpu::{Core, InstStream, MemoryPort};
 use ppf_filter::PollutionFilter;
-use ppf_mem::cache::Evicted;
 use ppf_mem::hierarchy::{AccessKind, Hierarchy};
 use ppf_mem::ports::PortArbiter;
 use ppf_mem::queue::{PrefetchQueue, PushOutcome};
@@ -303,17 +304,22 @@ impl MemSystem {
         self.hierarchy.l1.tenant_attribution()
     }
 
-    /// Record the good/bad outcome of an evicted prefetched line and train
-    /// the filter — the PIB/RIB feedback path of §4.
-    fn feedback_eviction(&mut self, ev: &Evicted) {
-        if let Some((origin, referenced)) = ev.prefetch {
-            if referenced {
-                self.stats.prefetch_good.bump(origin.source);
-            } else {
-                self.stats.prefetch_bad.bump(origin.source);
-            }
-            self.filter_evict(&origin, referenced);
+    /// The good/bad census and the filter's eviction-time training — the
+    /// PIB/RIB feedback path of §4, and the only place either happens. It
+    /// takes the `(provenance, referenced)` of a prefetched line whose
+    /// L1-side lifetime ended: evicted with its RIB, moved into the L1 by
+    /// a demand hit in the buffer or the victim cache (`referenced`), or
+    /// still held at the end of the run. `None` is a demand-fetched line.
+    fn census(&mut self, prefetch: Option<(PrefetchOrigin, bool)>) {
+        let Some((origin, referenced)) = prefetch else {
+            return;
+        };
+        if referenced {
+            self.stats.prefetch_good.bump(origin.source);
+        } else {
+            self.stats.prefetch_bad.bump(origin.source);
         }
+        self.filter_evict(&origin, referenced);
     }
 
     /// Offer a candidate prefetch: duplicate squash → filter → queue.
@@ -358,29 +364,13 @@ impl MemSystem {
             }
             let req = self.queue.pop().expect("front exists");
             let issue = self.hierarchy.issue_prefetch(&req, now, &mut self.stats);
-            if issue.duplicate {
-                // Unreachable today (the resident check above is the same
-                // predicate `issue_prefetch` re-evaluates, with nothing in
-                // between), but kept as a structural guarantee: if the two
-                // checks ever diverge, a duplicate must still cost nothing
-                // (§5.1) — so return the port grant before squashing.
-                self.l1_ports.release(now);
-                self.stats.prefetches_duplicate.bump(req.source);
-                continue;
-            }
             self.stats.prefetches_issued.bump(req.source);
             // The line allocated in the L1 (or the dedicated buffer): the
             // funnel's "filled" stage. Issued-but-resident targets were
             // squashed above, so issued == filled in this machine — the
             // diagnostics make that equality checkable instead of assumed.
             self.stats.prefetches_filled.bump(req.source);
-            if let Some(ev) = issue.l1_evicted {
-                self.feedback_eviction(&ev);
-            }
-            if let Some(bev) = issue.buffer_evicted {
-                self.stats.prefetch_bad.bump(bev.origin.source);
-                self.filter_evict(&bev.origin, bev.referenced);
-            }
+            self.census(issue.evicted.and_then(|ev| ev.prefetch));
         }
     }
 
@@ -404,18 +394,12 @@ impl MemSystem {
         }
     }
 
-    /// End-of-run census: classify lines still resident in the L1 and the
-    /// prefetch buffer so Figure 1's totals cover *all* prefetches.
+    /// End-of-run census: classify lines still held in the L1, the victim
+    /// cache and the prefetch buffer so Figure 1's totals cover *all*
+    /// prefetches.
     pub fn drain_final(&mut self) {
-        for ev in self.hierarchy.drain_l1() {
-            self.feedback_eviction(&ev);
-        }
-        for ev in self.hierarchy.drain_victim() {
-            self.feedback_eviction(&ev);
-        }
-        for bev in self.hierarchy.drain_buffer() {
-            self.stats.prefetch_bad.bump(bev.origin.source);
-            self.filter_evict(&bev.origin, bev.referenced);
+        for ev in self.hierarchy.drain() {
+            self.census(ev.prefetch);
         }
     }
 }
@@ -439,29 +423,15 @@ impl MemoryPort for MemSystem {
         let res = self
             .hierarchy
             .demand_access(line, kind, now, &mut self.stats);
-        if !res.l1_hit && res.from_buffer.is_none() {
+        if !res.l1_hit && !res.buffer_hit {
             // Misprediction recovery: this miss may be a prefetch the
             // filter wrongly rejected (see ppf-filter's recovery module).
             self.filter_demand_miss(line, now);
         }
-        if let Some(ev) = res.l1_evicted {
-            self.feedback_eviction(&ev);
-        }
-        if let Some(origin) = res.from_buffer {
-            // A demand hit in the dedicated prefetch buffer is by
-            // definition a good prefetch; train the filter accordingly.
-            self.stats.prefetch_good.bump(origin.source);
-            self.filter_evict(&origin, true);
-        }
-        if let Some(record) = res.from_victim {
-            // A prefetched line recovered from the victim cache was
-            // referenced after all: classify good (it re-enters the L1 as
-            // a demand line, so this is its final classification).
-            if let Some((origin, _)) = record.prefetch {
-                self.stats.prefetch_good.bump(origin.source);
-                self.filter_evict(&origin, true);
-            }
-        }
+        self.census(res.evicted.and_then(|ev| ev.prefetch));
+        // A promoted line re-enters the L1 as a demand line, so this is
+        // its final classification.
+        self.census(res.promoted.map(|origin| (origin, true)));
         // Trigger the hardware prefetchers on this access.
         let event = AccessEvent {
             pc,
@@ -927,18 +897,22 @@ mod tests {
 
     #[test]
     fn census_conservation() {
-        // Every issued prefetch is eventually classified good or bad
-        // (evicted during the run or drained at the end) — except the few
-        // squashed at issue as late duplicates.
-        let r = run(SystemConfig::paper_default(), Workload::Mcf);
-        let issued = r.stats.prefetches_issued.total();
-        let classified = r.stats.good_total() + r.stats.bad_total();
-        assert!(
-            classified <= issued,
-            "classified {classified} > issued {issued}"
-        );
-        let coverage = classified as f64 / issued as f64;
-        assert!(coverage > 0.95, "census coverage {coverage}");
+        // Without a warm-up, every issued prefetch is classified good or
+        // bad exactly once: evicted, moved into the L1 from the buffer or
+        // the victim cache, or drained at the end.
+        for cfg in [
+            SystemConfig::paper_default(),
+            SystemConfig::paper_default().with_prefetch_buffer(),
+            SystemConfig::paper_default().with_victim_cache(8),
+            SystemConfig::paper_default()
+                .with_prefetch_buffer()
+                .with_victim_cache(8),
+        ] {
+            let r = run(cfg, Workload::Mcf);
+            let issued = r.stats.prefetches_issued.total();
+            assert!(issued > 0);
+            assert_eq!(r.stats.good_total() + r.stats.bad_total(), issued);
+        }
     }
 
     #[test]

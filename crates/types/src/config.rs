@@ -371,39 +371,19 @@ impl Default for FilterConfig {
 
 /// Victim cache between L1 and L2 (Jouppi) — ablation hardware for the
 /// direct-mapped L1's conflict misses.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct VictimConfig {
-    /// When true, L1 evictions pass through a small victim cache.
-    pub enabled: bool,
-    /// Fully-associative entries (Jouppi's sweet spot: 4-16).
+    /// Fully-associative entries (Jouppi's sweet spot: 4-16); L1 evictions
+    /// pass through them. `0` (the default) = no victim cache.
     pub entries: usize,
-}
-
-impl Default for VictimConfig {
-    fn default() -> Self {
-        VictimConfig {
-            enabled: false,
-            entries: 8,
-        }
-    }
 }
 
 /// Dedicated fully-associative prefetch buffer (§5.5; Chen et al.).
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct BufferConfig {
-    /// When true, prefetches fill the buffer instead of the L1.
-    pub enabled: bool,
-    /// Buffer entries (paper: 16, fully associative).
+    /// Buffer entries (paper: 16, fully associative); prefetches fill the
+    /// buffer instead of the L1. `0` (the default) = no buffer.
     pub entries: usize,
-}
-
-impl Default for BufferConfig {
-    fn default() -> Self {
-        BufferConfig {
-            enabled: false,
-            entries: 16,
-        }
-    }
 }
 
 /// Diagnostics passes — simulator-side instrumentation with no effect on
@@ -547,13 +527,12 @@ impl SystemConfig {
 
     /// §5.5: enable the dedicated 16-entry prefetch buffer.
     pub fn with_prefetch_buffer(mut self) -> Self {
-        self.buffer.enabled = true;
+        self.buffer.entries = 16;
         self
     }
 
     /// Ablation: put a small victim cache between L1 and L2.
     pub fn with_victim_cache(mut self, entries: usize) -> Self {
-        self.victim.enabled = true;
         self.victim.entries = entries;
         self
     }
@@ -631,16 +610,6 @@ impl SystemConfig {
                 "table_entries {} too small for {} tenant partitions",
                 self.filter.table_entries, self.filter.tenant_partitions
             )));
-        }
-        if self.buffer.enabled && self.buffer.entries == 0 {
-            return Err(PpfError::config_invalid(
-                "prefetch buffer enabled with zero entries",
-            ));
-        }
-        if self.victim.enabled && self.victim.entries == 0 {
-            return Err(PpfError::config_invalid(
-                "victim cache enabled with zero entries",
-            ));
         }
         if self.prefetch.queue_len == 0 {
             return Err(PpfError::config_invalid(
@@ -724,9 +693,9 @@ json_struct!(FilterConfig {
     tenant_partitions,
 });
 
-json_struct!(VictimConfig { enabled, entries });
+json_struct!(VictimConfig { entries });
 
-json_struct!(BufferConfig { enabled, entries });
+json_struct!(BufferConfig { entries });
 
 json_struct!(DiagnosticsConfig { classify_misses });
 
@@ -802,8 +771,8 @@ mod tests {
         let c = SystemConfig::paper_default().with_l1_ports(5);
         assert_eq!(c.l1.hit_latency, 3);
 
+        assert_eq!(SystemConfig::paper_default().buffer.entries, 0, "no buffer");
         let c = SystemConfig::paper_default().with_prefetch_buffer();
-        assert!(c.buffer.enabled);
         assert_eq!(c.buffer.entries, 16);
 
         let c = SystemConfig::paper_default().with_l1_16k();

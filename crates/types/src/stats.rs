@@ -218,8 +218,8 @@ pub struct SimStats {
     /// Prefetches actually issued to the L1 (or prefetch buffer).
     pub prefetches_issued: PerSource,
     /// Issued prefetches whose line actually filled the L1 (or the
-    /// dedicated prefetch buffer). Issued-but-not-filled prefetches found
-    /// their line already resident by fill time.
+    /// dedicated prefetch buffer). A resident target is squashed before it
+    /// issues, so this equals `prefetches_issued`.
     pub prefetches_filled: PerSource,
 
     /// Good prefetches: prefetched lines referenced before eviction

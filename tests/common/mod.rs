@@ -51,16 +51,11 @@ pub fn close(measured: f64, target: f64, rel: f64, abs: f64) -> bool {
 }
 
 /// Slack for the prefetch-census conservation check on `cfg`: warmup
-/// prefetches classified post-reset overshoot, duplicates squashed at issue
-/// undershoot; both are bounded by resident capacity (L1 + buffer + victim
-/// entries) plus the prefetch queue.
+/// prefetches classified post-reset overshoot, bounded by resident
+/// capacity (L1 + buffer + victim entries, `0` for an absent structure)
+/// plus the prefetch queue.
 pub fn census_slack(cfg: &SystemConfig) -> u64 {
-    let victim = if cfg.victim.enabled {
-        cfg.victim.entries
-    } else {
-        0
-    };
-    (cfg.l1.lines() + cfg.buffer.entries + victim + 64) as u64
+    (cfg.l1.lines() + cfg.buffer.entries + cfg.victim.entries + 64) as u64
 }
 
 /// Assert every issued prefetch was classified exactly once (good or bad),

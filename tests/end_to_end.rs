@@ -28,8 +28,7 @@ fn census_conservation_across_machines() {
         for w in [Workload::Em3d, Workload::Gzip] {
             let r = run_one("x", cfg.clone(), w, N);
             // Warmup-issued prefetches classified post-reset make
-            // `classified` overshoot slightly; duplicates squashed at issue
-            // make it undershoot. Both effects are bounded by the resident
+            // `classified` overshoot slightly, bounded by the resident
             // capacity (every resident line is classified at most once).
             assert_census_conserved(&r, census_slack(&cfg));
         }
