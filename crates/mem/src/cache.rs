@@ -27,7 +27,6 @@
 //! the line's PIB is set; fill-ready cycles live in an array that the first
 //! fill carrying a nonzero cycle sizes.
 
-use crate::replacement::{ReplacementPolicy, ReplacementState};
 use ppf_types::{CacheConfig, Cycle, LineAddr, PrefetchOrigin, MAX_TENANTS, TENANT_ADDR_SHIFT};
 
 /// How a line is being filled.
@@ -134,14 +133,14 @@ impl TenantAttribution {
     }
 }
 
-/// A set-associative cache with PIB/RIB line metadata. Every array is
+/// A set-associative LRU cache with PIB/RIB line metadata. Every array is
 /// indexed by way slot, `set * ways + way`.
 #[derive(Debug, Clone)]
 pub struct Cache {
     /// [`tag_of`] the resident line, 0 for an invalid way.
     tags: Box<[u64]>,
-    /// Replacement stamps; contiguous per set, so victim selection reads
-    /// a set's stamps in place.
+    /// LRU stamps, refreshed by every fill and hit; contiguous per set,
+    /// so victim selection reads a set's stamps in place.
     stamps: Box<[u64]>,
     /// `DIRTY | PIB | RIB | NSP_TAG`.
     flags: Box<[u8]>,
@@ -155,7 +154,8 @@ pub struct Cache {
     sets: usize,
     ways: usize,
     set_mask: u64,
-    repl: ReplacementState,
+    /// The next LRU stamp (0 marks a way never touched).
+    next_stamp: u64,
     /// Right-shift that exposes the tenant bits of a *line* address
     /// (`TENANT_ADDR_SHIFT` minus the line-offset bits).
     tenant_shift: u32,
@@ -164,7 +164,7 @@ pub struct Cache {
 
 impl Cache {
     /// Build a cache from `cfg` (validated by the caller / `SystemConfig`).
-    pub fn new(cfg: &CacheConfig, policy: ReplacementPolicy, seed: u64) -> Self {
+    pub fn new(cfg: &CacheConfig) -> Self {
         let sets = cfg.sets();
         let ways = cfg.ways;
         assert!(sets.is_power_of_two(), "set count must be a power of two");
@@ -179,7 +179,7 @@ impl Cache {
             sets,
             ways,
             set_mask: (sets - 1) as u64,
-            repl: ReplacementState::new(policy, seed),
+            next_stamp: 1,
             tenant_shift: TENANT_ADDR_SHIFT.saturating_sub(cfg.line_bytes.max(1).trailing_zeros()),
             attribution: TenantAttribution::default(),
         }
@@ -294,6 +294,14 @@ impl Cache {
             .map(|way| range.start + way)
     }
 
+    /// A fresh LRU stamp, later than every stamp handed out before.
+    #[inline]
+    fn stamp(&mut self) -> u64 {
+        let s = self.next_stamp;
+        self.next_stamp += 1;
+        s
+    }
+
     /// Non-mutating presence check (no LRU/RIB side effects). Used for
     /// duplicate-prefetch squashing.
     #[inline]
@@ -307,9 +315,7 @@ impl Cache {
     /// fill-ready cycle. Returns `None` on miss.
     pub fn probe(&mut self, line: LineAddr, is_write: bool) -> Option<ProbeHit> {
         let idx = self.find(line)?;
-        if self.repl.touch_on_hit() {
-            self.stamps[idx] = self.repl.stamp();
-        }
+        self.stamps[idx] = self.stamp();
         let f = self.flags[idx];
         let pib = f & PIB != 0;
         let hit = ProbeHit {
@@ -331,7 +337,7 @@ impl Cache {
     /// functional-immediate model), keeps the later fill-ready cycle and
     /// evicts nothing.
     pub fn fill(&mut self, line: LineAddr, kind: FillKind, ready_at: Cycle) -> Option<Evicted> {
-        let stamp = self.repl.stamp();
+        let stamp = self.stamp();
         if let Some(idx) = self.find(line) {
             // Already resident: a demand fill of a prefetched line counts as
             // a reference; a prefetch fill of a resident line is a no-op
@@ -345,10 +351,18 @@ impl Cache {
             return None;
         }
         let range = self.set_range(line);
-        // Prefer an invalid way; otherwise ask the policy for a victim.
+        // Prefer an invalid way; otherwise evict the least recently used,
+        // the smallest stamp.
         let idx = match self.tags[range.clone()].iter().position(|&t| t == 0) {
             Some(way) => range.start + way,
-            None => range.start + self.repl.victim(&self.stamps[range]),
+            None => {
+                let (way, _) = self.stamps[range.clone()]
+                    .iter()
+                    .enumerate()
+                    .min_by_key(|&(_, stamp)| stamp)
+                    .expect("a set has at least one way");
+                range.start + way
+            }
         };
         let report = (self.tags[idx] != 0).then(|| {
             let report = self.retire(idx);
@@ -493,7 +507,7 @@ mod tests {
 
     #[test]
     fn miss_then_fill_then_hit() {
-        let mut c = Cache::new(&cfg(1024, 1), ReplacementPolicy::Lru, 0);
+        let mut c = Cache::new(&cfg(1024, 1));
         let l = LineAddr(5);
         assert!(c.probe(l, false).is_none());
         assert!(c.fill(l, FillKind::Demand, 0).is_none());
@@ -506,7 +520,7 @@ mod tests {
     #[test]
     fn direct_mapped_conflict_evicts() {
         // 1KB direct-mapped, 32B lines => 32 sets; lines 1 and 33 collide.
-        let mut c = Cache::new(&cfg(1024, 1), ReplacementPolicy::Lru, 0);
+        let mut c = Cache::new(&cfg(1024, 1));
         c.fill(LineAddr(1), FillKind::Demand, 0);
         let ev = c
             .fill(LineAddr(33), FillKind::Demand, 0)
@@ -520,7 +534,7 @@ mod tests {
 
     #[test]
     fn prefetch_fill_sets_pib_and_nsp_tag() {
-        let mut c = Cache::new(&cfg(1024, 1), ReplacementPolicy::Lru, 0);
+        let mut c = Cache::new(&cfg(1024, 1));
         let l = LineAddr(7);
         c.fill(l, FillKind::Prefetch(origin(l)), 0);
         let hit = c.probe(l, false).unwrap();
@@ -536,7 +550,7 @@ mod tests {
 
     #[test]
     fn evicted_prefetched_line_reports_rib() {
-        let mut c = Cache::new(&cfg(1024, 1), ReplacementPolicy::Lru, 0);
+        let mut c = Cache::new(&cfg(1024, 1));
         let a = LineAddr(2);
         let b = LineAddr(34); // same set
                               // Unreferenced prefetch -> bad.
@@ -556,7 +570,7 @@ mod tests {
 
     #[test]
     fn store_hit_marks_dirty_and_writeback_reported() {
-        let mut c = Cache::new(&cfg(1024, 1), ReplacementPolicy::Lru, 0);
+        let mut c = Cache::new(&cfg(1024, 1));
         c.fill(LineAddr(3), FillKind::Demand, 0);
         c.probe(LineAddr(3), true);
         let ev = c.fill(LineAddr(35), FillKind::Demand, 0).unwrap();
@@ -566,7 +580,7 @@ mod tests {
     #[test]
     fn lru_prefers_least_recently_used_way() {
         // 2-way, 2 sets: 128 bytes / 32B = 4 lines.
-        let mut c = Cache::new(&cfg(128, 2), ReplacementPolicy::Lru, 0);
+        let mut c = Cache::new(&cfg(128, 2));
         // Set 0 holds even line numbers.
         c.fill(LineAddr(0), FillKind::Demand, 0);
         c.fill(LineAddr(2), FillKind::Demand, 0);
@@ -578,18 +592,8 @@ mod tests {
     }
 
     #[test]
-    fn fifo_ignores_hits() {
-        let mut c = Cache::new(&cfg(128, 2), ReplacementPolicy::Fifo, 0);
-        c.fill(LineAddr(0), FillKind::Demand, 0);
-        c.fill(LineAddr(2), FillKind::Demand, 0);
-        c.probe(LineAddr(0), false); // should NOT protect 0 under FIFO
-        let ev = c.fill(LineAddr(4), FillKind::Demand, 0).unwrap();
-        assert_eq!(ev.line, LineAddr(0), "FIFO evicts oldest fill despite hit");
-    }
-
-    #[test]
     fn refill_of_resident_line_evicts_nothing() {
-        let mut c = Cache::new(&cfg(1024, 1), ReplacementPolicy::Lru, 0);
+        let mut c = Cache::new(&cfg(1024, 1));
         c.fill(LineAddr(9), FillKind::Demand, 0);
         assert!(c.fill(LineAddr(9), FillKind::Demand, 0).is_none());
         assert_eq!(c.valid_lines(), 1);
@@ -597,7 +601,7 @@ mod tests {
 
     #[test]
     fn demand_refill_of_prefetched_line_counts_as_reference() {
-        let mut c = Cache::new(&cfg(1024, 1), ReplacementPolicy::Lru, 0);
+        let mut c = Cache::new(&cfg(1024, 1));
         let l = LineAddr(4);
         c.fill(l, FillKind::Prefetch(origin(l)), 0);
         c.fill(l, FillKind::Demand, 0); // demand touched the prefetched line
@@ -608,7 +612,7 @@ mod tests {
 
     #[test]
     fn fill_ready_cycle_is_reported_and_refill_keeps_the_later() {
-        let mut c = Cache::new(&cfg(1024, 1), ReplacementPolicy::Lru, 0);
+        let mut c = Cache::new(&cfg(1024, 1));
         c.fill(LineAddr(1), FillKind::Demand, 0);
         assert!(c.ready.is_empty(), "a zero cycle does not size the array");
         c.fill(LineAddr(1), FillKind::Demand, 100);
@@ -623,7 +627,7 @@ mod tests {
 
     #[test]
     fn invalidate_returns_report_and_clears() {
-        let mut c = Cache::new(&cfg(1024, 1), ReplacementPolicy::Lru, 0);
+        let mut c = Cache::new(&cfg(1024, 1));
         assert!(c.invalidate(LineAddr(1)).is_none());
         c.fill(LineAddr(1), FillKind::Demand, 0);
         let ev = c.invalidate(LineAddr(1)).unwrap();
@@ -633,7 +637,7 @@ mod tests {
 
     #[test]
     fn drain_reports_all_and_empties() {
-        let mut c = Cache::new(&cfg(1024, 1), ReplacementPolicy::Lru, 0);
+        let mut c = Cache::new(&cfg(1024, 1));
         c.fill(LineAddr(1), FillKind::Demand, 0);
         let l2 = LineAddr(2);
         c.fill(l2, FillKind::Prefetch(origin(l2)), 0);
@@ -645,7 +649,7 @@ mod tests {
 
     #[test]
     fn mark_dirty() {
-        let mut c = Cache::new(&cfg(1024, 1), ReplacementPolicy::Lru, 0);
+        let mut c = Cache::new(&cfg(1024, 1));
         assert!(!c.mark_dirty(LineAddr(8)));
         c.fill(LineAddr(8), FillKind::Demand, 0);
         assert!(c.mark_dirty(LineAddr(8)));
@@ -655,7 +659,7 @@ mod tests {
 
     #[test]
     fn invariants_hold_under_random_workload() {
-        let mut c = Cache::new(&cfg(2048, 4), ReplacementPolicy::Lru, 1);
+        let mut c = Cache::new(&cfg(2048, 4));
         let mut rng = SplitMix64::new(99);
         for i in 0..5_000u64 {
             let line = LineAddr(rng.below(512));
@@ -684,7 +688,7 @@ mod tests {
     fn tenant_attribution_charges_the_causing_tenant() {
         // 32B lines: tenant bits sit at line-address bit 36.
         let t1 = 1u64 << 36;
-        let mut c = Cache::new(&cfg(1024, 1), ReplacementPolicy::Lru, 0);
+        let mut c = Cache::new(&cfg(1024, 1));
         // Tenant 1 prefetches a line into tenant 0's set, unreferenced...
         let victim = LineAddr(5);
         c.fill(victim, FillKind::Demand, 0);
@@ -703,7 +707,7 @@ mod tests {
 
     #[test]
     fn drain_attributes_resident_prefetches() {
-        let mut c = Cache::new(&cfg(1024, 1), ReplacementPolicy::Lru, 0);
+        let mut c = Cache::new(&cfg(1024, 1));
         let mut o = origin(LineAddr(2));
         o.tenant = 2;
         c.fill(LineAddr(2), FillKind::Prefetch(o), 0);
@@ -715,7 +719,7 @@ mod tests {
     #[test]
     fn paper_l1_geometry() {
         // 8KB direct-mapped with 32B lines = 256 sets of 1 way.
-        let c = Cache::new(&cfg(8 * 1024, 1), ReplacementPolicy::Lru, 0);
+        let c = Cache::new(&cfg(8 * 1024, 1));
         assert_eq!(c.sets(), 256);
         assert_eq!(c.ways(), 1);
     }

@@ -26,7 +26,6 @@ use crate::bus::Bus;
 use crate::cache::{Cache, Evicted, FillKind, ProbeHit};
 use crate::classify::MissClassifier;
 use crate::dram::MainMemory;
-use crate::replacement::ReplacementPolicy;
 use crate::side::SideStore;
 use ppf_types::{Cycle, LineAddr, PrefetchOrigin, PrefetchRequest, SimStats, SystemConfig};
 
@@ -117,14 +116,12 @@ pub struct Hierarchy {
 }
 
 impl Hierarchy {
-    /// Build the hierarchy described by `cfg`. `seed` feeds the random
-    /// replacement policy if selected (the paper's L1 is direct-mapped and
-    /// its L2 is LRU, so the default construction is deterministic anyway).
-    pub fn new(cfg: &SystemConfig, seed: u64) -> Self {
+    /// Build the hierarchy described by `cfg`.
+    pub fn new(cfg: &SystemConfig) -> Self {
         Hierarchy {
-            l1: Cache::new(&cfg.l1, ReplacementPolicy::Lru, seed ^ 0x11),
-            l1i: Cache::new(&cfg.l1i, ReplacementPolicy::Lru, seed ^ 0x33),
-            l2: Cache::new(&cfg.l2, ReplacementPolicy::Lru, seed ^ 0x22),
+            l1: Cache::new(&cfg.l1),
+            l1i: Cache::new(&cfg.l1i),
+            l2: Cache::new(&cfg.l2),
             buffer: (cfg.buffer.entries > 0).then(|| SideStore::new(cfg.buffer.entries)),
             victim: (cfg.victim.entries > 0).then(|| SideStore::new(cfg.victim.entries)),
             bus: Bus::new(&cfg.mem),
@@ -161,11 +158,16 @@ impl Hierarchy {
         self.line_bytes
     }
 
-    /// L1D and prefetch-buffer lines whose fill is still in flight at
-    /// `now` — the interval-telemetry gauge. A full scan, so call it only
-    /// when a sample is taken; it never affects timing.
+    /// L1D, prefetch-buffer and victim-cache lines whose fill is still in
+    /// flight at `now` — the interval-telemetry gauge. A full scan, so call
+    /// it only when a sample is taken; it never affects timing.
     pub fn in_flight(&self, now: Cycle) -> usize {
-        self.l1.in_flight(now) + self.buffer.as_ref().map_or(0, |b| b.in_flight(now))
+        let side: usize = [&self.buffer, &self.victim]
+            .into_iter()
+            .flatten()
+            .map(|store| store.in_flight(now))
+            .sum();
+        self.l1.in_flight(now) + side
     }
 
     /// Earliest future state change anywhere below the LSQ — the shared bus
@@ -464,7 +466,7 @@ mod tests {
 
     fn hierarchy() -> (Hierarchy, SimStats) {
         let cfg = SystemConfig::paper_default();
-        (Hierarchy::new(&cfg, 7), SimStats::default())
+        (Hierarchy::new(&cfg), SimStats::default())
     }
 
     fn pf(line: u64) -> PrefetchRequest {
@@ -569,7 +571,7 @@ mod tests {
     #[test]
     fn buffer_hit_waits_for_in_flight_prefetch() {
         let cfg = SystemConfig::paper_default().with_prefetch_buffer();
-        let mut h = Hierarchy::new(&cfg, 7);
+        let mut h = Hierarchy::new(&cfg);
         let mut s = SimStats::default();
         let p = h.issue_prefetch(&pf(50), 0, &mut s);
         assert!(p.complete_at > 100, "cold prefetch goes to memory");
@@ -598,7 +600,7 @@ mod tests {
     #[test]
     fn victim_hit_on_in_flight_line_waits() {
         let cfg = SystemConfig::paper_default().with_victim_cache(8);
-        let mut h = Hierarchy::new(&cfg, 7);
+        let mut h = Hierarchy::new(&cfg);
         let mut s = SimStats::default();
         let r1 = h.demand_access(LineAddr(10), AccessKind::Load, 0, &mut s);
         h.demand_access(LineAddr(10 + 256), AccessKind::Load, 1, &mut s);
@@ -639,6 +641,19 @@ mod tests {
     }
 
     #[test]
+    fn in_flight_counts_a_victim_parked_line_until_it_arrives() {
+        let cfg = SystemConfig::paper_default().with_victim_cache(8);
+        let mut h = Hierarchy::new(&cfg);
+        let mut s = SimStats::default();
+        let r = h.demand_access(LineAddr(10), AccessKind::Load, 0, &mut s);
+        // Conflict-evict line 10 into the victim cache before it arrives.
+        h.demand_access(LineAddr(10 + 256), AccessKind::Load, 1, &mut s);
+        assert!(h.victim().unwrap().contains(LineAddr(10)));
+        assert_eq!(h.in_flight(2), 2);
+        assert_eq!(h.in_flight(r.complete_at), 1);
+    }
+
+    #[test]
     fn store_allocate_and_writeback_traffic() {
         let (mut h, mut s) = hierarchy();
         h.demand_access(LineAddr(40), AccessKind::Store, 0, &mut s);
@@ -653,7 +668,7 @@ mod tests {
     #[test]
     fn buffer_mode_prefetch_fills_buffer_not_l1() {
         let cfg = SystemConfig::paper_default().with_prefetch_buffer();
-        let mut h = Hierarchy::new(&cfg, 7);
+        let mut h = Hierarchy::new(&cfg);
         let mut s = SimStats::default();
         h.issue_prefetch(&pf(50), 0, &mut s);
         assert!(!h.l1.contains(LineAddr(50)));
@@ -671,7 +686,7 @@ mod tests {
     fn buffer_overflow_reports_bad() {
         let mut cfg = SystemConfig::paper_default();
         cfg.buffer.entries = 2;
-        let mut h = Hierarchy::new(&cfg, 7);
+        let mut h = Hierarchy::new(&cfg);
         let mut s = SimStats::default();
         h.issue_prefetch(&pf(1), 0, &mut s);
         h.issue_prefetch(&pf(2), 1, &mut s);
@@ -699,7 +714,7 @@ mod tests {
         let cfg = SystemConfig::paper_default()
             .with_prefetch_buffer()
             .with_victim_cache(8);
-        let mut h = Hierarchy::new(&cfg, 7);
+        let mut h = Hierarchy::new(&cfg);
         let mut s = SimStats::default();
         h.demand_access(LineAddr(10), AccessKind::Load, 0, &mut s);
         h.demand_access(LineAddr(10 + 256), AccessKind::Load, 1, &mut s);
@@ -712,7 +727,7 @@ mod tests {
     #[test]
     fn victim_cache_catches_conflict_evictions() {
         let cfg = SystemConfig::paper_default().with_victim_cache(8);
-        let mut h = Hierarchy::new(&cfg, 7);
+        let mut h = Hierarchy::new(&cfg);
         let mut s = SimStats::default();
         h.demand_access(LineAddr(10), AccessKind::Load, 0, &mut s);
         // Conflict-evict line 10 (same set, 256 sets apart)...
@@ -730,7 +745,7 @@ mod tests {
     fn victim_cache_finalizes_aged_out_prefetch_records() {
         let mut cfg = SystemConfig::paper_default().with_victim_cache(1);
         cfg.prefetch.nsp = true;
-        let mut h = Hierarchy::new(&cfg, 7);
+        let mut h = Hierarchy::new(&cfg);
         let mut s = SimStats::default();
         // Prefetch line 20, evict it unused, then push a second eviction
         // through the 1-entry victim cache: 20's record ages out as final.
@@ -749,7 +764,7 @@ mod tests {
     #[test]
     fn prefetch_of_a_victim_parked_line_is_a_duplicate() {
         let cfg = SystemConfig::paper_default().with_victim_cache(8);
-        let mut h = Hierarchy::new(&cfg, 7);
+        let mut h = Hierarchy::new(&cfg);
         let mut s = SimStats::default();
         h.demand_access(LineAddr(10), AccessKind::Load, 0, &mut s);
         h.demand_access(LineAddr(10 + 256), AccessKind::Load, 500, &mut s);
@@ -763,7 +778,7 @@ mod tests {
     #[test]
     fn recovered_prefetched_line_is_promoted_from_the_victim_cache() {
         let cfg = SystemConfig::paper_default().with_victim_cache(8);
-        let mut h = Hierarchy::new(&cfg, 7);
+        let mut h = Hierarchy::new(&cfg);
         let mut s = SimStats::default();
         h.issue_prefetch(&pf(40), 0, &mut s);
         let r1 = h.demand_access(LineAddr(40 + 256), AccessKind::Load, 100, &mut s);
@@ -786,7 +801,7 @@ mod tests {
     #[test]
     fn miss_classification_splits_the_3cs() {
         let cfg = SystemConfig::paper_default().with_miss_classification();
-        let mut h = Hierarchy::new(&cfg, 7);
+        let mut h = Hierarchy::new(&cfg);
         let mut s = SimStats::default();
         // Cold miss: compulsory at both levels.
         h.demand_access(LineAddr(10), AccessKind::Load, 0, &mut s);
@@ -809,7 +824,7 @@ mod tests {
     #[test]
     fn capacity_misses_need_an_oversubscribed_footprint() {
         let cfg = SystemConfig::paper_default().with_miss_classification();
-        let mut h = Hierarchy::new(&cfg, 7);
+        let mut h = Hierarchy::new(&cfg);
         let mut s = SimStats::default();
         // Stream 2x the L1's 256 lines round-robin, twice: the second pass
         // misses everywhere, and LRU in the shadow keeps none of them.
@@ -835,7 +850,7 @@ mod tests {
     #[test]
     fn prefetch_fills_do_not_perturb_classification() {
         let cfg = SystemConfig::paper_default().with_miss_classification();
-        let mut h = Hierarchy::new(&cfg, 7);
+        let mut h = Hierarchy::new(&cfg);
         let mut s = SimStats::default();
         // A prefetch fills line 20; the later demand access hits the real
         // L1, so nothing is classified — and the shadow never saw the

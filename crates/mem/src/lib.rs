@@ -2,11 +2,10 @@
 //!
 //! Everything the paper's evaluation machine needs below the core:
 //!
-//! * [`cache`] — set-associative caches whose lines carry the paper's
+//! * [`cache`] — set-associative LRU caches whose lines carry the paper's
 //!   **PIB** (Prefetch Indication Bit) and **RIB** (Reference Indication
 //!   Bit) plus full prefetch provenance for eviction-time filter feedback,
 //!   and each line's fill-ready cycle.
-//! * [`replacement`] — LRU / FIFO / random victim selection.
 //! * [`ports`] — the per-cycle arbiter for the L1's universal ports, where
 //!   the prefetch queue competes with demand accesses (§4, Figure 3).
 //! * [`bus`] — occupancy model of the 64-byte L2↔memory bus.
@@ -41,7 +40,6 @@ pub mod dram;
 pub mod hierarchy;
 pub mod ports;
 pub mod queue;
-pub mod replacement;
 pub mod side;
 
 pub use bus::Bus;
@@ -51,5 +49,4 @@ pub use dram::MainMemory;
 pub use hierarchy::{AccessKind, AccessResult, Hierarchy, PrefetchIssue};
 pub use ports::PortArbiter;
 pub use queue::PrefetchQueue;
-pub use replacement::ReplacementPolicy;
 pub use side::SideStore;

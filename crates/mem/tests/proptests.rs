@@ -4,7 +4,6 @@
 use ppf_mem::cache::{Cache, FillKind};
 use ppf_mem::hierarchy::{AccessKind, Hierarchy};
 use ppf_mem::queue::{PrefetchQueue, PushOutcome};
-use ppf_mem::replacement::ReplacementPolicy;
 use ppf_types::{
     CacheConfig, Cycle, LineAddr, PrefetchOrigin, PrefetchRequest, PrefetchSource, SimStats,
     SystemConfig,
@@ -85,7 +84,7 @@ proptest! {
             ports: 1,
         };
         prop_assume!(cfg.sets().is_power_of_two());
-        let mut c = Cache::new(&cfg, ReplacementPolicy::Lru, 7);
+        let mut c = Cache::new(&cfg);
         let capacity = cfg.lines();
         for op in ops {
             match op {
@@ -110,7 +109,7 @@ proptest! {
             hit_latency: 1,
             ports: 1,
         };
-        let mut c = Cache::new(&cfg, ReplacementPolicy::Lru, 0);
+        let mut c = Cache::new(&cfg);
         for l in lines {
             c.fill(LineAddr(l), FillKind::Demand, 0);
             prop_assert!(c.probe(LineAddr(l), false).is_some(), "just-filled line must hit");
@@ -130,7 +129,7 @@ proptest! {
             hit_latency: 1,
             ports: 1,
         };
-        let mut c = Cache::new(&cfg, ReplacementPolicy::Lru, 3);
+        let mut c = Cache::new(&cfg);
         let mut fills = 0u64;
         let mut reports = 0u64;
         for l in lines {
@@ -192,7 +191,7 @@ proptest! {
         if victim {
             cfg = cfg.with_victim_cache(8);
         }
-        let mut h = Hierarchy::new(&cfg, 7);
+        let mut h = Hierarchy::new(&cfg);
         let mut stats = SimStats::default();
         // Per line, the latest completion any access or issued prefetch
         // reported. The L1I and the L1D hold separate copies of a line, and

@@ -15,17 +15,13 @@
 //!   resident line keeps the later cycle (two in-flight fills of one line
 //!   merge), and probes and evictions report it.
 //!
-//! Recency bookkeeping mirrors the real stamp discipline: a *fill* always
-//! refreshes recency (even under FIFO — re-filling a resident line restamps
-//! it in the real array), while a *probe hit* refreshes recency only under
-//! LRU. Random replacement is excluded from campaigns: it would couple the
-//! oracle to the real structure's RNG draw order, which is exactly the kind
-//! of incidental detail a reference model must not encode.
+//! Replacement is LRU: every fill and every probe hit moves the line to
+//! the back of its set, so re-filling a resident line refreshes its
+//! recency too.
 
 use crate::event::{b, obj, op, s, u, u_or};
 use crate::Harness;
 use ppf_mem::cache::{Cache, Evicted, FillKind, LineState, ProbeHit};
-use ppf_mem::replacement::ReplacementPolicy;
 use ppf_types::{
     CacheConfig, Cycle, FromJson, JsonValue, LineAddr, PrefetchOrigin, PrefetchSource, ToJson,
 };
@@ -72,24 +68,17 @@ pub struct RefCache {
     sets: Vec<Vec<RefLine>>,
     ways: usize,
     set_mask: u64,
-    /// Probe hits refresh recency (LRU) or not (FIFO).
-    touch_on_hit: bool,
 }
 
 impl RefCache {
     /// Build the reference model for the same geometry as the real cache.
-    pub fn new(cfg: &CacheConfig, policy: ReplacementPolicy) -> Self {
+    pub fn new(cfg: &CacheConfig) -> Self {
         let sets = cfg.sets();
         assert!(sets.is_power_of_two());
-        assert!(
-            !matches!(policy, ReplacementPolicy::Random),
-            "random replacement is not oracle-checkable"
-        );
         RefCache {
             sets: vec![Vec::new(); sets],
             ways: cfg.ways,
             set_mask: (sets - 1) as u64,
-            touch_on_hit: matches!(policy, ReplacementPolicy::Lru),
         }
     }
 
@@ -106,7 +95,6 @@ impl RefCache {
 
     /// Demand reference; mirrors [`Cache::probe`]'s observable contract.
     pub fn probe(&mut self, line: LineAddr, is_write: bool) -> Option<ProbeHit> {
-        let touch = self.touch_on_hit;
         let set = self.set_of(line);
         let pos = set.iter().position(|l| l.line == line)?;
         let l = &mut set[pos];
@@ -123,10 +111,8 @@ impl RefCache {
         if is_write {
             l.dirty = true;
         }
-        if touch {
-            let moved = set.remove(pos);
-            set.push(moved);
-        }
+        let moved = set.remove(pos);
+        set.push(moved);
         Some(hit)
     }
 
@@ -136,9 +122,8 @@ impl RefCache {
         let set = self.set_of(line);
         if let Some(pos) = set.iter().position(|l| l.line == line) {
             // Resident refill: a demand fill of a prefetched line counts as
-            // a reference; any fill refreshes recency (the real array
-            // restamps unconditionally, under FIFO too) and the data
-            // arrives with the later of the two fills.
+            // a reference; any fill refreshes recency and the data arrives
+            // with the later of the two fills.
             let mut l = set.remove(pos);
             if matches!(kind, FillKind::Demand) && l.pib {
                 l.rib = true;
@@ -211,14 +196,14 @@ impl RefCache {
 /// Lockstep harness pairing the real [`Cache`] with [`RefCache`].
 pub struct CacheHarness {
     cfg: CacheConfig,
-    policy: ReplacementPolicy,
     real: Cache,
     oracle: RefCache,
 }
 
 impl CacheHarness {
     /// Build from a repro/campaign config:
-    /// `{"size_bytes":..,"line_bytes":..,"ways":..,"policy":"Lru"|"Fifo"}`.
+    /// `{"size_bytes":..,"line_bytes":..,"ways":..,"policy":"Lru"}` (every
+    /// cache is LRU; the key names it so a repro states its policy).
     pub fn from_config(config: &JsonValue) -> Result<Self, String> {
         let cfg = CacheConfig {
             size_bytes: usize::from_json(
@@ -231,16 +216,14 @@ impl CacheHarness {
             hit_latency: 1,
             ports: 1,
         };
-        let policy = match config.get("policy").and_then(JsonValue::as_str) {
-            Some("Lru") => ReplacementPolicy::Lru,
-            Some("Fifo") => ReplacementPolicy::Fifo,
+        match config.get("policy").and_then(JsonValue::as_str) {
+            Some("Lru") => {}
             other => return Err(format!("cache config: bad policy {other:?}")),
-        };
+        }
         Ok(CacheHarness {
-            real: Cache::new(&cfg, policy, 0),
-            oracle: RefCache::new(&cfg, policy),
+            real: Cache::new(&cfg),
+            oracle: RefCache::new(&cfg),
             cfg,
-            policy,
         })
     }
 
@@ -285,23 +268,13 @@ impl Harness for CacheHarness {
             ("size_bytes", self.cfg.size_bytes.to_json()),
             ("line_bytes", self.cfg.line_bytes.to_json()),
             ("ways", self.cfg.ways.to_json()),
-            (
-                "policy",
-                JsonValue::Str(
-                    match self.policy {
-                        ReplacementPolicy::Lru => "Lru",
-                        ReplacementPolicy::Fifo => "Fifo",
-                        ReplacementPolicy::Random => "Random",
-                    }
-                    .to_string(),
-                ),
-            ),
+            ("policy", JsonValue::Str("Lru".to_string())),
         ])
     }
 
     fn reset(&mut self) {
-        self.real = Cache::new(&self.cfg, self.policy, 0);
-        self.oracle = RefCache::new(&self.cfg, self.policy);
+        self.real = Cache::new(&self.cfg);
+        self.oracle = RefCache::new(&self.cfg);
     }
 
     fn step(&mut self, event: &JsonValue) -> Result<(), String> {
@@ -382,7 +355,7 @@ mod tests {
 
     #[test]
     fn pib_rib_lifecycle_matches_paper() {
-        let mut c = RefCache::new(&cfg(128, 2), ReplacementPolicy::Lru);
+        let mut c = RefCache::new(&cfg(128, 2));
         let a = LineAddr(0);
         assert!(c.fill(a, FillKind::Prefetch(origin(a)), 0).is_none());
         let hit = c.probe(a, false).unwrap();
@@ -392,22 +365,8 @@ mod tests {
     }
 
     #[test]
-    fn fifo_ignores_probe_recency_but_not_refill() {
-        let mut c = RefCache::new(&cfg(64, 2), ReplacementPolicy::Fifo);
-        c.fill(LineAddr(0), FillKind::Demand, 0);
-        c.fill(LineAddr(2), FillKind::Demand, 0);
-        c.probe(LineAddr(0), false);
-        let ev = c.fill(LineAddr(4), FillKind::Demand, 0).unwrap();
-        assert_eq!(ev.line, LineAddr(0), "probe must not protect under FIFO");
-        // A refill, by contrast, restamps even under FIFO.
-        c.fill(LineAddr(2), FillKind::Demand, 0);
-        let ev = c.fill(LineAddr(6), FillKind::Demand, 0).unwrap();
-        assert_eq!(ev.line, LineAddr(4));
-    }
-
-    #[test]
     fn refill_keeps_the_later_ready_cycle_and_eviction_reports_it() {
-        let mut c = RefCache::new(&cfg(64, 1), ReplacementPolicy::Lru);
+        let mut c = RefCache::new(&cfg(64, 1));
         c.fill(LineAddr(0), FillKind::Demand, 90);
         c.fill(LineAddr(0), FillKind::Demand, 40);
         assert_eq!(c.probe(LineAddr(0), false).unwrap().ready, 90);

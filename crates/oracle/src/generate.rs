@@ -53,10 +53,7 @@ fn cache_case(rng: &mut SplitMix64) -> (JsonValue, Vec<JsonValue>) {
         ("size_bytes", ((sets * ways) as u64 * line_bytes).to_json()),
         ("line_bytes", line_bytes.to_json()),
         ("ways", (ways as u64).to_json()),
-        (
-            "policy",
-            JsonValue::Str(if rng.chance(0.5) { "Lru" } else { "Fifo" }.into()),
-        ),
+        ("policy", JsonValue::Str("Lru".into())),
     ]);
     // Keep the line pool ~3x capacity: plenty of conflict evictions while
     // still revisiting lines often enough to exercise hits and refills.

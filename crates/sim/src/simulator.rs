@@ -163,7 +163,7 @@ pub struct MemSystem {
 
 impl MemSystem {
     /// Build the memory system for `cfg`.
-    pub fn new(cfg: &SystemConfig, seed: u64) -> Self {
+    pub fn new(cfg: &SystemConfig) -> Self {
         let mut generators: Vec<Box<dyn Prefetcher>> = Vec::new();
         if cfg.prefetch.nsp {
             generators.push(Box::new(NextSequencePrefetcher::with_degree(
@@ -182,7 +182,7 @@ impl MemSystem {
             generators.push(Box::new(CorrelationPrefetcher::new(4096)));
         }
         MemSystem {
-            hierarchy: Hierarchy::new(cfg, seed),
+            hierarchy: Hierarchy::new(cfg),
             l1_ports: PortArbiter::new(cfg.l1.ports),
             queue: PrefetchQueue::new(cfg.prefetch.queue_len),
             filter: PollutionFilter::new(&cfg.filter),
@@ -292,8 +292,8 @@ impl MemSystem {
         self.stats.check_funnel_conservation(self.queue_backlog())
     }
 
-    /// L1D and prefetch-buffer lines still in flight at `now` — the
-    /// interval-telemetry `mshr_live` gauge.
+    /// L1D, prefetch-buffer and victim-cache lines still in flight at
+    /// `now` — the interval-telemetry `mshr_live` gauge.
     pub fn in_flight(&self, now: Cycle) -> usize {
         self.hierarchy.in_flight(now)
     }
@@ -507,7 +507,7 @@ impl Simulator {
         Self::with_seed(cfg, Box::new(stream), 0)
     }
 
-    /// Build with an explicit seed (feeds random replacement, if selected).
+    /// Build with an explicit seed, which the report and error frames name.
     pub fn with_seed(
         cfg: SystemConfig,
         stream: Box<dyn InstStream>,
@@ -516,7 +516,7 @@ impl Simulator {
         cfg.validate()?;
         Ok(Simulator {
             core: Core::new(&cfg.core),
-            mem: MemSystem::new(&cfg, seed),
+            mem: MemSystem::new(&cfg),
             stream,
             label: String::new(),
             workload_name: String::new(),

@@ -115,9 +115,9 @@ pub struct IntervalRecord {
     pub fraction_good: f64,
     /// Fraction of interval cycles the memory bus was busy.
     pub bus_occupancy: f64,
-    /// L1D and prefetch-buffer lines whose fill-ready cycle is after the
-    /// sample cycle: the fills still in flight. The key keeps its name so
-    /// the JSONL schema stays stable.
+    /// L1D, prefetch-buffer and victim-cache lines whose fill-ready cycle
+    /// is after the sample cycle: the fills still in flight. The key keeps
+    /// its name so the JSONL schema stays stable.
     pub mshr_live: u64,
     /// Prefetch-queue backlog at sample time.
     pub queue_backlog: u64,
