@@ -6,22 +6,18 @@
 //! renders an aligned text table with the same rows and series the paper's
 //! figure plots, plus the mean the paper quotes in its prose.
 
-// The figure formatters walk several per-label report vectors in lock-step
-// by benchmark index; an iterator rewrite would zip four-plus vectors and
-// read worse than the index.
-#![allow(clippy::needless_range_loop)]
-
 use crate::memo::CellStore;
 use crate::shard::{
     ExperimentFragment, FragmentEntry, ManifestExperiment, ShardSpec, SHARD_SCHEMA_VERSION,
 };
 use ppf_sim::experiments::{
-    self, ablations, CellOutcome, RunSpec, TelemetrySpec, PORT_COUNTS, TABLE_SIZES,
+    self, ablations, CellOutcome, RunSpec, TelemetrySpec, ATTACKED_FILTERS, FAMILY_FILTERS,
+    HARDENINGS, TABLE_SIZES,
 };
 use ppf_sim::report::{f3, geomean, mean, pct, TextTable};
 use ppf_sim::{cell_key, CellFailure, SimReport};
 use ppf_types::telemetry::{TelemetryConfig, DEFAULT_INTERVAL_CYCLES};
-use ppf_types::{json_struct, PpfError, ToJson};
+use ppf_types::{json_struct, FilterKind, PpfError, SystemConfig, ToJson};
 use ppf_workloads::{AttackKind, FaultSpec, Workload};
 use std::fmt::Write as _;
 use std::path::PathBuf;
@@ -60,12 +56,12 @@ pub static EXPERIMENTS: &[Experiment] = &[
     exp("calibrate", experiments::calibration, calibrate),
     exp("fig1", experiments::fig1_2, fig1),
     exp("fig2", experiments::fig1_2, fig2),
-    exp("fig4", experiments::fig4_5_6, |r| fig4_style(r, "8KB")),
-    exp("fig5", experiments::fig4_5_6, |r| fig5_style(r, "8KB")),
-    exp("fig6", experiments::fig4_5_6, |r| fig6_style(r, "8KB")),
-    exp("fig7", experiments::fig7_8_9, |r| fig4_style(r, "32KB")),
-    exp("fig8", experiments::fig7_8_9, |r| fig5_style(r, "32KB")),
-    exp("fig9", experiments::fig7_8_9, |r| fig6_style(r, "32KB")),
+    exp("fig4", experiments::fig4_5_6, |r| fig4_style(r, &L1_8KB)),
+    exp("fig5", experiments::fig4_5_6, |r| fig5_style(r, &L1_8KB)),
+    exp("fig6", experiments::fig4_5_6, |r| fig6_style(r, &L1_8KB)),
+    exp("fig7", experiments::fig7_8_9, |r| fig4_style(r, &L1_32KB)),
+    exp("fig8", experiments::fig7_8_9, |r| fig5_style(r, &L1_32KB)),
+    exp("fig9", experiments::fig7_8_9, |r| fig6_style(r, &L1_32KB)),
     exp("fig10", experiments::fig10_11_12, fig10),
     exp("fig11", experiments::fig10_11_12, fig11),
     exp("fig12", experiments::fig10_11_12, fig12),
@@ -409,18 +405,114 @@ pub fn failure_appendix(failures: &[CellFailure]) -> String {
     out
 }
 
-/// Reports for one experiment label, in workload order.
-fn with_label<'a>(reports: &'a [SimReport], label: &str) -> Vec<&'a SimReport> {
-    reports.iter().filter(|r| r.label == label).collect()
-}
-
 fn header(title: &str) -> String {
     format!("== {title} ==\n")
 }
 
+/// A grid's reports grouped by label in first-appearance order, which is
+/// the grid's order: one `(label, reports in workload order)` column per
+/// configuration.
+fn columns(reports: &[SimReport]) -> Vec<(&str, Vec<&SimReport>)> {
+    let mut cols: Vec<(&str, Vec<&SimReport>)> = Vec::new();
+    for r in reports {
+        match cols.iter_mut().find(|(label, _)| *label == r.label) {
+            Some((_, col)) => col.push(r),
+            None => cols.push((&r.label, vec![r])),
+        }
+    }
+    cols
+}
+
+/// The columns transposed: one row per workload, holding its report from
+/// every column in column order.
+fn rows<'a>(cols: &[(&str, Vec<&'a SimReport>)]) -> Vec<Vec<&'a SimReport>> {
+    let n = cols.first().map_or(0, |(_, col)| col.len());
+    (0..n)
+        .map(|i| cols.iter().map(|(_, col)| col[i]).collect())
+        .collect()
+}
+
+/// The closing row of a [`column_table`]: its name and how it reduces a
+/// column's values.
+struct Footer(&'static str, fn(&[f64]) -> f64);
+
+/// `mean` of each column's finite values: a workload with bad prefetches
+/// and no good ones has an infinite bad/good ratio.
+const MEAN: Option<Footer> = Some(Footer("mean", finite_mean));
+
+/// `geomean` of each column.
+const GEOMEAN: Option<Footer> = Some(Footer("geomean", geomean));
+
+/// The table Figs 10–16, the cache-vs-table comparison and the filter
+/// family share: one row per workload and one column per grid label,
+/// headed by the label. `row` maps a workload's reports, one per column,
+/// to the row's values; `footer` may close the table with a summary row.
+fn column_table(
+    reports: &[SimReport],
+    title: &str,
+    footer: Option<Footer>,
+    row: impl Fn(&[&SimReport]) -> Vec<f64>,
+) -> String {
+    let cols = columns(reports);
+    let mut head = vec!["benchmark"];
+    head.extend(cols.iter().map(|(label, _)| *label));
+    let mut t = TextTable::new(head);
+    let mut values = vec![Vec::new(); cols.len()];
+    for cells in rows(&cols) {
+        let mut line = vec![cells[0].workload.clone()];
+        for (col, v) in values.iter_mut().zip(row(&cells)) {
+            line.push(f3(v));
+            col.push(v);
+        }
+        t.row(line);
+    }
+    if let Some(Footer(name, reduce)) = footer {
+        let mut line = vec![name.to_string()];
+        line.extend(values.iter().map(|col| f3(reduce(col))));
+        t.row(line);
+    }
+    header(title) + &t.render()
+}
+
+/// Arithmetic mean of the finite values.
+fn finite_mean(values: &[f64]) -> f64 {
+    mean(
+        &values
+            .iter()
+            .copied()
+            .filter(|v| v.is_finite())
+            .collect::<Vec<_>>(),
+    )
+}
+
+/// A [`column_table`] row applying `metric` to every column's report.
+fn each(metric: impl Fn(&SimReport) -> f64) -> impl Fn(&[&SimReport]) -> Vec<f64> {
+    move |cells| cells.iter().map(|r| metric(r)).collect()
+}
+
+/// Mean of `metric` over one column.
+fn column_mean(col: &[&SimReport], metric: impl Fn(&SimReport) -> f64) -> f64 {
+    mean(&col.iter().map(|r| metric(r)).collect::<Vec<_>>())
+}
+
+/// Geometric-mean IPC of one column.
+fn geomean_ipc(col: &[&SimReport]) -> f64 {
+    geomean(&col.iter().map(|r| r.ipc()).collect::<Vec<_>>())
+}
+
+/// The "vs base" cell of a summary row: `base` for the first column, else
+/// the geomean IPC change against it.
+fn vs_base(j: usize, ipc: f64, base_ipc: f64) -> String {
+    if j == 0 {
+        "base".to_string()
+    } else {
+        pct(ipc / base_ipc - 1.0)
+    }
+}
+
 /// Table 1: the system configuration (static; printed for completeness).
-pub fn table1() -> String {
-    let cfg = ppf_types::SystemConfig::paper_default();
+fn table1() -> String {
+    let cfg = SystemConfig::paper_default();
     let mut out = header("Table 1: system configuration");
     let mut t = TextTable::new(vec!["parameter", "value"]);
     t.row(vec![
@@ -493,7 +585,7 @@ pub fn table1() -> String {
 }
 
 /// Table 2: measured vs paper miss rates, prefetch off.
-pub fn table2(reports: &[SimReport]) -> String {
+fn table2(reports: &[SimReport]) -> String {
     let mut out = header("Table 2: benchmark properties (prefetch off)");
     let mut t = TextTable::new(vec![
         "benchmark",
@@ -556,7 +648,7 @@ fn class_cell(mc: &ppf_types::MissClass) -> String {
 /// `figures calibrate`: per-workload drift against the Table 2 targets with
 /// the shadow-tag compulsory/capacity/conflict breakdown. Rows flagged `!`
 /// fall outside the calibration-test tolerance for that level.
-pub fn calibrate(reports: &[SimReport]) -> String {
+fn calibrate(reports: &[SimReport]) -> String {
     let mut out = header("Calibration: measured vs Table 2 targets (prefetch off)");
     let mut t = TextTable::new(vec![
         "benchmark",
@@ -612,7 +704,7 @@ pub fn calibrate(reports: &[SimReport]) -> String {
 }
 
 /// Figure 1: good/bad prefetch distribution, no filtering.
-pub fn fig1(reports: &[SimReport]) -> String {
+fn fig1(reports: &[SimReport]) -> String {
     let mut out = header("Figure 1: effectiveness of prefetches (no filter)");
     let mut t = TextTable::new(vec!["benchmark", "good%", "bad%", "good", "bad"]);
     let mut bad_fracs = Vec::new();
@@ -648,7 +740,7 @@ pub fn fig1(reports: &[SimReport]) -> String {
 /// "Probes" counts every prefetch offered to the L1 (including those
 /// squashed as duplicates after the tag check — they still occupied the
 /// tag array); "fills" counts prefetches that actually allocated a line.
-pub fn fig2(reports: &[SimReport]) -> String {
+fn fig2(reports: &[SimReport]) -> String {
     let mut out = header("Figure 2: traffic distribution of L1 cache");
     let mut t = TextTable::new(vec![
         "benchmark",
@@ -688,14 +780,42 @@ pub fn fig2(reports: &[SimReport]) -> String {
     out
 }
 
-const FILTER_LABELS: [&str; 3] = ["no-filter", "PA", "PC"];
+/// One L1 size of the none/PA/PC comparison, whose grid columns are the
+/// no-filter, PA and PC machines: what Figs 4–6 (8KB) or 7–9 (32KB)
+/// print besides the data.
+struct FilterFigures {
+    /// L1 size label.
+    cache: &'static str,
+    /// Figure number and the paper's quoted result of the counts, ratio
+    /// and IPC figures, in that order.
+    figs: [(u8, &'static str); 3],
+}
+
+const L1_8KB: FilterFigures = FilterFigures {
+    cache: "8KB",
+    figs: [
+        (4, "bad reduced 97%/98%; good lost 51%/48%"),
+        (5, "reduced 70% PA / 91% PC"),
+        (6, "+8.2% PA / +9.1% PC"),
+    ],
+};
+
+const L1_32KB: FilterFigures = FilterFigures {
+    cache: "32KB",
+    figs: [
+        (7, "bad reduced 91%/92%; good lost 35%/27%"),
+        (8, "reduced 75% PA / 93% PC"),
+        (9, "+7.0% PA / +8.1% PC"),
+    ],
+};
 
 /// Figures 4/7: bad and good prefetch counts for none/PA/PC, normalized to
 /// the good count without filtering.
-pub fn fig4_style(reports: &[SimReport], cache: &str) -> String {
+fn fig4_style(reports: &[SimReport], l1: &FilterFigures) -> String {
+    let (number, paper) = l1.figs[0];
     let mut out = header(&format!(
-        "Figure {}: prefetch counts, none/PA/PC ({cache} L1), normalized to good@no-filter",
-        if cache == "8KB" { "4" } else { "7" }
+        "Figure {number}: prefetch counts, none/PA/PC ({} L1), normalized to good@no-filter",
+        l1.cache
     ));
     let mut t = TextTable::new(vec![
         "benchmark",
@@ -706,352 +826,211 @@ pub fn fig4_style(reports: &[SimReport], cache: &str) -> String {
         "good:PA",
         "good:PC",
     ]);
-    let grouped: Vec<Vec<&SimReport>> = FILTER_LABELS
-        .iter()
-        .map(|l| with_label(reports, l))
-        .collect();
-    let mut bad_red_pa = Vec::new();
-    let mut bad_red_pc = Vec::new();
-    let mut good_red_pa = Vec::new();
-    let mut good_red_pc = Vec::new();
-    for i in 0..grouped[0].len() {
-        let base_good = grouped[0][i].stats.good_total().max(1) as f64;
-        let cells: Vec<f64> = (0..3)
-            .flat_map(|f| {
-                [
-                    grouped[f][i].stats.bad_total() as f64 / base_good,
-                    grouped[f][i].stats.good_total() as f64 / base_good,
-                ]
-            })
+    // PA's and PC's reductions against no filter.
+    let mut bad_red = [Vec::new(), Vec::new()];
+    let mut good_loss = [Vec::new(), Vec::new()];
+    for cells in rows(&columns(reports)) {
+        let base_good = cells[0].stats.good_total().max(1) as f64;
+        let bad: Vec<f64> = cells
+            .iter()
+            .map(|r| r.stats.bad_total() as f64 / base_good)
             .collect();
-        // cells = [bad_none, good_none, bad_pa, good_pa, bad_pc, good_pc]
-        if cells[0] > 0.0 {
-            bad_red_pa.push(1.0 - cells[2] / cells[0]);
-            bad_red_pc.push(1.0 - cells[4] / cells[0]);
+        let good: Vec<f64> = cells
+            .iter()
+            .map(|r| r.stats.good_total() as f64 / base_good)
+            .collect();
+        for f in 0..2 {
+            if bad[0] > 0.0 {
+                bad_red[f].push(1.0 - bad[f + 1] / bad[0]);
+            }
+            good_loss[f].push(1.0 - good[f + 1] / good[0]);
         }
-        good_red_pa.push(1.0 - cells[3] / cells[1]);
-        good_red_pc.push(1.0 - cells[5] / cells[1]);
-        t.row(vec![
-            grouped[0][i].workload.clone(),
-            f3(cells[0]),
-            f3(cells[2]),
-            f3(cells[4]),
-            f3(cells[1]),
-            f3(cells[3]),
-            f3(cells[5]),
-        ]);
+        let mut row = vec![cells[0].workload.clone()];
+        row.extend(bad.iter().chain(&good).map(|&v| f3(v)));
+        t.row(row);
     }
     out.push_str(&t.render());
     let _ = writeln!(
         out,
         "bad-prefetch reduction: PA {} / PC {}   good-prefetch loss: PA {} / PC {}",
-        pct(mean(&bad_red_pa)),
-        pct(mean(&bad_red_pc)),
-        pct(mean(&good_red_pa)),
-        pct(mean(&good_red_pc)),
+        pct(mean(&bad_red[0])),
+        pct(mean(&bad_red[1])),
+        pct(mean(&good_loss[0])),
+        pct(mean(&good_loss[1])),
     );
-    let paper = if cache == "8KB" {
-        "(paper @8KB: bad reduced 97%/98%; good lost 51%/48%)"
-    } else {
-        "(paper @32KB: bad reduced 91%/92%; good lost 35%/27%)"
-    };
-    let _ = writeln!(out, "{paper}");
+    let _ = writeln!(out, "(paper @{}: {paper})", l1.cache);
     out
 }
 
 /// Figures 5/8: bad/good prefetch ratio for none/PA/PC.
-pub fn fig5_style(reports: &[SimReport], cache: &str) -> String {
+fn fig5_style(reports: &[SimReport], l1: &FilterFigures) -> String {
+    let (number, paper) = l1.figs[1];
     let mut out = header(&format!(
-        "Figure {}: bad/good prefetch ratios ({cache} L1)",
-        if cache == "8KB" { "5" } else { "8" }
+        "Figure {number}: bad/good prefetch ratios ({} L1)",
+        l1.cache
     ));
     let mut t = TextTable::new(vec!["benchmark", "none", "PA", "PC"]);
-    let grouped: Vec<Vec<&SimReport>> = FILTER_LABELS
-        .iter()
-        .map(|l| with_label(reports, l))
-        .collect();
-    let mut red_pa = Vec::new();
-    let mut red_pc = Vec::new();
-    for i in 0..grouped[0].len() {
-        let ratios: Vec<f64> = (0..3)
-            .map(|f| grouped[f][i].stats.bad_good_ratio())
-            .collect();
+    // PA's and PC's ratio reductions, over finite ratios only.
+    let mut red = [Vec::new(), Vec::new()];
+    for cells in rows(&columns(reports)) {
+        let ratios: Vec<f64> = cells.iter().map(|r| r.stats.bad_good_ratio()).collect();
         if ratios[0] > 0.0 && ratios[0].is_finite() {
-            if ratios[1].is_finite() {
-                red_pa.push((1.0 - ratios[1] / ratios[0]).max(-5.0));
-            }
-            if ratios[2].is_finite() {
-                red_pc.push((1.0 - ratios[2] / ratios[0]).max(-5.0));
+            for f in 0..2 {
+                if ratios[f + 1].is_finite() {
+                    red[f].push((1.0 - ratios[f + 1] / ratios[0]).max(-5.0));
+                }
             }
         }
-        t.row(vec![
-            grouped[0][i].workload.clone(),
-            f3(ratios[0]),
-            f3(ratios[1]),
-            f3(ratios[2]),
-        ]);
+        let mut row = vec![cells[0].workload.clone()];
+        row.extend(ratios.iter().map(|&v| f3(v)));
+        t.row(row);
     }
     out.push_str(&t.render());
     let _ = writeln!(
         out,
         "mean ratio reduction: PA {} / PC {}",
-        pct(mean(&red_pa)),
-        pct(mean(&red_pc))
+        pct(mean(&red[0])),
+        pct(mean(&red[1]))
     );
-    let paper = if cache == "8KB" {
-        "(paper @8KB: reduced 70% PA / 91% PC)"
-    } else {
-        "(paper @32KB: reduced 75% PA / 93% PC)"
-    };
-    let _ = writeln!(out, "{paper}");
+    let _ = writeln!(out, "(paper @{}: {paper})", l1.cache);
     out
 }
 
 /// Figures 6/9: IPC for none/PA/PC.
-pub fn fig6_style(reports: &[SimReport], cache: &str) -> String {
+fn fig6_style(reports: &[SimReport], l1: &FilterFigures) -> String {
+    let (number, paper) = l1.figs[2];
     let mut out = header(&format!(
-        "Figure {}: IPC comparison ({cache} L1)",
-        if cache == "8KB" { "6" } else { "9" }
+        "Figure {number}: IPC comparison ({} L1)",
+        l1.cache
     ));
     let mut t = TextTable::new(vec!["benchmark", "none", "PA", "PC", "PA gain", "PC gain"]);
-    let grouped: Vec<Vec<&SimReport>> = FILTER_LABELS
-        .iter()
-        .map(|l| with_label(reports, l))
-        .collect();
-    let mut gain_pa = Vec::new();
-    let mut gain_pc = Vec::new();
-    for i in 0..grouped[0].len() {
-        let ipc: Vec<f64> = (0..3).map(|f| grouped[f][i].ipc()).collect();
-        gain_pa.push(ipc[1] / ipc[0]);
-        gain_pc.push(ipc[2] / ipc[0]);
-        t.row(vec![
-            grouped[0][i].workload.clone(),
-            f3(ipc[0]),
-            f3(ipc[1]),
-            f3(ipc[2]),
-            pct(ipc[1] / ipc[0] - 1.0),
-            pct(ipc[2] / ipc[0] - 1.0),
-        ]);
+    // PA's and PC's IPC over no filter.
+    let mut gain = [Vec::new(), Vec::new()];
+    for cells in rows(&columns(reports)) {
+        let ipc: Vec<f64> = cells.iter().map(|r| r.ipc()).collect();
+        let mut row = vec![cells[0].workload.clone()];
+        row.extend(ipc.iter().map(|&v| f3(v)));
+        for f in 0..2 {
+            gain[f].push(ipc[f + 1] / ipc[0]);
+            row.push(pct(ipc[f + 1] / ipc[0] - 1.0));
+        }
+        t.row(row);
     }
     out.push_str(&t.render());
     let _ = writeln!(
         out,
         "mean IPC gain: PA {} / PC {}",
-        pct(geomean(&gain_pa) - 1.0),
-        pct(geomean(&gain_pc) - 1.0)
+        pct(geomean(&gain[0]) - 1.0),
+        pct(geomean(&gain[1]) - 1.0)
     );
-    let paper = if cache == "8KB" {
-        "(paper @8KB: +8.2% PA / +9.1% PC)"
-    } else {
-        "(paper @32KB: +7.0% PA / +8.1% PC)"
-    };
-    let _ = writeln!(out, "{paper}");
+    let _ = writeln!(out, "(paper @{}: {paper})", l1.cache);
     out
 }
 
-fn size_labels() -> Vec<String> {
-    TABLE_SIZES.iter().map(|s| format!("{s}-entry")).collect()
+/// Figures 10/11's row: `metric` of every table size over its value at the
+/// paper's 4096 entries.
+fn per_4k_entries(metric: fn(&SimReport) -> f64) -> impl Fn(&[&SimReport]) -> Vec<f64> {
+    let at = TABLE_SIZES
+        .iter()
+        .position(|&s| s == 4096)
+        .expect("4K in sweep");
+    move |cells| {
+        let base = metric(cells[at]).max(1.0);
+        cells.iter().map(|r| metric(r) / base).collect()
+    }
 }
 
 /// Figure 10: good prefetches vs history-table size (normalized to 4K).
-pub fn fig10(reports: &[SimReport]) -> String {
-    table_sweep(
+fn fig10(reports: &[SimReport]) -> String {
+    column_table(
         reports,
         "Figure 10: good prefetches vs table size (PA, normalized to 4K entries)",
-        |r| r.stats.good_total() as f64,
+        None,
+        per_4k_entries(|r| r.stats.good_total() as f64),
     )
 }
 
 /// Figure 11: bad prefetches vs history-table size (normalized to 4K).
-pub fn fig11(reports: &[SimReport]) -> String {
-    table_sweep(
+fn fig11(reports: &[SimReport]) -> String {
+    column_table(
         reports,
         "Figure 11: bad prefetches vs table size (PA, normalized to 4K entries)",
-        |r| r.stats.bad_total() as f64,
+        None,
+        per_4k_entries(|r| r.stats.bad_total() as f64),
     )
 }
 
-fn table_sweep(reports: &[SimReport], title: &str, metric: impl Fn(&SimReport) -> f64) -> String {
-    let mut out = header(title);
-    let labels = size_labels();
-    let mut cols = vec!["benchmark".to_string()];
-    cols.extend(labels.clone());
-    let mut t = TextTable::new(cols);
-    let grouped: Vec<Vec<&SimReport>> = labels.iter().map(|l| with_label(reports, l)).collect();
-    let norm_idx = TABLE_SIZES
-        .iter()
-        .position(|&s| s == 4096)
-        .expect("4K in sweep");
-    for i in 0..grouped[0].len() {
-        let base = metric(grouped[norm_idx][i]).max(1.0);
-        let mut row = vec![grouped[0][i].workload.clone()];
-        for g in &grouped {
-            row.push(f3(metric(g[i]) / base));
-        }
-        t.row(row);
-    }
-    out.push_str(&t.render());
-    out
-}
-
 /// Figure 12: IPC vs history-table size.
-pub fn fig12(reports: &[SimReport]) -> String {
-    let mut out = header("Figure 12: IPC for different history table sizes (PA)");
-    let labels = size_labels();
-    let mut cols = vec!["benchmark".to_string()];
-    cols.extend(labels.clone());
-    let mut t = TextTable::new(cols);
-    let grouped: Vec<Vec<&SimReport>> = labels.iter().map(|l| with_label(reports, l)).collect();
-    let mut means: Vec<Vec<f64>> = vec![Vec::new(); labels.len()];
-    for i in 0..grouped[0].len() {
-        let mut row = vec![grouped[0][i].workload.clone()];
-        for (j, g) in grouped.iter().enumerate() {
-            row.push(f3(g[i].ipc()));
-            means[j].push(g[i].ipc());
-        }
-        t.row(row);
-    }
-    let mut mean_row = vec!["geomean".to_string()];
-    for m in &means {
-        mean_row.push(f3(geomean(m)));
-    }
-    t.row(mean_row);
-    out.push_str(&t.render());
-    let _ = writeln!(
-        out,
-        "(paper: ~6% gain from 2048 to 4096 entries, <1% beyond)"
-    );
-    out
-}
-
-fn port_labels() -> Vec<String> {
-    PORT_COUNTS.iter().map(|p| format!("{p}-port")).collect()
+fn fig12(reports: &[SimReport]) -> String {
+    column_table(
+        reports,
+        "Figure 12: IPC for different history table sizes (PA)",
+        GEOMEAN,
+        each(SimReport::ipc),
+    ) + "(paper: ~6% gain from 2048 to 4096 entries, <1% beyond)\n"
 }
 
 /// Figure 13: bad/good ratio vs L1 port count (PA filter).
-pub fn fig13(reports: &[SimReport]) -> String {
-    let mut out = header("Figure 13: bad/good prefetch ratios vs number of L1 ports (PA)");
-    let labels = port_labels();
-    let mut cols = vec!["benchmark".to_string()];
-    cols.extend(labels.clone());
-    let mut t = TextTable::new(cols);
-    let grouped: Vec<Vec<&SimReport>> = labels.iter().map(|l| with_label(reports, l)).collect();
-    let mut per_port_means: Vec<Vec<f64>> = vec![Vec::new(); labels.len()];
-    for i in 0..grouped[0].len() {
-        let mut row = vec![grouped[0][i].workload.clone()];
-        for (j, g) in grouped.iter().enumerate() {
-            let ratio = g[i].stats.bad_good_ratio();
-            row.push(f3(ratio));
-            if ratio.is_finite() {
-                per_port_means[j].push(ratio);
-            }
-        }
-        t.row(row);
-    }
-    let mut mean_row = vec!["mean".to_string()];
-    for m in &per_port_means {
-        mean_row.push(f3(mean(m)));
-    }
-    t.row(mean_row);
-    out.push_str(&t.render());
-    let _ = writeln!(out, "(paper: ratio drops ~6% 3->4 ports, ~2% 4->5)");
-    out
+fn fig13(reports: &[SimReport]) -> String {
+    column_table(
+        reports,
+        "Figure 13: bad/good prefetch ratios vs number of L1 ports (PA)",
+        MEAN,
+        each(|r| r.stats.bad_good_ratio()),
+    ) + "(paper: ratio drops ~6% 3->4 ports, ~2% 4->5)\n"
 }
 
 /// Figure 14: IPC vs L1 port count (PA filter).
-pub fn fig14(reports: &[SimReport]) -> String {
-    let mut out = header("Figure 14: IPC vs number of L1 ports (PA)");
-    let labels = port_labels();
-    let mut cols = vec!["benchmark".to_string()];
-    cols.extend(labels.clone());
-    let mut t = TextTable::new(cols);
-    let grouped: Vec<Vec<&SimReport>> = labels.iter().map(|l| with_label(reports, l)).collect();
-    let mut means: Vec<Vec<f64>> = vec![Vec::new(); labels.len()];
-    for i in 0..grouped[0].len() {
-        let mut row = vec![grouped[0][i].workload.clone()];
-        for (j, g) in grouped.iter().enumerate() {
-            row.push(f3(g[i].ipc()));
-            means[j].push(g[i].ipc());
-        }
-        t.row(row);
-    }
-    let mut mean_row = vec!["geomean".to_string()];
-    for m in &means {
-        mean_row.push(f3(geomean(m)));
-    }
-    t.row(mean_row);
-    out.push_str(&t.render());
-    let _ = writeln!(
-        out,
-        "(paper: +4% IPC 3->4 ports, <1% 4->5; latency grows with ports)"
-    );
-    out
+fn fig14(reports: &[SimReport]) -> String {
+    column_table(
+        reports,
+        "Figure 14: IPC vs number of L1 ports (PA)",
+        GEOMEAN,
+        each(SimReport::ipc),
+    ) + "(paper: +4% IPC 3->4 ports, <1% 4->5; latency grows with ports)\n"
 }
 
-const BUFFER_LABELS: [&str; 4] = ["PA", "PA+buffer", "PC", "PC+buffer"];
-
 /// Figure 15: bad/good ratio with and without the dedicated prefetch buffer.
-pub fn fig15(reports: &[SimReport]) -> String {
-    let mut out = header("Figure 15: bad/good prefetch ratios with prefetch buffer");
-    let mut cols = vec!["benchmark".to_string()];
-    cols.extend(BUFFER_LABELS.iter().map(|s| s.to_string()));
-    let mut t = TextTable::new(cols);
-    let grouped: Vec<Vec<&SimReport>> = BUFFER_LABELS
-        .iter()
-        .map(|l| with_label(reports, l))
-        .collect();
-    for i in 0..grouped[0].len() {
-        let mut row = vec![grouped[0][i].workload.clone()];
-        for g in &grouped {
-            row.push(f3(g[i].stats.bad_good_ratio()));
-        }
-        t.row(row);
-    }
-    out.push_str(&t.render());
-    let _ = writeln!(
-        out,
-        "(paper: the dedicated buffer degrades the filters' effectiveness)"
-    );
-    out
+fn fig15(reports: &[SimReport]) -> String {
+    column_table(
+        reports,
+        "Figure 15: bad/good prefetch ratios with prefetch buffer",
+        None,
+        each(|r| r.stats.bad_good_ratio()),
+    ) + "(paper: the dedicated buffer degrades the filters' effectiveness)\n"
 }
 
 /// Figure 16: IPC with and without the dedicated prefetch buffer.
-pub fn fig16(reports: &[SimReport]) -> String {
-    let mut out = header("Figure 16: IPC comparison with prefetch buffer");
-    let mut cols = vec!["benchmark".to_string()];
-    cols.extend(BUFFER_LABELS.iter().map(|s| s.to_string()));
-    let mut t = TextTable::new(cols);
-    let grouped: Vec<Vec<&SimReport>> = BUFFER_LABELS
-        .iter()
-        .map(|l| with_label(reports, l))
+fn fig16(reports: &[SimReport]) -> String {
+    let mut out = column_table(
+        reports,
+        "Figure 16: IPC comparison with prefetch buffer",
+        None,
+        each(SimReport::ipc),
+    );
+    // Each filter's column is followed by its +buffer column.
+    let change: Vec<String> = columns(reports)
+        .chunks(2)
+        .map(|pair| {
+            let ratios: Vec<f64> = pair[0]
+                .1
+                .iter()
+                .zip(&pair[1].1)
+                .map(|(alone, buffered)| buffered.ipc() / alone.ipc())
+                .collect();
+            format!("{} {}", pair[0].0, pct(geomean(&ratios) - 1.0))
+        })
         .collect();
-    let mut pa_loss = Vec::new();
-    let mut pc_loss = Vec::new();
-    for i in 0..grouped[0].len() {
-        let mut row = vec![grouped[0][i].workload.clone()];
-        let ipcs: Vec<f64> = grouped.iter().map(|g| g[i].ipc()).collect();
-        pa_loss.push(ipcs[1] / ipcs[0]);
-        pc_loss.push(ipcs[3] / ipcs[2]);
-        for v in &ipcs {
-            row.push(f3(*v));
-        }
-        t.row(row);
-    }
-    out.push_str(&t.render());
     let _ = writeln!(
         out,
-        "IPC change from adding the buffer: PA {} / PC {}",
-        pct(geomean(&pa_loss) - 1.0),
-        pct(geomean(&pc_loss) - 1.0)
+        "IPC change from adding the buffer: {}",
+        change.join(" / ")
     );
-    let _ = writeln!(out, "(paper: buffer costs 9% IPC under PA, 10% under PC)");
-    out
+    out + "(paper: buffer costs 9% IPC under PA, 10% under PC)\n"
 }
 
-const SOLO_LABELS: [&str; 4] = ["NSP/no-filter", "NSP/PA", "SDP/no-filter", "SDP/PA"];
-
 /// §5.2.1: NSP-only and SDP-only machines, with and without the PA filter.
-pub fn nsp_sdp(reports: &[SimReport]) -> String {
+fn nsp_sdp(reports: &[SimReport]) -> String {
     let mut out = header("Section 5.2.1: per-prefetcher analysis (hardware prefetcher alone)");
     let mut t = TextTable::new(vec![
         "config",
@@ -1060,18 +1039,14 @@ pub fn nsp_sdp(reports: &[SimReport]) -> String {
         "good loss",
         "geomean IPC",
     ]);
-    let grouped: Vec<Vec<&SimReport>> =
-        SOLO_LABELS.iter().map(|l| with_label(reports, l)).collect();
-    for pair in [(0usize, 1usize), (2, 3)] {
-        let (base, filt) = pair;
+    // Each prefetcher's no-filter column is followed by its PA column.
+    for pair in columns(reports).chunks(2) {
+        let ((base_label, base), (filt_label, filt)) = (&pair[0], &pair[1]);
         let mut gb_ratios = Vec::new();
         let mut bad_red = Vec::new();
         let mut good_loss = Vec::new();
-        let mut ipcs_base = Vec::new();
-        let mut ipcs_filt = Vec::new();
-        for i in 0..grouped[base].len() {
-            let b = &grouped[base][i].stats;
-            let f = &grouped[filt][i].stats;
+        for (b, f) in base.iter().zip(filt) {
+            let (b, f) = (&b.stats, &f.stats);
             if b.bad_total() > 0 {
                 gb_ratios.push(b.good_total() as f64 / b.bad_total() as f64);
                 bad_red.push(1.0 - f.bad_total() as f64 / b.bad_total() as f64);
@@ -1079,22 +1054,20 @@ pub fn nsp_sdp(reports: &[SimReport]) -> String {
             if b.good_total() > 0 {
                 good_loss.push(1.0 - f.good_total() as f64 / b.good_total() as f64);
             }
-            ipcs_base.push(grouped[base][i].ipc());
-            ipcs_filt.push(grouped[filt][i].ipc());
         }
         t.row(vec![
-            SOLO_LABELS[base].to_string(),
+            base_label.to_string(),
             f3(mean(&gb_ratios)),
             "-".to_string(),
             "-".to_string(),
-            f3(geomean(&ipcs_base)),
+            f3(geomean_ipc(base)),
         ]);
         t.row(vec![
-            SOLO_LABELS[filt].to_string(),
+            filt_label.to_string(),
             "-".to_string(),
             pct(mean(&bad_red)),
             pct(mean(&good_loss)),
-            f3(geomean(&ipcs_filt)),
+            f3(geomean_ipc(filt)),
         ]);
     }
     out.push_str(&t.render());
@@ -1105,40 +1078,15 @@ pub fn nsp_sdp(reports: &[SimReport]) -> String {
     out
 }
 
-const CVT_LABELS: [&str; 3] = ["8KB/no-filter", "8KB+PA-1KB", "16KB/no-filter"];
-
 /// §5.2.1: is a 1KB history table worth more than more cache?
-pub fn cache_vs_table(reports: &[SimReport]) -> String {
-    let mut out = header("Section 5.2.1: 1KB history table vs larger cache");
-    let mut cols = vec!["benchmark".to_string()];
-    cols.extend(CVT_LABELS.iter().map(|s| s.to_string()));
-    let mut t = TextTable::new(cols);
-    let grouped: Vec<Vec<&SimReport>> = CVT_LABELS.iter().map(|l| with_label(reports, l)).collect();
-    let mut means: Vec<Vec<f64>> = vec![Vec::new(); CVT_LABELS.len()];
-    for i in 0..grouped[0].len() {
-        let mut row = vec![grouped[0][i].workload.clone()];
-        for (j, g) in grouped.iter().enumerate() {
-            row.push(f3(g[i].ipc()));
-            means[j].push(g[i].ipc());
-        }
-        t.row(row);
-    }
-    let mut mean_row = vec!["geomean".to_string()];
-    for m in &means {
-        mean_row.push(f3(geomean(m)));
-    }
-    t.row(mean_row);
-    out.push_str(&t.render());
-    let _ = writeln!(
-        out,
-        "(paper: 16KB L1 gains ~20%; adding the 1KB table to 8KB is the\n cheaper alternative per byte)"
-    );
-    out
+fn cache_vs_table(reports: &[SimReport]) -> String {
+    column_table(
+        reports,
+        "Section 5.2.1: 1KB history table vs larger cache",
+        GEOMEAN,
+        each(SimReport::ipc),
+    ) + "(paper: 16KB L1 gains ~20%; adding the 1KB table to 8KB is the\n cheaper alternative per byte)\n"
 }
-
-/// Filter kinds in the family head-to-head, in column order. The first
-/// label is the no-filter baseline the IPC deltas compare against.
-const FAMILY_LABELS: [&str; 5] = ["no-filter", "PA", "PC", "hybrid", "perceptron"];
 
 /// Prefetch coverage: the fraction of would-be demand misses the
 /// prefetcher turned into hits (good prefetches over good prefetches plus
@@ -1159,28 +1107,16 @@ fn coverage(r: &SimReport) -> f64 {
 /// quality the paper optimizes); the second aggregates each kind's geomean
 /// IPC delta against the unfiltered machine, mean coverage, and the bits
 /// the design actually spends (history/weight tables via [`FilterCost`](ppf_filter::cost::FilterCost)).
-pub fn filter_family(reports: &[SimReport]) -> String {
+fn filter_family(reports: &[SimReport]) -> String {
     use ppf_filter::cost::FilterCost;
     use ppf_filter::recovery::DEFAULT_REJECT_LOG;
-    use ppf_types::{FilterKind, SystemConfig};
 
-    let mut out = header("Filter family: fraction_good per workload at one storage budget");
-    let mut cols = vec!["benchmark".to_string()];
-    cols.extend(FAMILY_LABELS.iter().map(|s| s.to_string()));
-    let mut t = TextTable::new(cols);
-    let grouped: Vec<Vec<&SimReport>> = FAMILY_LABELS
-        .iter()
-        .map(|l| with_label(reports, l))
-        .collect();
-    for i in 0..grouped[0].len() {
-        let mut row = vec![grouped[0][i].workload.clone()];
-        for g in &grouped {
-            row.push(f3(fraction_good(g[i])));
-        }
-        t.row(row);
-    }
-    out.push_str(&t.render());
-
+    let mut out = column_table(
+        reports,
+        "Filter family: fraction_good per workload at one storage budget",
+        None,
+        each(fraction_good),
+    );
     let mut s = TextTable::new(vec![
         "filter",
         "geomean IPC",
@@ -1189,31 +1125,19 @@ pub fn filter_family(reports: &[SimReport]) -> String {
         "mean coverage",
         "table bits",
     ]);
-    let kinds = [
-        FilterKind::None,
-        FilterKind::Pa,
-        FilterKind::Pc,
-        FilterKind::Hybrid,
-        FilterKind::Perceptron,
-    ];
-    let base_ipc = geomean(&grouped[0].iter().map(|r| r.ipc()).collect::<Vec<_>>());
-    for (j, label) in FAMILY_LABELS.iter().enumerate() {
-        let rows = &grouped[j];
-        let g = geomean(&rows.iter().map(|r| r.ipc()).collect::<Vec<_>>());
-        let cfg = SystemConfig::paper_default().with_filter(kinds[j]);
+    let cols = columns(reports);
+    let base_ipc = cols.first().map_or(0.0, |(_, col)| geomean_ipc(col));
+    // The grid's columns are `FAMILY_FILTERS` in order.
+    for (j, ((label, col), kind)) in cols.iter().zip(FAMILY_FILTERS).enumerate() {
+        let g = geomean_ipc(col);
+        let cfg = SystemConfig::paper_default().with_filter(kind);
         let cost = FilterCost::of(&cfg.filter, &cfg.l1, DEFAULT_REJECT_LOG);
         s.row(vec![
             label.to_string(),
             f3(g),
-            if j == 0 {
-                "base".to_string()
-            } else {
-                pct(g / base_ipc - 1.0)
-            },
-            f3(mean(
-                &rows.iter().map(|r| fraction_good(r)).collect::<Vec<_>>(),
-            )),
-            f3(mean(&rows.iter().map(|r| coverage(r)).collect::<Vec<_>>())),
+            vs_base(j, g, base_ipc),
+            f3(column_mean(col, fraction_good)),
+            f3(column_mean(col, coverage)),
             cost.history_table_bits.to_string(),
         ]);
     }
@@ -1227,13 +1151,6 @@ pub fn filter_family(reports: &[SimReport]) -> String {
     );
     out
 }
-
-/// Hardening levels in the attack matrix, in the order the summary walks
-/// them (mirrors `experiments::HARDENINGS`).
-const HARDENING_ORDER: [&str; 4] = ["unhardened", "salted", "partitioned", "hardened"];
-
-/// Filters covered by the attack matrix (`FilterKind::label` spellings).
-const ATTACK_FILTERS: [&str; 4] = ["PA", "PC", "hybrid", "perceptron"];
 
 /// Fraction of classified prefetches that were good (1.0 when the cell
 /// classified nothing — no pollution observed).
@@ -1250,30 +1167,30 @@ fn fraction_good(r: &SimReport) -> f64 {
 /// The adversarial attack-vs-hardening matrix (DESIGN.md §12): one row per
 /// filter × attack (plus the clean baseline), one column per hardening
 /// level, cells showing `fraction_good` over the whole run. The footer
-/// compares fully hardened (salt + partitions) against unhardened across
-/// every attacked cell.
-pub fn attack_matrix(reports: &[SimReport]) -> String {
+/// compares fully hardened (salt + partitions, the last level) against
+/// unhardened (the first) across every attacked cell.
+fn attack_matrix(reports: &[SimReport]) -> String {
     let mut out = header("Attack matrix: fraction_good per attack and hardening level");
-    let mut cols = vec!["filter".to_string(), "attack".to_string()];
-    cols.extend(HARDENING_ORDER.iter().map(|h| h.to_string()));
-    let mut t = TextTable::new(cols);
+    let mut head = vec!["filter", "attack"];
+    head.extend(HARDENINGS.iter().map(|(h, _, _)| *h));
+    let mut t = TextTable::new(head);
     let find = |label: String| reports.iter().find(|r| r.label == label);
     let mut unhardened = Vec::new();
     let mut hardened = Vec::new();
     let attacks: Vec<String> = std::iter::once("clean".to_string())
         .chain(AttackKind::ALL.iter().map(|a| a.to_string()))
         .collect();
-    for filter in ATTACK_FILTERS {
+    for filter in ATTACKED_FILTERS.map(FilterKind::label) {
         for attack in &attacks {
             let mut row = vec![filter.to_string(), attack.clone()];
             let mut cells: Vec<Option<f64>> = Vec::new();
-            for h in HARDENING_ORDER {
+            for (h, _, _) in HARDENINGS {
                 let fg = find(format!("{filter}/{h}/{attack}")).map(fraction_good);
                 row.push(fg.map(f3).unwrap_or_else(|| "—".to_string()));
                 cells.push(fg);
             }
             if attack != "clean" {
-                if let (Some(u), Some(hd)) = (cells[0], cells[3]) {
+                if let [Some(u), .., Some(hd)] = cells[..] {
                     unhardened.push(u);
                     hardened.push(hd);
                 }
@@ -1299,15 +1216,8 @@ pub fn attack_matrix(reports: &[SimReport]) -> String {
 
 /// Generic ablation summary: one row per config label with geomean IPC,
 /// mean L1 miss rate, prefetch outcome counts and relative traffic.
-pub fn ablation_summary(reports: &[SimReport], title: &str) -> String {
+fn ablation_summary(reports: &[SimReport], title: &str) -> String {
     let mut out = header(title);
-    // Collect labels in first-appearance order.
-    let mut labels: Vec<String> = Vec::new();
-    for r in reports {
-        if !labels.contains(&r.label) {
-            labels.push(r.label.clone());
-        }
-    }
     let mut t = TextTable::new(vec![
         "config",
         "geomean IPC",
@@ -1317,35 +1227,19 @@ pub fn ablation_summary(reports: &[SimReport], title: &str) -> String {
         "bad pf",
         "issued",
     ]);
-    let mut base_ipc = 0.0;
-    for (i, label) in labels.iter().enumerate() {
-        let rows = with_label(reports, label);
-        let ipcs: Vec<f64> = rows.iter().map(|r| r.ipc()).collect();
-        let g = geomean(&ipcs);
-        if i == 0 {
-            base_ipc = g;
-        }
-        let miss = mean(
-            &rows
-                .iter()
-                .map(|r| r.stats.l1.miss_rate())
-                .collect::<Vec<_>>(),
-        );
-        let good: u64 = rows.iter().map(|r| r.stats.good_total()).sum();
-        let bad: u64 = rows.iter().map(|r| r.stats.bad_total()).sum();
-        let issued: u64 = rows.iter().map(|r| r.stats.prefetches_issued.total()).sum();
+    let cols = columns(reports);
+    let base_ipc = cols.first().map_or(0.0, |(_, col)| geomean_ipc(col));
+    for (j, (label, col)) in cols.iter().enumerate() {
+        let g = geomean_ipc(col);
+        let sum = |count: fn(&SimReport) -> u64| col.iter().map(|r| count(r)).sum::<u64>();
         t.row(vec![
-            label.clone(),
+            label.to_string(),
             f3(g),
-            if i == 0 {
-                "base".to_string()
-            } else {
-                pct(g / base_ipc - 1.0)
-            },
-            pct(miss),
-            good.to_string(),
-            bad.to_string(),
-            issued.to_string(),
+            vs_base(j, g, base_ipc),
+            pct(column_mean(col, |r| r.stats.l1.miss_rate())),
+            sum(|r| r.stats.good_total()).to_string(),
+            sum(|r| r.stats.bad_total()).to_string(),
+            sum(|r| r.stats.prefetches_issued.total()).to_string(),
         ]);
     }
     out.push_str(&t.render());
@@ -1394,6 +1288,69 @@ mod tests {
         assert!(t.contains("512KB"));
         assert!(t.contains("4096 entries"));
         assert!(t.contains("150 cycles"));
+    }
+
+    /// A report of `label` on `workload` at IPC 1 with `good` and `bad`
+    /// classified prefetches.
+    fn report(label: &str, workload: &str, good: u64, bad: u64) -> SimReport {
+        let mut stats = ppf_types::SimStats {
+            instructions: 1_000,
+            cycles: 1_000,
+            ..Default::default()
+        };
+        stats.prefetch_good.by_source[0] = good;
+        stats.prefetch_bad.by_source[0] = bad;
+        SimReport {
+            label: label.to_string(),
+            workload: workload.to_string(),
+            seed: 1,
+            stats,
+        }
+    }
+
+    /// The cells of the line of `out` whose first cell is `first`.
+    fn row<'a>(out: &'a str, first: &str) -> Vec<&'a str> {
+        out.lines()
+            .map(|line| line.split_whitespace().collect::<Vec<_>>())
+            .find(|cells| cells.first() == Some(&first))
+            .unwrap_or_else(|| panic!("no `{first}` row in\n{out}"))
+    }
+
+    #[test]
+    fn footers_skip_infinite_bad_good_ratios() {
+        // gzip has bad prefetches and no good ones on the 4-port machine:
+        // its ratio prints as `inf` and stays out of Fig 13's mean row.
+        let mut reports = Vec::new();
+        for (label, gzip) in [
+            ("3-port", (10, 10)),
+            ("4-port", (0, 7)),
+            ("5-port", (10, 10)),
+        ] {
+            reports.push(report(label, "em3d", 10, 5));
+            reports.push(report(label, "gzip", gzip.0, gzip.1));
+        }
+        let out = fig13(&reports);
+        assert_eq!(row(&out, "gzip"), ["gzip", "1.000", "inf", "1.000"]);
+        assert_eq!(row(&out, "mean"), ["mean", "0.750", "0.500", "0.750"]);
+
+        // Fig 5's reduction skips a filter with an infinite ratio (gzip
+        // under PA) and a workload with an infinite baseline (mcf).
+        let mut reports = Vec::new();
+        for (label, cells) in [
+            ("no-filter", [(10, 10), (10, 10), (0, 4)]),
+            ("PA", [(10, 5), (0, 7), (10, 5)]),
+            ("PC", [(10, 5), (8, 2), (10, 5)]),
+        ] {
+            for (w, (good, bad)) in ["em3d", "gzip", "mcf"].into_iter().zip(cells) {
+                reports.push(report(label, w, good, bad));
+            }
+        }
+        let out = fig5_style(&reports, &L1_8KB);
+        assert_eq!(row(&out, "mcf"), ["mcf", "inf", "0.500", "0.500"]);
+        assert!(
+            out.contains("mean ratio reduction: PA 50.0% / PC 62.5%"),
+            "{out}"
+        );
     }
 
     #[test]

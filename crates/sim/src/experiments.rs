@@ -555,6 +555,16 @@ pub fn fig15_16(n: u64) -> Vec<RunSpec> {
     grid
 }
 
+/// The filter kinds of the family head-to-head, in grid order: the
+/// no-filter baseline first.
+pub const FAMILY_FILTERS: [FilterKind; 5] = [
+    FilterKind::None,
+    FilterKind::Pa,
+    FilterKind::Pc,
+    FilterKind::Hybrid,
+    FilterKind::Perceptron,
+];
+
 /// The equal-bit-budget filter family head-to-head (DESIGN.md §15): every
 /// filter kind — none, PA, PC, the 2-bit Hybrid tournament, and the hashed
 /// perceptron — on the default machine over all ten workloads. Every
@@ -564,13 +574,7 @@ pub fn fig15_16(n: u64) -> Vec<RunSpec> {
 /// isolates the prediction structure, not the silicon area.
 pub fn filter_family(n: u64) -> Vec<RunSpec> {
     let mut grid = Vec::new();
-    for kind in [
-        FilterKind::None,
-        FilterKind::Pa,
-        FilterKind::Pc,
-        FilterKind::Hybrid,
-        FilterKind::Perceptron,
-    ] {
+    for kind in FAMILY_FILTERS {
         let label = if kind == FilterKind::None {
             "no-filter"
         } else {
@@ -631,6 +635,14 @@ pub const HARDENINGS: [(&str, u64, usize); 4] = [
     ("hardened", HARDENING_SALT, 4),
 ];
 
+/// The filters the attack matrix covers, in grid order.
+pub const ATTACKED_FILTERS: [FilterKind; 4] = [
+    FilterKind::Pa,
+    FilterKind::Pc,
+    FilterKind::Hybrid,
+    FilterKind::Perceptron,
+];
+
 /// The adversarial attack-vs-hardening matrix (DESIGN.md §12): every
 /// [`AttackKind`] × hardening level × {PA, PC, Hybrid, Perceptron} on
 /// em3d, plus one clean (attack-free) cell per configuration as the
@@ -639,12 +651,7 @@ pub const HARDENINGS: [(&str, u64, usize); 4] = [
 /// leaving half the run to observe recovery.
 pub fn attack_matrix(n: u64) -> Vec<RunSpec> {
     let mut grid = Vec::new();
-    for kind in [
-        FilterKind::Pa,
-        FilterKind::Pc,
-        FilterKind::Hybrid,
-        FilterKind::Perceptron,
-    ] {
+    for kind in ATTACKED_FILTERS {
         for (hardening, salt, partitions) in HARDENINGS {
             let cfg = SystemConfig::paper_default()
                 .with_filter(kind)
