@@ -928,7 +928,7 @@ fn fig6_style(reports: &[SimReport], l1: &FilterFigures) -> String {
 }
 
 /// Figures 10/11's row: `metric` of every table size over its value at the
-/// paper's 4096 entries.
+/// paper's 4096 entries (the grid's columns are `TABLE_SIZES` in order).
 fn per_4k_entries(metric: fn(&SimReport) -> f64) -> impl Fn(&[&SimReport]) -> Vec<f64> {
     let at = TABLE_SIZES
         .iter()
