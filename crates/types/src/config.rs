@@ -557,6 +557,19 @@ impl SystemConfig {
         if self.filter.counter_bits == 0 || self.filter.counter_bits > 8 {
             return Err(PpfError::config_invalid("counter_bits must be in 1..=8"));
         }
+        if let Some(threshold) = self.filter.adaptive_accuracy_threshold {
+            // `contains` is false for NaN too.
+            if !(0.0..=1.0).contains(&threshold) {
+                return Err(PpfError::config_invalid(format!(
+                    "adaptive_accuracy_threshold {threshold} must be in [0, 1]"
+                )));
+            }
+            if self.filter.adaptive_window == 0 {
+                return Err(PpfError::config_invalid(
+                    "adaptive_window must be nonzero when the adaptive gate is on",
+                ));
+            }
+        }
         if !self.core.branch.bimodal_entries.is_power_of_two()
             || !self.core.branch.btb_sets.is_power_of_two()
         {
@@ -860,6 +873,34 @@ mod tests {
         let mut c = SystemConfig::paper_default();
         c.mem.banks = 4;
         c.mem.bank_busy = 40;
+        assert!(c.validate().is_ok());
+    }
+
+    #[test]
+    fn validate_rejects_invalid_adaptive_gate() {
+        // Each of these passed validation, then panicked in the gate's
+        // constructor when the simulator was built.
+        for threshold in [1.5, -0.1, f64::NAN] {
+            let mut c = SystemConfig::paper_default().with_filter(FilterKind::Pa);
+            c.filter.adaptive_accuracy_threshold = Some(threshold);
+            let err = c.validate().expect_err("threshold outside [0, 1]");
+            assert_eq!(err.kind(), crate::PpfErrorKind::ConfigInvalid);
+        }
+        let mut c = SystemConfig::paper_default().with_filter(FilterKind::Pa);
+        c.filter.adaptive_accuracy_threshold = Some(0.5);
+        c.filter.adaptive_window = 0;
+        let err = c.validate().expect_err("zero adaptive window");
+        assert_eq!(err.kind(), crate::PpfErrorKind::ConfigInvalid);
+
+        // The bounds are inclusive, and with the gate off the window is
+        // unused.
+        for threshold in [0.0, 1.0] {
+            let mut c = SystemConfig::paper_default();
+            c.filter.adaptive_accuracy_threshold = Some(threshold);
+            assert!(c.validate().is_ok(), "threshold {threshold}");
+        }
+        let mut c = SystemConfig::paper_default();
+        c.filter.adaptive_window = 0;
         assert!(c.validate().is_ok());
     }
 
