@@ -60,6 +60,10 @@ kernel_identity() {
     # must hash to the committed digest under optimized codegen too, the
     # contract a host-time-only change (table storage, kernel) is held to.
     cargo test --release -q -p ppf-bench --test figures_json
+    # Filter-decision golden: the perceptron filter-family cell byte-pins
+    # every filter decision over a full simulated run, so a filter
+    # refactor must reproduce it under optimized codegen too.
+    cargo test --release -q --test extensions
     # Arrival property: no access completes before its line's fill-ready
     # cycle, under optimized codegen too, which reorders the max-with-ready
     # on every hit path.

@@ -1106,11 +1106,9 @@ fn coverage(r: &SimReport) -> f64 {
 /// table shows per-workload `fraction_good` (the pollution-filtering
 /// quality the paper optimizes); the second aggregates each kind's geomean
 /// IPC delta against the unfiltered machine, mean coverage, and the bits
-/// the design actually spends (history/weight tables via [`FilterCost`](ppf_filter::cost::FilterCost)).
+/// the design actually spends (history/weight tables, from
+/// [`PollutionFilter::storage_bits`](ppf_filter::PollutionFilter::storage_bits)).
 fn filter_family(reports: &[SimReport]) -> String {
-    use ppf_filter::cost::FilterCost;
-    use ppf_filter::recovery::DEFAULT_REJECT_LOG;
-
     let mut out = column_table(
         reports,
         "Filter family: fraction_good per workload at one storage budget",
@@ -1130,15 +1128,15 @@ fn filter_family(reports: &[SimReport]) -> String {
     // The grid's columns are `FAMILY_FILTERS` in order.
     for (j, ((label, col), kind)) in cols.iter().zip(FAMILY_FILTERS).enumerate() {
         let g = geomean_ipc(col);
-        let cfg = SystemConfig::paper_default().with_filter(kind);
-        let cost = FilterCost::of(&cfg.filter, &cfg.l1, DEFAULT_REJECT_LOG);
+        let filter = SystemConfig::paper_default().with_filter(kind).filter;
+        let bits = ppf_filter::PollutionFilter::new(&filter).storage_bits();
         s.row(vec![
             label.to_string(),
             f3(g),
             vs_base(j, g, base_ipc),
             f3(column_mean(col, fraction_good)),
             f3(column_mean(col, coverage)),
-            cost.history_table_bits.to_string(),
+            bits.to_string(),
         ]);
     }
     out.push_str(&s.render());

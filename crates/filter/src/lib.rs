@@ -1,18 +1,24 @@
 //! The paper's contribution: hardware cache-pollution filters for
 //! aggressive prefetches (§4 of Zhuang & Lee, ICPP 2003).
 //!
-//! A [`PollutionFilter`] consists of a single-level **history table** of
-//! 2-bit saturating counters, a hash function, and lookup/update logic — the
-//! same machinery as a bimodal branch predictor. Incoming prefetches are
-//! looked up before issue:
+//! A [`PollutionFilter`] looks every prefetch up before issue and trains on
+//! the PIB/RIB feedback of evicted prefetched lines. It holds one of four
+//! predictors, chosen by [`ppf_types::FilterKind`]:
 //!
-//! * **PA-based** ([`ppf_types::FilterKind::Pa`]): indexed by the prefetched
-//!   *cache-line address* (offset bits stripped). Discriminates different
-//!   addresses fetched by the same instruction, but aliases more in a small
-//!   table (§4.1).
-//! * **PC-based** ([`ppf_types::FilterKind::Pc`]): indexed by the *program
-//!   counter* of the triggering instruction. Coarser but more compact; needs
-//!   the PC routed to the filter on a separate path (§4.2).
+//! * **None**: admits everything and stores nothing (the baseline machine).
+//! * **PA** and **PC** (the paper's filters): a single-level **history
+//!   table** of 2-bit saturating counters, a hash function, and
+//!   lookup/update logic — the same machinery as a bimodal branch
+//!   predictor. PA indexes by the prefetched *cache-line address*, which
+//!   tells apart addresses fetched by the same instruction but aliases more
+//!   in a small table (§4.1). PC indexes by the *program counter* of the
+//!   triggering instruction, which is coarser but more compact and needs the
+//!   PC routed to the filter on a separate path (§4.2). Either can keep one
+//!   table per prefetch source instead (`split_by_source`).
+//! * **Hybrid** (extension): a PA table and a PC table with a PC-indexed
+//!   tournament chooser picking between them.
+//! * **Perceptron** (extension, [`perceptron`]): signed weight tables over
+//!   five features, summed against a threshold.
 //!
 //! Training is eviction-driven: when the L1 replaces a line whose PIB is
 //! set, the line's RIB (referenced-or-not) strengthens or weakens the
@@ -20,26 +26,31 @@
 //! counter predicts "good" (counter in the upper half, like a taken branch);
 //! unseen entries start weakly-good so first-touch prefetches pass — the
 //! paper relies on this ("all prefetches first mapped to the history table
-//! are assumed to be good and issued", §5.3).
+//! are assumed to be good and issued", §5.3). Every filtering kind shares
+//! one storage budget, `table_entries × counter_bits` bits, and
+//! [`PollutionFilter::storage_bits`] reports what it actually allocates.
 //!
 //! [`adaptive::AdaptiveGate`] implements the "advanced features" remark in
 //! §5.2.1: engage filtering only while observed prefetch accuracy is low.
+//! [`recovery::RejectLog`] lets a rejection proven wrong by a demand miss
+//! train its counter back.
 
 #![warn(missing_docs)]
 
 pub mod adaptive;
-pub mod cost;
 pub mod counter;
 pub mod hash;
 pub mod perceptron;
 pub mod recovery;
 pub mod table;
 
-use ppf_types::json::{FromJson, JsonError, JsonValue, ToJson};
-use ppf_types::{FilterConfig, FilterKind, PrefetchOrigin, PrefetchRequest, PrefetchSource};
+use ppf_types::{
+    FilterConfig, FilterKind, LineAddr, Pc, PrefetchOrigin, PrefetchRequest, PrefetchSource,
+};
 
 use adaptive::AdaptiveGate;
 use perceptron::{accuracy_bucket, Features, Perceptron};
+use recovery::RejectLog;
 use table::HistoryTable;
 
 /// Filter-local statistics (also mirrored into the global `SimStats` by the
@@ -72,7 +83,7 @@ ppf_types::json_struct!(FilterStats {
 /// Largest power of two `<= n` (0 for 0). Table sizing rounds *down* so a
 /// configured storage budget is never exceeded.
 #[inline]
-fn floor_pow2(n: usize) -> usize {
+pub(crate) fn floor_pow2(n: usize) -> usize {
     if n == 0 {
         0
     } else {
@@ -83,63 +94,38 @@ fn floor_pow2(n: usize) -> usize {
 /// The hardware pollution filter of §4.
 #[derive(Debug, Clone)]
 pub struct PollutionFilter {
-    kind: FilterKind,
-    /// One shared table (paper), or one per prefetch source when
-    /// `FilterConfig::split_by_source` splits the same storage budget.
-    tables: Vec<HistoryTable>,
+    predictor: Predictor,
+    /// `None` when no adaptive threshold is configured, and for
+    /// `FilterKind::None`, which has nothing to gate.
     gate: Option<AdaptiveGate>,
     stats: FilterStats,
     /// Recently rejected targets, for misprediction recovery (see
-    /// [`recovery`]). `None` for `FilterKind::None`.
-    reject_log: Option<recovery::RejectLog>,
-    /// Tournament chooser for [`FilterKind::Hybrid`]: PC-indexed 2-bit
-    /// counters; "good" means trust the PC table, otherwise the PA table.
-    chooser: Option<HistoryTable>,
-    /// Weight tables for [`FilterKind::Perceptron`] (DESIGN.md §15); the
-    /// counter `tables` vector is empty for that kind.
-    perceptron: Option<Perceptron>,
+    /// [`recovery`]). `None` when recovery is off or nothing can reject.
+    reject_log: Option<RejectLog>,
     /// Keyed-hash salt (0 = the paper's plain fold; DESIGN.md §12).
     salt: u64,
 }
 
-/// A full-state snapshot of whichever storage the configured kind uses —
-/// unsigned counters or signed perceptron weights. This is the oracle's
-/// diff surface and serializes through the JSON layer as a tagged object
-/// (`{"counters": [...]}` / `{"weights": [...]}`) so lockstep divergence
-/// reports render either representation.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum FilterSnapshot {
-    /// Raw counter arrays of every component table, in table order.
-    Counters(Vec<Vec<u8>>),
-    /// Raw signed weight arrays of every feature table, in feature order.
-    Weights(Vec<Vec<i8>>),
-}
-
-impl ToJson for FilterSnapshot {
-    fn to_json(&self) -> JsonValue {
-        match self {
-            FilterSnapshot::Counters(t) => {
-                JsonValue::Object(vec![("counters".to_string(), t.to_json())])
-            }
-            FilterSnapshot::Weights(t) => {
-                JsonValue::Object(vec![("weights".to_string(), t.to_json())])
-            }
-        }
-    }
-}
-
-impl FromJson for FilterSnapshot {
-    fn from_json(v: &JsonValue) -> Result<Self, JsonError> {
-        if let Some(c) = v.get("counters") {
-            return Vec::<Vec<u8>>::from_json(c).map(FilterSnapshot::Counters);
-        }
-        if let Some(w) = v.get("weights") {
-            return Vec::<Vec<i8>>::from_json(w).map(FilterSnapshot::Weights);
-        }
-        Err(format!(
-            "expected object with `counters` or `weights`, got {v}"
-        ))
-    }
+/// Each filter kind's storage, and only that.
+#[derive(Debug, Clone)]
+enum Predictor {
+    /// Admits everything and trains nothing.
+    None,
+    /// The paper's PA (`by_pc == false`) or PC filter: one table, or one per
+    /// prefetch source when `FilterConfig::split_by_source` splits the same
+    /// budget.
+    Counters {
+        by_pc: bool,
+        tables: Vec<HistoryTable>,
+    },
+    /// Tournament of a PA table (`tables[0]`) and a PC table (`tables[1]`).
+    /// The chooser is PC-indexed; "good" means trust the PC table.
+    Hybrid {
+        tables: [HistoryTable; 2],
+        chooser: HistoryTable,
+    },
+    /// Weight tables of the hashed perceptron (DESIGN.md §15).
+    Perceptron(Perceptron),
 }
 
 /// Folded into a nonzero salt per tenant ID so each tenant indexes the
@@ -150,55 +136,55 @@ impl FromJson for FilterSnapshot {
 const TENANT_TAG_MIX: u64 = 0x9e37_79b9_7f4a_7c15;
 
 impl PollutionFilter {
-    /// Build a filter from its configuration. With `FilterKind::None` the
-    /// filter admits everything and trains nothing (the baseline machine).
+    /// Build a filter from its configuration. This is the one place that
+    /// sizes the counter tables; [`perceptron::rows_for`] sizes the weight
+    /// tables.
     pub fn new(cfg: &FilterConfig) -> Self {
         let parts = (cfg.tenant_partitions.max(1) as u32).min(ppf_types::MAX_TENANTS as u32);
-        let table = |entries: usize| {
-            HistoryTable::with_partitions(entries, cfg.counter_bits, cfg.counter_init, parts)
+        let table =
+            |entries: usize| HistoryTable::new(entries, cfg.counter_bits, cfg.counter_init, parts);
+        // A table given `1/ways` of the budget. Rounds *down* to a power of
+        // two (rounding up would overshoot the budget whenever the share is
+        // not already one), floored at 64 entries for degenerate budgets.
+        let share = |ways: usize| table(floor_pow2(cfg.table_entries / ways).max(64));
+        let predictor = match cfg.kind {
+            FilterKind::None => Predictor::None,
+            FilterKind::Pa | FilterKind::Pc => Predictor::Counters {
+                by_pc: cfg.kind == FilterKind::Pc,
+                tables: if cfg.split_by_source {
+                    (0..PrefetchSource::COUNT)
+                        .map(|_| share(PrefetchSource::COUNT))
+                        .collect()
+                } else {
+                    vec![table(cfg.table_entries)]
+                },
+            },
+            // A quarter of the budget for each component and half for the
+            // chooser, which aliases across trigger sites, so together they
+            // stay inside `table_entries` counters.
+            FilterKind::Hybrid => Predictor::Hybrid {
+                tables: [share(4), share(4)],
+                chooser: share(2),
+            },
+            FilterKind::Perceptron => Predictor::Perceptron(Perceptron::new(
+                cfg.table_entries,
+                cfg.counter_bits,
+                cfg.counter_init,
+                parts,
+            )),
         };
-        let tables = if cfg.kind == FilterKind::Perceptron {
-            // All storage lives in the signed weight tables below; an empty
-            // counter-table vector keeps the counter paths inert.
-            Vec::new()
-        } else if cfg.kind == FilterKind::Hybrid {
-            // tables[0] is PA-indexed, tables[1] is PC-indexed. The chooser
-            // below takes half the advertised budget, each component a
-            // quarter, so components + chooser together stay inside
-            // `table_entries` counters (floored at 64 entries each for
-            // degenerate budgets).
-            let per = floor_pow2(cfg.table_entries / 4).max(64);
-            vec![table(per), table(per)]
-        } else if cfg.split_by_source {
-            // Same total budget, four ways; round *down* to a power of two
-            // (rounding up would overshoot the budget whenever the quarter
-            // is not already a power of two); floor at 64 entries each.
-            let per = floor_pow2(cfg.table_entries / PrefetchSource::COUNT).max(64);
-            (0..PrefetchSource::COUNT).map(|_| table(per)).collect()
-        } else {
-            vec![table(cfg.table_entries)]
-        };
+        let filters = cfg.kind != FilterKind::None;
         PollutionFilter {
-            kind: cfg.kind,
-            tables,
+            predictor,
             gate: cfg
                 .adaptive_accuracy_threshold
+                .filter(|_| filters)
                 .map(|thr| AdaptiveGate::new(thr, cfg.adaptive_window)),
             stats: FilterStats::default(),
             // `recovery_window == 0` disables recovery entirely — the
             // strict (absorbing) reading of the paper, kept as an ablation.
-            reject_log: (cfg.kind != FilterKind::None && cfg.recovery_window > 0).then(|| {
-                recovery::RejectLog::with_window(recovery::DEFAULT_REJECT_LOG, cfg.recovery_window)
-            }),
-            // Half the advertised budget; honors the configured counter
-            // width and initial state like the component tables (the
-            // PC-indexed chooser aliases across trigger sites, so it gets
-            // the larger share).
-            chooser: (cfg.kind == FilterKind::Hybrid)
-                .then(|| table(floor_pow2(cfg.table_entries / 2).max(64))),
-            perceptron: (cfg.kind == FilterKind::Perceptron).then(|| {
-                Perceptron::new(cfg.table_entries, cfg.counter_bits, cfg.counter_init, parts)
-            }),
+            reject_log: (filters && cfg.recovery_window > 0)
+                .then(|| RejectLog::new(recovery::DEFAULT_REJECT_LOG, cfg.recovery_window)),
             salt: cfg.hash_salt,
         }
     }
@@ -206,7 +192,7 @@ impl PollutionFilter {
     /// The keyed-hash salt a lookup from `tenant` uses: the configured salt
     /// with the tenant ID tag-mixed in (identity when salting is off).
     #[inline]
-    fn effective_salt(&self, tenant: u8) -> u64 {
+    fn salt_for(&self, tenant: u8) -> u64 {
         if self.salt == 0 {
             0
         } else {
@@ -214,47 +200,35 @@ impl PollutionFilter {
         }
     }
 
-    /// The indexing scheme in use.
-    pub fn kind(&self) -> FilterKind {
-        self.kind
-    }
-
     /// Filter-local statistics.
     pub fn stats(&self) -> &FilterStats {
         &self.stats
     }
 
-    /// History-table entry count (per table when split by source). For the
-    /// perceptron this is the per-partition row count of the largest
-    /// feature table (the PC/line tables).
-    pub fn table_entries(&self) -> usize {
-        match &self.perceptron {
-            Some(p) => p.rows()[0],
-            None => self.tables[0].entries(),
+    /// The counter tables whose counters predict good or bad: the PA or PC
+    /// table(s), or the hybrid's two components. Empty for `None` and the
+    /// perceptron.
+    fn counter_tables(&self) -> &[HistoryTable] {
+        match &self.predictor {
+            Predictor::Counters { tables, .. } => tables,
+            Predictor::Hybrid { tables, .. } => tables,
+            Predictor::None | Predictor::Perceptron(_) => &[],
         }
     }
 
-    /// Number of history tables (1 shared, or one per prefetch source).
-    pub fn table_count(&self) -> usize {
-        self.tables.len()
-    }
-
-    /// Entry count of the hybrid chooser table; `None` for non-hybrid kinds.
-    pub fn chooser_entries(&self) -> Option<usize> {
-        self.chooser.as_ref().map(HistoryTable::entries)
-    }
-
-    /// Total counters across every structure the filter allocates
-    /// (component tables plus the hybrid chooser) — the real storage cost
-    /// to compare against the advertised `FilterConfig::table_entries`.
-    pub fn storage_entries(&self) -> usize {
-        self.tables.iter().map(HistoryTable::entries).sum::<usize>()
-            + self.chooser_entries().unwrap_or(0)
-            + self
-                .perceptron
-                .as_ref()
-                .map(Perceptron::storage_entries)
-                .unwrap_or(0)
+    /// Storage the filter allocates, in bits: counters × width over every
+    /// table (the hybrid chooser included), or perceptron weights ×
+    /// [`perceptron::WEIGHT_BITS`]. 0 for `FilterKind::None`. Never more
+    /// than the configured `table_entries × counter_bits` outside
+    /// degenerate budgets.
+    pub fn storage_bits(&self) -> usize {
+        let bits = |t: &HistoryTable| t.entries() * t.counter_bits() as usize;
+        let counters: usize = self.counter_tables().iter().map(bits).sum();
+        match &self.predictor {
+            Predictor::Perceptron(p) => p.storage_bits(),
+            Predictor::Hybrid { chooser, .. } => counters + bits(chooser),
+            Predictor::None | Predictor::Counters { .. } => counters,
+        }
     }
 
     /// Entries-weighted fraction of component-table counters currently
@@ -263,16 +237,17 @@ impl PollutionFilter {
     /// PIB/RIB evictions train entries bad; the curve flattening out is the
     /// filter reaching steady state. The hybrid chooser is excluded: it
     /// predicts *which table* to trust, not whether a prefetch is good.
+    /// 1.0 for `FilterKind::None`, which stores nothing.
     pub fn fraction_good(&self) -> f64 {
-        if let Some(p) = &self.perceptron {
+        if let Predictor::Perceptron(p) = &self.predictor {
             return p.fraction_good();
         }
-        let total: usize = self.tables.iter().map(HistoryTable::entries).sum();
+        let tables = self.counter_tables();
+        let total: usize = tables.iter().map(HistoryTable::entries).sum();
         if total == 0 {
             return 1.0;
         }
-        let good: f64 = self
-            .tables
+        let good: f64 = tables
             .iter()
             .map(|t| t.fraction_good() * t.entries() as f64)
             .sum();
@@ -282,110 +257,28 @@ impl PollutionFilter {
     /// Snapshot of every component table's raw counter array, in table
     /// order. Cheap state-inspection hook for the differential oracle.
     pub fn counter_snapshot(&self) -> Vec<Vec<u8>> {
-        self.tables.iter().map(|t| t.counters().to_vec()).collect()
+        self.counter_tables()
+            .iter()
+            .map(|t| t.counters().to_vec())
+            .collect()
     }
 
     /// Snapshot of the hybrid chooser's counters; `None` for non-hybrid
     /// kinds.
     pub fn chooser_snapshot(&self) -> Option<Vec<u8>> {
-        self.chooser.as_ref().map(|c| c.counters().to_vec())
+        match &self.predictor {
+            Predictor::Hybrid { chooser, .. } => Some(chooser.counters().to_vec()),
+            _ => None,
+        }
     }
 
     /// Snapshot of the perceptron's signed weight tables in feature order;
     /// `None` for counter-based kinds.
     pub fn weight_snapshot(&self) -> Option<Vec<Vec<i8>>> {
-        self.perceptron.as_ref().map(Perceptron::weight_snapshot)
-    }
-
-    /// Full-state snapshot of whichever storage this kind uses — the
-    /// kind-agnostic diff surface for lockstep oracles.
-    pub fn snapshot(&self) -> FilterSnapshot {
-        match self.weight_snapshot() {
-            Some(w) => FilterSnapshot::Weights(w),
-            None => FilterSnapshot::Counters(self.counter_snapshot()),
+        match &self.predictor {
+            Predictor::Perceptron(p) => Some(p.weight_snapshot()),
+            _ => None,
         }
-    }
-
-    #[inline]
-    fn table_idx(&self, source: PrefetchSource) -> usize {
-        if self.tables.len() > 1 {
-            source.index()
-        } else {
-            0
-        }
-    }
-
-    #[inline]
-    fn index_for(&self, line: ppf_types::LineAddr, pc: ppf_types::Pc, tenant: u8) -> Option<u64> {
-        let salt = self.effective_salt(tenant);
-        match self.kind {
-            FilterKind::None => None,
-            FilterKind::Pa => Some(hash::hash_line_salted(line, salt)),
-            FilterKind::Pc => Some(hash::hash_pc_salted(pc, salt)),
-            // Hybrid handles its two keys explicitly at each use site; the
-            // recovery log stores the chosen (key, table) pair. The
-            // perceptron has no single index either — its reject-log entry
-            // stores the feature inputs instead.
-            FilterKind::Hybrid | FilterKind::Perceptron => None,
-        }
-    }
-
-    /// Hybrid lookup: both predictions plus the chooser's pick.
-    /// Returns (decision, chosen key, chosen table index).
-    #[inline]
-    fn hybrid_predict(
-        &self,
-        line: ppf_types::LineAddr,
-        pc: ppf_types::Pc,
-        tenant: u8,
-    ) -> (bool, u64, usize) {
-        let salt = self.effective_salt(tenant);
-        let pa_key = hash::hash_line_salted(line, salt);
-        let pc_key = hash::hash_pc_salted(pc, salt);
-        let use_pc = self
-            .chooser
-            .as_ref()
-            .map(|c| c.predict_good_for(pc_key, tenant))
-            .unwrap_or(false);
-        if use_pc {
-            (self.tables[1].predict_good_for(pc_key, tenant), pc_key, 1)
-        } else {
-            (self.tables[0].predict_good_for(pa_key, tenant), pa_key, 0)
-        }
-    }
-
-    /// Perceptron lookup path of [`Self::should_prefetch`]: gate bypass,
-    /// then a weight-sum threshold decision. A rejection records the
-    /// feature inputs (target line, trigger PC, clamped depth) in the
-    /// reject log so a later demand miss can re-derive the exact feature
-    /// vector and train it good.
-    fn perceptron_lookup(&mut self, req: &PrefetchRequest, now: u64) -> bool {
-        if let Some(gate) = &self.gate {
-            if !gate.engaged() {
-                self.stats.bypassed += 1;
-                self.stats.allowed += 1;
-                return true;
-            }
-        }
-        let bucket = accuracy_bucket(self.stats.trained_good, self.stats.trained_bad);
-        let feats = Features::of(req.line, req.trigger_pc, req.depth, bucket);
-        let salt = self.effective_salt(req.tenant);
-        let good = self
-            .perceptron
-            .as_ref()
-            .is_none_or(|p| p.predict(&feats, req.tenant, salt));
-        if good {
-            self.stats.allowed += 1;
-        } else {
-            self.stats.rejected += 1;
-            if let Some(log) = &mut self.reject_log {
-                // Slot reuse: `key` carries the trigger PC and `table` the
-                // clamped depth — together with the line, everything needed
-                // to rebuild the feature vector at miss time.
-                log.record(req.line, req.trigger_pc, feats.depth, req.tenant, now);
-            }
-        }
-        good
     }
 
     /// Decide whether `req` should be issued (history-table lookup, §4) at
@@ -393,35 +286,42 @@ impl PollutionFilter {
     /// when configured and satisfied with recent accuracy, bypasses
     /// filtering.
     pub fn should_prefetch(&mut self, req: &PrefetchRequest, now: u64) -> bool {
-        let (key, table) = match self.kind {
-            FilterKind::None => {
-                self.stats.allowed += 1;
-                return true;
-            }
-            FilterKind::Perceptron => return self.perceptron_lookup(req, now),
-            FilterKind::Hybrid => {
-                let (_, key, table) = self.hybrid_predict(req.line, req.trigger_pc, req.tenant);
-                (key, table)
-            }
-            _ => match self.index_for(req.line, req.trigger_pc, req.tenant) {
-                Some(key) => (key, self.table_idx(req.source)),
-                None => unreachable!("None handled above"),
-            },
-        };
-        if let Some(gate) = &self.gate {
-            if !gate.engaged() {
-                self.stats.bypassed += 1;
-                self.stats.allowed += 1;
-                return true;
-            }
+        if self.gate.as_ref().is_some_and(|g| !g.engaged()) {
+            self.stats.bypassed += 1;
+            self.stats.allowed += 1;
+            return true;
         }
-        let good = self.tables[table].predict_good_for(key, req.tenant);
+        let (tenant, salt) = (req.tenant, self.salt_for(req.tenant));
+        // A rejection logs the vetoing counter's `(key, table)`, or for the
+        // perceptron the trigger PC and clamped depth: with the line, all a
+        // recovery needs to rebuild the feature vector.
+        let (good, key, table) = match &self.predictor {
+            Predictor::None => (true, 0, 0),
+            Predictor::Counters { by_pc, tables } => {
+                let (key, table) = counter_index(*by_pc, tables, &req.origin(), salt);
+                (tables[table].predict_good_for(key, tenant), key, table)
+            }
+            Predictor::Hybrid { tables, chooser } => {
+                let pc_key = hash::hash_pc_salted(req.trigger_pc, salt);
+                if chooser.predict_good_for(pc_key, tenant) {
+                    (tables[1].predict_good_for(pc_key, tenant), pc_key, 1)
+                } else {
+                    let pa_key = hash::hash_line_salted(req.line, salt);
+                    (tables[0].predict_good_for(pa_key, tenant), pa_key, 0)
+                }
+            }
+            Predictor::Perceptron(p) => {
+                let feats = features(&self.stats, req.line, req.trigger_pc, req.depth);
+                let good = p.predict(&feats, tenant, salt);
+                (good, req.trigger_pc, feats.depth as usize)
+            }
+        };
         if good {
             self.stats.allowed += 1;
         } else {
             self.stats.rejected += 1;
             if let Some(log) = &mut self.reject_log {
-                log.record(req.line, key, table as u8, req.tenant, now);
+                log.record(req.line, key, table as u8, tenant, now);
             }
         }
         good
@@ -431,6 +331,9 @@ impl PollutionFilter {
     /// `referenced` is the line's RIB. Also feeds the adaptive gate's
     /// accuracy window.
     pub fn on_eviction(&mut self, origin: &PrefetchOrigin, referenced: bool) {
+        // Ordering contract (mirrored by the oracle): this bump comes
+        // first, so the accuracy bucket the perceptron trains with already
+        // includes the event itself.
         if referenced {
             self.stats.trained_good += 1;
         } else {
@@ -439,84 +342,109 @@ impl PollutionFilter {
         if let Some(gate) = &mut self.gate {
             gate.observe(referenced);
         }
-        if let Some(p) = &mut self.perceptron {
-            // Ordering contract (mirrored by the oracle): the stats bump
-            // above happens FIRST, so the accuracy bucket this training
-            // event hashes feature 4 with already includes the event itself.
-            let bucket = accuracy_bucket(self.stats.trained_good, self.stats.trained_bad);
-            let feats = Features::of(origin.line, origin.trigger_pc, origin.depth, bucket);
-            let salt = if self.salt == 0 {
-                0
-            } else {
-                self.salt ^ (origin.tenant as u64).wrapping_mul(TENANT_TAG_MIX)
-            };
-            // Margin gate (perceptron::TRAIN_MARGIN): good outcomes only
-            // train while the sum is at or below the margin band above the
-            // threshold; bad outcomes always train.
-            if !referenced
-                || p.sum(&feats, origin.tenant, salt)
-                    <= perceptron::DECISION_THRESHOLD + perceptron::TRAIN_MARGIN
-            {
-                p.train(&feats, origin.tenant, salt, referenced);
+        let (tenant, salt) = (origin.tenant, self.salt_for(origin.tenant));
+        match &mut self.predictor {
+            Predictor::None => {}
+            Predictor::Counters { by_pc, tables } => {
+                let (key, table) = counter_index(*by_pc, tables, origin, salt);
+                tables[table].train_for(key, tenant, referenced);
             }
-        } else if self.kind == FilterKind::Hybrid {
-            let tenant = origin.tenant;
-            let salt = self.effective_salt(tenant);
-            let pa_key = hash::hash_line_salted(origin.line, salt);
-            let pc_key = hash::hash_pc_salted(origin.trigger_pc, salt);
-            // Both component tables train on the outcome; the chooser
-            // trains toward whichever component was right (only when they
-            // disagree — the tournament update rule).
-            let pa_right = self.tables[0].predict_good_for(pa_key, tenant) == referenced;
-            let pc_right = self.tables[1].predict_good_for(pc_key, tenant) == referenced;
-            self.tables[0].train_for(pa_key, tenant, referenced);
-            self.tables[1].train_for(pc_key, tenant, referenced);
-            if pa_right != pc_right {
-                if let Some(c) = &mut self.chooser {
-                    c.train_for(pc_key, tenant, pc_right);
+            Predictor::Hybrid {
+                tables: [pa, pc],
+                chooser,
+            } => {
+                let pa_key = hash::hash_line_salted(origin.line, salt);
+                let pc_key = hash::hash_pc_salted(origin.trigger_pc, salt);
+                // Both components train on the outcome; the chooser trains
+                // toward whichever component was right (only when they
+                // disagree — the tournament update rule).
+                let pa_right = pa.predict_good_for(pa_key, tenant) == referenced;
+                let pc_right = pc.predict_good_for(pc_key, tenant) == referenced;
+                pa.train_for(pa_key, tenant, referenced);
+                pc.train_for(pc_key, tenant, referenced);
+                if pa_right != pc_right {
+                    chooser.train_for(pc_key, tenant, pc_right);
                 }
             }
-        } else if let Some(key) = self.index_for(origin.line, origin.trigger_pc, origin.tenant) {
-            let table = self.table_idx(origin.source);
-            self.tables[table].train_for(key, origin.tenant, referenced);
+            Predictor::Perceptron(p) => {
+                let feats = features(&self.stats, origin.line, origin.trigger_pc, origin.depth);
+                // Margin gate (perceptron::TRAIN_MARGIN): good outcomes only
+                // train while the sum is at or below the margin band above
+                // the threshold; bad outcomes always train.
+                if !referenced
+                    || p.sum(&feats, tenant, salt)
+                        <= perceptron::DECISION_THRESHOLD + perceptron::TRAIN_MARGIN
+                {
+                    p.train(&feats, tenant, salt, referenced);
+                }
+            }
         }
     }
 
     /// A demand access missed the L1 on `line`. If a prefetch for that line
     /// was recently rejected, the rejection was a misprediction: train the
     /// vetoing counter good so the key class can recover (see [`recovery`]).
-    pub fn on_demand_miss(&mut self, line: ppf_types::LineAddr, now: u64) {
-        let Some(log) = &mut self.reject_log else {
-            return;
-        };
-        let Some((key, table, tenant)) = log.check_miss(line, now) else {
+    pub fn on_demand_miss(&mut self, line: LineAddr, now: u64) {
+        let Some((key, table, tenant)) = self
+            .reject_log
+            .as_mut()
+            .and_then(|log| log.check_miss(line, now))
+        else {
             return;
         };
         self.stats.recovered += 1;
-        if let Some(p) = &mut self.perceptron {
-            // The log entry holds the rejected request's feature inputs
-            // (`key` = trigger PC, `table` = clamped depth; see the reject
-            // path). Re-derive the vector and give the target-specific
-            // weights their one-step second chance (`Perceptron::recover`)
-            // — the analogue of the counter filters' recovery train.
-            let bucket = accuracy_bucket(self.stats.trained_good, self.stats.trained_bad);
-            let feats = Features::of(line, key, table, bucket);
-            let salt = if self.salt == 0 {
-                0
-            } else {
-                self.salt ^ (tenant as u64).wrapping_mul(TENANT_TAG_MIX)
-            };
-            p.recover(&feats, tenant, salt);
-        } else {
-            self.tables[table as usize].train_for(key, tenant, true);
+        let salt = self.salt_for(tenant);
+        match &mut self.predictor {
+            Predictor::None => {}
+            Predictor::Counters { tables, .. } => {
+                tables[table as usize].train_for(key, tenant, true)
+            }
+            Predictor::Hybrid { tables, .. } => tables[table as usize].train_for(key, tenant, true),
+            // The record holds the trigger PC and clamped depth: rebuild the
+            // feature vector and give its target-specific weights their
+            // one-step second chance (`Perceptron::recover`).
+            Predictor::Perceptron(p) => {
+                p.recover(&features(&self.stats, line, key, table), tenant, salt)
+            }
         }
     }
+}
+
+/// The `(key, table)` a PA or PC filter looks up or trains for `origin`:
+/// the salted line or PC hash, in the prefetch source's own table when the
+/// budget is split by source.
+#[inline]
+fn counter_index(
+    by_pc: bool,
+    tables: &[HistoryTable],
+    origin: &PrefetchOrigin,
+    salt: u64,
+) -> (u64, usize) {
+    let key = if by_pc {
+        hash::hash_pc_salted(origin.trigger_pc, salt)
+    } else {
+        hash::hash_line_salted(origin.line, salt)
+    };
+    let table = if tables.len() > 1 {
+        origin.source.index()
+    } else {
+        0
+    };
+    (key, table)
+}
+
+/// The perceptron's feature vector for a prefetch of `line` by `pc` at
+/// `depth`, with the global-accuracy bucket of the training outcomes in
+/// `stats`.
+#[inline]
+fn features(stats: &FilterStats, line: LineAddr, pc: Pc, depth: u8) -> Features {
+    let bucket = accuracy_bucket(stats.trained_good, stats.trained_bad);
+    Features::of(line, pc, depth, bucket)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ppf_types::{LineAddr, PrefetchSource};
 
     fn cfg(kind: FilterKind) -> FilterConfig {
         FilterConfig {
@@ -664,7 +592,7 @@ mod tests {
         let mut c = cfg(FilterKind::Pa);
         c.split_by_source = true;
         let mut f = PollutionFilter::new(&c);
-        assert_eq!(f.table_count(), PrefetchSource::COUNT);
+        assert_eq!(f.counter_snapshot().len(), PrefetchSource::COUNT);
         // NSP trains a line bad...
         let nsp = PrefetchRequest {
             line: LineAddr(500),
@@ -691,7 +619,9 @@ mod tests {
         c.split_by_source = true;
         let f = PollutionFilter::new(&c);
         // 4096 entries split four ways.
-        assert_eq!(f.table_entries(), 1024);
+        for table in f.counter_snapshot() {
+            assert_eq!(table.len(), 1024);
+        }
     }
 
     #[test]
@@ -752,12 +682,19 @@ mod tests {
     fn hybrid_splits_the_budget() {
         let c = cfg(FilterKind::Hybrid);
         let f = PollutionFilter::new(&c);
-        assert_eq!(f.table_count(), 2);
-        assert_eq!(f.table_entries(), 1024, "a quarter each for PA and PC");
-        assert_eq!(f.chooser_entries(), Some(2048), "half for the chooser");
+        let tables = f.counter_snapshot();
+        assert_eq!(tables.len(), 2);
+        for table in tables {
+            assert_eq!(table.len(), 1024, "a quarter each for PA and PC");
+        }
         assert_eq!(
-            f.storage_entries(),
-            c.table_entries,
+            f.chooser_snapshot().map(|c| c.len()),
+            Some(2048),
+            "half for the chooser"
+        );
+        assert_eq!(
+            f.storage_bits(),
+            c.table_entries * c.counter_bits as usize,
             "components + chooser together spend exactly the advertised budget"
         );
     }
@@ -770,7 +707,7 @@ mod tests {
         c.counter_bits = 3;
         c.counter_init = ppf_types::CounterInit::WeaklyBad;
         let mut f = PollutionFilter::new(&c);
-        assert!(f.storage_entries() <= c.table_entries);
+        assert!(f.storage_bits() <= c.table_entries * c.counter_bits as usize);
         // Weakly-bad init: the chooser starts distrusting PC, and both
         // component tables start rejecting, so a first-touch prefetch is
         // rejected — observable proof the init reached all three tables.
@@ -792,11 +729,11 @@ mod tests {
                 // arbitrary budget.
                 if kind == FilterKind::Hybrid || split {
                     let f = PollutionFilter::new(&c);
+                    let budget = c.table_entries * c.counter_bits as usize;
                     assert!(
-                        f.storage_entries() <= c.table_entries,
-                        "{kind:?} split={split}: {} counters from a budget of {}",
-                        f.storage_entries(),
-                        c.table_entries
+                        f.storage_bits() <= budget,
+                        "{kind:?} split={split}: {} bits from a budget of {budget}",
+                        f.storage_bits(),
                     );
                 }
             }
@@ -823,7 +760,7 @@ mod tests {
     #[test]
     fn paper_default_table_is_4k_entries() {
         let f = PollutionFilter::new(&cfg(FilterKind::Pa));
-        assert_eq!(f.table_entries(), 4096);
+        assert_eq!(f.counter_snapshot()[0].len(), 4096);
     }
 
     #[test]
@@ -892,7 +829,7 @@ mod tests {
             c.counter_bits = bits;
             let f = PollutionFilter::new(&c);
             let budget_bits = entries * bits as usize;
-            let spent = f.storage_entries() * perceptron::WEIGHT_BITS;
+            let spent = f.storage_bits();
             // The fixed feature tables (88 slots = 440 bits) dominate only
             // for degenerate budgets; everywhere else the layout must fit.
             if budget_bits >= 1024 {
@@ -908,27 +845,50 @@ mod tests {
     fn perceptron_snapshot_is_weights_counters_otherwise() {
         let f = PollutionFilter::new(&cfg(FilterKind::Perceptron));
         assert!(f.counter_snapshot().is_empty());
-        let snap = f.snapshot();
-        match &snap {
-            FilterSnapshot::Weights(w) => {
-                assert_eq!(w.len(), perceptron::FEATURE_COUNT);
-                assert!(w.iter().flatten().all(|&x| x == 0));
-            }
-            other => panic!("expected weights, got {other:?}"),
-        }
+        let w = f.weight_snapshot().expect("perceptron stores weights");
+        assert_eq!(w.len(), perceptron::FEATURE_COUNT);
+        assert!(w.iter().flatten().all(|&x| x == 0));
         let f = PollutionFilter::new(&cfg(FilterKind::Pa));
         assert!(f.weight_snapshot().is_none());
-        assert!(matches!(f.snapshot(), FilterSnapshot::Counters(_)));
+        assert_eq!(f.counter_snapshot().len(), 1);
     }
 
     #[test]
-    fn filter_snapshot_round_trips_through_json() {
-        use ppf_types::json::{FromJson, ToJson};
-        let w = FilterSnapshot::Weights(vec![vec![-15, 0, 15], vec![1, -1]]);
-        let c = FilterSnapshot::Counters(vec![vec![0, 3], vec![2]]);
-        for snap in [w, c] {
-            let back = FilterSnapshot::from_json(&snap.to_json()).unwrap();
-            assert_eq!(back, snap);
+    fn each_kind_stores_only_its_own_tables() {
+        // The baseline machine stores nothing at all.
+        let f = PollutionFilter::new(&cfg(FilterKind::None));
+        assert!(f.counter_snapshot().is_empty());
+        assert!(f.chooser_snapshot().is_none());
+        assert!(f.weight_snapshot().is_none());
+        assert_eq!(f.storage_bits(), 0);
+        assert_eq!(f.fraction_good(), 1.0);
+        // At the paper default every counter kind spends Table 1's 1KB
+        // (4096 x 2 bits); the perceptron's [1024, 512, 64, 16, 8] rows of
+        // 5-bit weights come to 8120 bits.
+        for (kind, bits) in [
+            (FilterKind::Pa, 8192),
+            (FilterKind::Pc, 8192),
+            (FilterKind::Hybrid, 8192),
+            (FilterKind::Perceptron, 8120),
+        ] {
+            let f = PollutionFilter::new(&cfg(kind));
+            assert_eq!(f.storage_bits(), bits, "{kind:?}");
+        }
+        let mut c = cfg(FilterKind::Pa);
+        c.split_by_source = true;
+        assert_eq!(PollutionFilter::new(&c).storage_bits(), 4 * 1024 * 2);
+        // Tenant partitions slice the tables without growing them.
+        for kind in [FilterKind::Pa, FilterKind::Perceptron] {
+            let mut c = cfg(kind);
+            c.tenant_partitions = 4;
+            let unpartitioned = PollutionFilter::new(&cfg(kind)).storage_bits();
+            assert_eq!(PollutionFilter::new(&c).storage_bits(), unpartitioned);
+        }
+        // §5.3's sweep: 1024 entries = 256B ... 16384 entries = 4KB.
+        for (entries, bytes) in [(1024, 256), (2048, 512), (8192, 2048), (16384, 4096)] {
+            let mut c = cfg(FilterKind::Pa);
+            c.table_entries = entries;
+            assert_eq!(PollutionFilter::new(&c).storage_bits() / 8, bytes);
         }
     }
 

@@ -35,6 +35,7 @@
 //! and with `P` tenant partitions each feature table is region-sliced so
 //! tenant `t` only touches partition `t % P`.
 
+use crate::floor_pow2;
 use crate::hash::fold16_salted;
 use ppf_types::{CounterInit, LineAddr, Pc, MAX_PREFETCH_DEPTH};
 
@@ -88,16 +89,6 @@ pub const ACCURACY_BUCKETS: u8 = 8;
 
 /// Floor of the PC/line feature-table row count, for degenerate budgets.
 const MIN_BIG_ROWS: usize = 16;
-
-/// Largest power of two `<= n` (0 for 0).
-#[inline]
-fn floor_pow2(n: usize) -> usize {
-    if n == 0 {
-        0
-    } else {
-        1 << (usize::BITS - 1 - n.leading_zeros())
-    }
-}
 
 /// Quantize the filter's lifetime training accuracy into
 /// [`ACCURACY_BUCKETS`] buckets. An untrained filter reports the top

@@ -50,25 +50,14 @@ pub struct RejectLog {
     window: u64,
 }
 
-/// Default log size: matches the history table's 4K entries at a fraction
-/// of its cost (line number + key per slot).
+/// Slots in the filter's reject log: matches the history table's 4K
+/// entries at a fraction of its cost (line number + key per slot).
 pub const DEFAULT_REJECT_LOG: usize = 4096;
 
-/// Default freshness window in core cycles — the order of a line's
-/// residence time in the paper's 8KB L1 under aggressive prefetch fill
-/// pressure. A demand miss arriving later would not have been covered by
-/// the prefetch anyway (the line would have been evicted before use, RIB
-/// = 0), so it does not count as a misprediction.
-pub const DEFAULT_WINDOW: u64 = 400;
-
 impl RejectLog {
-    /// A log with `entries` slots (power of two) and the default window.
-    pub fn new(entries: usize) -> Self {
-        Self::with_window(entries, DEFAULT_WINDOW)
-    }
-
-    /// A log with an explicit freshness window.
-    pub fn with_window(entries: usize, window: u64) -> Self {
+    /// A log with `entries` slots (power of two) and a freshness window of
+    /// `window` core cycles (`FilterConfig::recovery_window`).
+    pub fn new(entries: usize, window: u64) -> Self {
         assert!(entries.is_power_of_two());
         assert!(window > 0);
         RejectLog {
@@ -125,19 +114,13 @@ impl RejectLog {
     }
 }
 
-impl Default for RejectLog {
-    fn default() -> Self {
-        RejectLog::new(DEFAULT_REJECT_LOG)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn records_and_matches_miss() {
-        let mut log = RejectLog::new(16);
+        let mut log = RejectLog::new(16, 400);
         log.record(LineAddr(5), 99, 0, 0, 10);
         assert_eq!(log.check_miss(LineAddr(5), 20), Some((99, 0, 0)));
         // Consumed: a second miss does not re-train.
@@ -146,7 +129,7 @@ mod tests {
 
     #[test]
     fn non_matching_miss_is_ignored() {
-        let mut log = RejectLog::new(16);
+        let mut log = RejectLog::new(16, 400);
         log.record(LineAddr(5), 99, 0, 0, 10);
         assert_eq!(log.check_miss(LineAddr(6), 11), None);
         assert_eq!(
@@ -158,7 +141,7 @@ mod tests {
 
     #[test]
     fn aliasing_overwrites() {
-        let mut log = RejectLog::new(16);
+        let mut log = RejectLog::new(16, 400);
         log.record(LineAddr(5), 1, 0, 0, 0);
         log.record(LineAddr(21), 2, 0, 0, 1); // same slot in a 16-entry log
         assert_eq!(log.check_miss(LineAddr(5), 2), None, "overwritten");
@@ -167,7 +150,7 @@ mod tests {
 
     #[test]
     fn live_count() {
-        let mut log = RejectLog::new(16);
+        let mut log = RejectLog::new(16, 400);
         assert_eq!(log.live(), 0);
         log.record(LineAddr(1), 0, 0, 0, 0);
         log.record(LineAddr(2), 0, 0, 0, 0);
@@ -179,12 +162,12 @@ mod tests {
     #[test]
     #[should_panic]
     fn non_power_of_two_rejected() {
-        RejectLog::new(100);
+        RejectLog::new(100, 400);
     }
 
     #[test]
     fn stale_records_do_not_train() {
-        let mut log = RejectLog::with_window(16, 4);
+        let mut log = RejectLog::new(16, 4);
         log.record(LineAddr(5), 99, 0, 3, 100);
         assert_eq!(log.check_miss(LineAddr(5), 105), None, "record went stale");
         assert_eq!(log.live(), 0, "stale record consumed");
@@ -192,7 +175,7 @@ mod tests {
 
     #[test]
     fn fresh_record_within_window_trains() {
-        let mut log = RejectLog::with_window(16, 4);
+        let mut log = RejectLog::new(16, 4);
         log.record(LineAddr(5), 99, 0, 3, 100);
         assert_eq!(log.check_miss(LineAddr(5), 103), Some((99, 0, 3)));
     }

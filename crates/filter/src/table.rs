@@ -12,8 +12,8 @@
 //! storage into `P` equal partitions: a request from tenant `t` indexes only
 //! the `t % P` region (`base + (key & region_mask)`), so a hostile tenant's
 //! eviction feedback is physically unable to touch a victim tenant's
-//! counters. `P = 1` (the default) is bit-for-bit the paper's shared table;
-//! the unpartitioned entry points delegate with tenant 0.
+//! counters. `P = 1` (the default) is bit-for-bit the paper's shared table,
+//! where every tenant reads and trains the same counters.
 
 use crate::counter::SatCounter;
 use ppf_types::CounterInit;
@@ -34,20 +34,10 @@ pub struct HistoryTable {
 
 impl HistoryTable {
     /// A table of `entries` counters (power of two) of `bits` width, all
-    /// initialized weakly-good so unseen prefetches are issued (the
-    /// paper's configuration).
-    pub fn new(entries: usize, bits: u8) -> Self {
-        Self::with_init(entries, bits, CounterInit::WeaklyGood)
-    }
-
-    /// A table with an explicit initial counter state (ablation).
-    pub fn with_init(entries: usize, bits: u8, init: CounterInit) -> Self {
-        Self::with_partitions(entries, bits, init, 1)
-    }
-
-    /// A table split into `partitions` equal per-tenant regions (1 = the
-    /// shared table of the paper).
-    pub fn with_partitions(entries: usize, bits: u8, init: CounterInit, partitions: u32) -> Self {
+    /// starting at `init` (the paper's is weakly-good, so unseen
+    /// prefetches are issued), split into `partitions` equal per-tenant
+    /// regions (1 = the shared table of the paper).
+    pub fn new(entries: usize, bits: u8, init: CounterInit, partitions: u32) -> Self {
         assert!(entries.is_power_of_two(), "table entries must be 2^k");
         assert!((1..=8).contains(&bits));
         assert!(
@@ -69,11 +59,6 @@ impl HistoryTable {
         }
     }
 
-    /// Partition count (1 = shared).
-    pub fn partitions(&self) -> u32 {
-        self.partitions
-    }
-
     /// Entry count.
     pub fn entries(&self) -> usize {
         self.counters.len()
@@ -84,33 +69,16 @@ impl HistoryTable {
         self.bits
     }
 
-    /// Table size in bytes (entries × width / 8) — what Table 1 reports.
-    pub fn size_bytes(&self) -> usize {
-        self.counters.len() * self.bits as usize / 8
-    }
-
     #[inline]
     fn slot(&self, key: u64, tenant: u8) -> usize {
         let region = (tenant as u32 % self.partitions) as usize * (self.mask as usize + 1);
         region + (key & self.mask) as usize
     }
 
-    /// Does the counter for `key` predict a good prefetch? (Shared-table
-    /// form: tenant 0.)
-    #[inline]
-    pub fn predict_good(&self, key: u64) -> bool {
-        self.predict_good_for(key, 0)
-    }
-
     /// Does tenant `tenant`'s counter for `key` predict a good prefetch?
     #[inline]
     pub fn predict_good_for(&self, key: u64, tenant: u8) -> bool {
         self.counters[self.slot(key, tenant)] > self.threshold
-    }
-
-    /// Raw counter value for `key` (tests/introspection; tenant 0).
-    pub fn value(&self, key: u64) -> u8 {
-        self.value_for(key, 0)
     }
 
     /// Raw counter value for tenant `tenant`'s `key`.
@@ -122,12 +90,6 @@ impl HistoryTable {
     /// snapshots).
     pub fn counters(&self) -> &[u8] {
         &self.counters
-    }
-
-    /// Train the counter for `key` with one outcome (tenant 0).
-    #[inline]
-    pub fn train(&mut self, key: u64, good: bool) {
-        self.train_for(key, 0, good);
     }
 
     /// Train tenant `tenant`'s counter for `key` with one outcome.
@@ -163,105 +125,89 @@ mod tests {
 
     #[test]
     fn fresh_table_predicts_all_good() {
-        let t = HistoryTable::new(1024, 2);
+        let t = HistoryTable::new(1024, 2, CounterInit::WeaklyGood, 1);
         assert!((t.fraction_good() - 1.0).abs() < 1e-12);
         for key in [0u64, 5, 1023, 1024, u64::MAX] {
-            assert!(t.predict_good(key));
-        }
-    }
-
-    #[test]
-    fn paper_default_is_1kb() {
-        let t = HistoryTable::new(4096, 2);
-        assert_eq!(t.size_bytes(), 1024);
-    }
-
-    #[test]
-    fn section_5_3_sizes() {
-        // 1024 entries = 256B ... 16384 entries = 4KB (paper §5.3).
-        for (entries, bytes) in [
-            (1024, 256),
-            (2048, 512),
-            (4096, 1024),
-            (8192, 2048),
-            (16384, 4096),
-        ] {
-            assert_eq!(HistoryTable::new(entries, 2).size_bytes(), bytes);
+            assert!(t.predict_good_for(key, 0));
         }
     }
 
     #[test]
     fn init_variants_control_first_touch() {
-        let good = HistoryTable::with_init(16, 2, CounterInit::StronglyGood);
-        assert!(good.predict_good(3));
-        let bad = HistoryTable::with_init(16, 2, CounterInit::WeaklyBad);
-        assert!(!bad.predict_good(3));
+        let good = HistoryTable::new(16, 2, CounterInit::StronglyGood, 1);
+        assert!(good.predict_good_for(3, 0));
+        let bad = HistoryTable::new(16, 2, CounterInit::WeaklyBad, 1);
+        assert!(!bad.predict_good_for(3, 0));
         let mut bad = bad;
-        bad.train(3, true);
-        assert!(bad.predict_good(3), "one good outcome admits the key");
+        bad.train_for(3, 0, true);
+        assert!(
+            bad.predict_good_for(3, 0),
+            "one good outcome admits the key"
+        );
     }
 
     #[test]
     fn train_and_flip() {
-        let mut t = HistoryTable::new(16, 2);
-        t.train(3, false);
-        assert!(!t.predict_good(3), "weakly-good flips after one bad");
-        assert!(t.predict_good(4), "neighbours untouched");
-        t.train(3, true);
-        assert!(t.predict_good(3));
+        let mut t = HistoryTable::new(16, 2, CounterInit::WeaklyGood, 1);
+        t.train_for(3, 0, false);
+        assert!(!t.predict_good_for(3, 0), "weakly-good flips after one bad");
+        assert!(t.predict_good_for(4, 0), "neighbours untouched");
+        t.train_for(3, 0, true);
+        assert!(t.predict_good_for(3, 0));
     }
 
     #[test]
     fn aliasing_by_mask() {
-        let mut t = HistoryTable::new(16, 2);
-        t.train(1, false);
-        t.train(1, false);
+        let mut t = HistoryTable::new(16, 2, CounterInit::WeaklyGood, 1);
+        t.train_for(1, 0, false);
+        t.train_for(1, 0, false);
         // Key 17 aliases to the same slot in a 16-entry table.
-        assert!(!t.predict_good(17), "aliased keys share a counter");
+        assert!(!t.predict_good_for(17, 0), "aliased keys share a counter");
     }
 
     #[test]
     fn saturation_bounds() {
-        let mut t = HistoryTable::new(8, 2);
+        let mut t = HistoryTable::new(8, 2, CounterInit::WeaklyGood, 1);
         for _ in 0..10 {
-            t.train(0, true);
+            t.train_for(0, 0, true);
         }
-        assert_eq!(t.value(0), 3);
+        assert_eq!(t.value_for(0, 0), 3);
         for _ in 0..10 {
-            t.train(0, false);
+            t.train_for(0, 0, false);
         }
-        assert_eq!(t.value(0), 0);
+        assert_eq!(t.value_for(0, 0), 0);
     }
 
     #[test]
     fn fraction_good_tracks_training() {
-        let mut t = HistoryTable::new(4, 2);
-        t.train(0, false); // 4 entries, 1 flipped bad
+        let mut t = HistoryTable::new(4, 2, CounterInit::WeaklyGood, 1);
+        t.train_for(0, 0, false); // 4 entries, 1 flipped bad
         assert!((t.fraction_good() - 0.75).abs() < 1e-12);
     }
 
     #[test]
     #[should_panic]
     fn non_power_of_two_rejected() {
-        HistoryTable::new(1000, 2);
+        HistoryTable::new(1000, 2, CounterInit::WeaklyGood, 1);
     }
 
     #[test]
     fn single_partition_is_the_shared_table() {
-        let mut shared = HistoryTable::new(16, 2);
-        let mut part1 = HistoryTable::with_partitions(16, 2, CounterInit::WeaklyGood, 1);
-        for (key, tenant, good) in [(3u64, 0u8, false), (3, 2, false), (17, 1, true)] {
-            shared.train_for(key, tenant, good);
-            part1.train_for(key, tenant, good);
+        // With one partition every tenant reads and trains every counter.
+        let mut t = HistoryTable::new(16, 2, CounterInit::WeaklyGood, 1);
+        t.train_for(3, 2, false);
+        for tenant in 0..4u8 {
+            assert!(!t.predict_good_for(3, tenant), "tenant {tenant}");
         }
-        assert_eq!(shared.counters(), part1.counters());
-        // With one partition every tenant shares every counter.
-        assert_eq!(part1.value_for(3, 0), part1.value_for(3, 3));
+        t.train_for(19, 1, true); // 19 aliases 3 in a 16-entry table
+        for tenant in 0..4u8 {
+            assert!(t.predict_good_for(3, tenant), "tenant {tenant}");
+        }
     }
 
     #[test]
     fn partitions_isolate_tenants() {
-        let mut t = HistoryTable::with_partitions(16, 2, CounterInit::WeaklyGood, 4);
+        let mut t = HistoryTable::new(16, 2, CounterInit::WeaklyGood, 4);
         // Tenant 1 saturates its counter for key 3 bad.
         t.train_for(3, 1, false);
         t.train_for(3, 1, false);
@@ -278,7 +224,7 @@ mod tests {
 
     #[test]
     fn partitioned_slots_stay_in_bounds() {
-        let mut t = HistoryTable::with_partitions(32, 2, CounterInit::WeaklyGood, 4);
+        let mut t = HistoryTable::new(32, 2, CounterInit::WeaklyGood, 4);
         for tenant in 0..=7u8 {
             for key in [0u64, 31, 32, u64::MAX] {
                 t.train_for(key, tenant, false);

@@ -278,8 +278,9 @@ impl RefFilter {
         };
         let table = |entries: usize| vec![init; entries];
         let (tables, chooser) = match (cfg.kind, cfg.split_by_source) {
-            // The perceptron keeps all its state in the weight tables.
-            (FilterKind::Perceptron, _) => (Vec::new(), None),
+            // No filter stores nothing; the perceptron keeps all its state
+            // in the weight tables.
+            (FilterKind::None | FilterKind::Perceptron, _) => (Vec::new(), None),
             (FilterKind::Hybrid, _) => {
                 let per = pow2_floor(cfg.table_entries / 4).max(64);
                 (
@@ -798,8 +799,18 @@ mod tests {
         let c = cfg(FilterKind::Hybrid);
         let f = RefFilter::new(&c).unwrap();
         let real = PollutionFilter::new(&c);
-        assert_eq!(f.counters()[0].len(), real.table_entries());
-        assert_eq!(f.chooser().map(<[u8]>::len), real.chooser_entries());
+        assert_eq!(f.counters(), real.counter_snapshot());
+        assert_eq!(f.chooser(), real.chooser_snapshot().as_deref());
+    }
+
+    #[test]
+    fn none_filter_keeps_no_table() {
+        let c = cfg(FilterKind::None);
+        let mut f = RefFilter::new(&c).unwrap();
+        assert!(f.counters().is_empty());
+        assert!(PollutionFilter::new(&c).counter_snapshot().is_empty());
+        f.evict(LineAddr(5), 0x100, PrefetchSource::Nsp, 0, 1, false);
+        assert!(f.lookup(LineAddr(5), 0x100, PrefetchSource::Nsp, 0, 1, 0));
     }
 
     #[test]

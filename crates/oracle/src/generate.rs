@@ -104,13 +104,16 @@ fn cache_case(rng: &mut SplitMix64) -> (JsonValue, Vec<JsonValue>) {
 
 fn filter_case(rng: &mut SplitMix64) -> (JsonValue, Vec<JsonValue>) {
     // Half the campaign exercises the perceptron filter; the other half
-    // splits across the paper's counter-table kinds. Salted and partitioned
-    // variants are drawn independently below, so hardened perceptron
-    // configs come up as often as hardened counter tables.
+    // splits across the counter-table kinds and no filter, which admits
+    // everything and must store nothing. Salted and partitioned variants
+    // are drawn independently below, so hardened perceptron configs come
+    // up as often as hardened counter tables.
     let kind = *rng.pick(&[
+        "None",
         "Pa",
         "Pc",
         "Hybrid",
+        "Perceptron",
         "Perceptron",
         "Perceptron",
         "Perceptron",
