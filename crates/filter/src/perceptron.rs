@@ -203,14 +203,8 @@ impl Perceptron {
         }
     }
 
-    /// Rows per partition (region size) of each feature table, in feature
-    /// order.
-    pub fn rows(&self) -> [usize; FEATURE_COUNT] {
-        self.rows
-    }
-
     /// Total weight slots across all feature tables and partitions.
-    pub fn storage_entries(&self) -> usize {
+    fn storage_entries(&self) -> usize {
         self.tables.iter().map(Vec::len).sum()
     }
 
@@ -319,15 +313,15 @@ mod tests {
     fn default_budget_stays_inside_the_counter_table() {
         // Paper default: 4096 × 2-bit = 8192 bits. The perceptron must not
         // spend more.
+        assert_eq!(rows_for(4096, 2), [1024, 512, 64, 16, 8]);
         let p = Perceptron::new(4096, 2, CounterInit::WeaklyGood, 1);
-        assert_eq!(p.rows(), [1024, 512, 64, 16, 8]);
         assert!(p.storage_bits() <= 8192, "got {} bits", p.storage_bits());
     }
 
     #[test]
     fn tiny_budget_still_builds() {
+        assert_eq!(rows_for(64, 1)[0], MIN_BIG_ROWS);
         let p = Perceptron::new(64, 1, CounterInit::WeaklyGood, 1);
-        assert_eq!(p.rows()[0], MIN_BIG_ROWS);
         assert!(p.predict(&feats(1, 2), 0, 0));
     }
 

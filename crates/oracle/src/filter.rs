@@ -278,8 +278,8 @@ impl RefFilter {
         };
         let table = |entries: usize| vec![init; entries];
         let (tables, chooser) = match (cfg.kind, cfg.split_by_source) {
-            // No filter stores nothing; the perceptron keeps all its state
-            // in the weight tables.
+            // `None` keeps no table; the perceptron keeps all its state in
+            // the weight tables.
             (FilterKind::None | FilterKind::Perceptron, _) => (Vec::new(), None),
             (FilterKind::Hybrid, _) => {
                 let per = pow2_floor(cfg.table_entries / 4).max(64);
