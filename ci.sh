@@ -111,62 +111,34 @@ bench_smoke() {
         --baseline BENCH_baseline.json
 }
 
-figures_shard() {
-    # Sharded sweep fabric (DESIGN.md §13): run only the cells owned by
-    # shard K of N and leave the fragment directory + manifest behind for
-    # the figures-merge stage. The wall time is recorded beside the
-    # fragments so the merge job can surface per-shard skew.
-    k="$1"
-    n="$2"
+figures_sweep() {
+    # Sharded sweep (DESIGN.md §13): three shards fill three cell stores,
+    # their union is copied into one, and one served run prints every
+    # table and writes every document. Shards own disjoint keys, so `cp`
+    # refuses to copy one file twice if they ever overlap, and a cell the
+    # served run has to execute (its E column) is one no shard stored.
+    # The throughput ratchet rides along so a perf regression can't hide
+    # behind a green sweep.
     : "${PPF_SHARD_INSTS:=100000}"
     cargo build --release -p ppf-bench
-    outdir="fragments/shard-$k"
-    rm -rf "$outdir"
-    mkdir -p "$outdir"
-    start=$(date +%s)
+    rm -rf cells merged
+    for k in 1 2 3; do
+        ./target/release/figures --insts "$PPF_SHARD_INSTS" \
+            --shard "$k/3" --checkpoint "cells/$k" all > /dev/null
+    done
+    mkdir -p cells/union
+    cp cells/1/*.json cells/2/*.json cells/3/*.json cells/union/
+    served=0
     ./target/release/figures --insts "$PPF_SHARD_INSTS" \
-        --json "$outdir" --shard "$k/$n" all > /dev/null
-    end=$(date +%s)
-    echo "figures-shard $k/$n $((end - start))s" > "$outdir/TIMINGS.txt"
-    if [ -n "${GITHUB_STEP_SUMMARY:-}" ]; then
-        cat "$outdir/TIMINGS.txt" >> "$GITHUB_STEP_SUMMARY"
+        --checkpoint cells/union --json merged all 2> cells/serve.log || served=$?
+    cat cells/serve.log >&2
+    executed=$(awk '/checkpoint:/ {e += $7} END {print e + 0}' cells/serve.log)
+    if [ "$served" -ne 0 ] || [ "$executed" -ne 0 ]; then
+        echo "serving the union exited $served and executed $executed cell runs" >&2
+        exit 1
     fi
-}
-
-figures_merge() {
-    # Reassemble the shard fragments into per-experiment documents. The
-    # merge itself is the coverage gate: it exits 2 on gaps and 1 on
-    # inconsistent manifests, so a lost or skewed shard fails this stage.
-    # The throughput ratchet rides along here so a perf regression can't
-    # hide behind a green sweep.
-    cargo build --release -p ppf-bench
-    start=$(date +%s)
-    ./target/release/figures merge --out merged fragments/*/
-    end=$(date +%s)
-    ls merged
-    timings_summary "$((end - start))s"
     ./target/release/bench throughput --quick --trials 5 --no-write \
         --baseline BENCH_baseline.json
-}
-
-timings_summary() {
-    # Per-shard wall times (written by figures_shard next to each
-    # fragment set) plus the merge time, as a markdown table appended to
-    # the GitHub Actions job summary — or stdout when run locally.
-    merge_time="$1"
-    summary="${GITHUB_STEP_SUMMARY:-/dev/stdout}"
-    {
-        echo "### Sharded sweep timings"
-        echo ""
-        echo "| stage | wall time |"
-        echo "| --- | --- |"
-        for f in fragments/*/TIMINGS.txt; do
-            [ -f "$f" ] || continue
-            read -r name spec secs < "$f"
-            echo "| $name $spec | $secs |"
-        done
-        echo "| merge | $merge_time |"
-    } >> "$summary"
 }
 
 case "$stage" in
@@ -177,8 +149,7 @@ attack-drills) attack_drills ;;
 kernel-identity) kernel_identity ;;
 oracle) oracle ;;
 bench-smoke) bench_smoke ;;
-figures-shard) figures_shard "${2:?usage: ci.sh figures-shard K N}" "${3:?usage: ci.sh figures-shard K N}" ;;
-figures-merge) figures_merge ;;
+figures-sweep) figures_sweep ;;
 all)
     build_test
     lint
@@ -188,7 +159,7 @@ all)
     oracle
     ;;
 *)
-    echo "unknown stage: $stage (build-test|lint|fault-drills|attack-drills|kernel-identity|oracle|bench-smoke|figures-shard K N|figures-merge|all)" >&2
+    echo "unknown stage: $stage (build-test|lint|fault-drills|attack-drills|kernel-identity|oracle|bench-smoke|figures-sweep|all)" >&2
     exit 2
     ;;
 esac

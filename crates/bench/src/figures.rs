@@ -6,16 +6,14 @@
 //! renders an aligned text table with the same rows and series the paper's
 //! figure plots, plus the mean the paper quotes in its prose.
 
-use crate::memo::CellStore;
-use crate::shard::{
-    ExperimentFragment, FragmentEntry, ManifestExperiment, ShardSpec, SHARD_SCHEMA_VERSION,
-};
+use crate::memo::{memo_key, CellStore};
+use crate::shard::ShardSpec;
 use ppf_sim::experiments::{
     self, ablations, CellOutcome, RunSpec, TelemetrySpec, ATTACKED_FILTERS, FAMILY_FILTERS,
     HARDENINGS, TABLE_SIZES,
 };
 use ppf_sim::report::{f3, geomean, mean, pct, TextTable};
-use ppf_sim::{cell_key, CellFailure, SimReport};
+use ppf_sim::{CellFailure, SimReport};
 use ppf_types::telemetry::{TelemetryConfig, DEFAULT_INTERVAL_CYCLES};
 use ppf_types::{json_struct, FilterKind, PpfError, SystemConfig, ToJson};
 use ppf_workloads::{AttackKind, FaultSpec, Workload};
@@ -152,9 +150,11 @@ pub struct ExperimentOptions {
     /// of every grid (CI and tests only — exercises the partial-results
     /// path end to end through the binary).
     pub inject_fault: Option<u64>,
-    /// Sharded-sweep mode: run only the cells owned by this shard and emit
-    /// an [`ExperimentFragment`] (requires `json_dir`) instead of a full
-    /// [`ExperimentDoc`].
+    /// Sharded-sweep mode: run only the cells whose store key this shard
+    /// owns, into the `checkpoint` directory, and render a coverage line
+    /// instead of the figure. `figures` requires `checkpoint` with it and
+    /// rejects `json_dir`, `telemetry` and `inject_fault`: keyless cells
+    /// are never stored, and a shard's document would hold part of a grid.
     pub shard: Option<ShardSpec>,
 }
 
@@ -186,10 +186,6 @@ pub struct ExperimentOutput {
     pub executed_cells: usize,
     /// Structured failures of the cells that failed every attempt.
     pub failures: Vec<CellFailure>,
-    /// Sharded mode only: this experiment's coverage record, for the
-    /// caller to accumulate into the shard's `MANIFEST.json`. `None` when
-    /// unsharded or when the experiment has no grid (`table1`).
-    pub manifest: Option<ManifestExperiment>,
 }
 
 /// Run one named experiment: build its grid, apply `--telemetry` and
@@ -197,7 +193,7 @@ pub struct ExperimentOutput {
 /// run them through the cell store (the checkpoint directory when one is
 /// set, else the in-process memo), and render the figure, the
 /// partial-results table or the shard summary. With `json_dir` set, the
-/// experiment's document — or, sharded, its fragment — is written too.
+/// experiment's document is written too.
 pub fn run_experiment_full(
     name: &str,
     insts: u64,
@@ -207,7 +203,7 @@ pub fn run_experiment_full(
         .ok_or_else(|| PpfError::config_invalid(format!("unknown experiment '{name}'")))?;
     let Some(grid) = exp.grid else {
         // Static table: no grid, no cells, nothing to checkpoint and
-        // nothing to shard (every shard prints it; none claims it).
+        // nothing to shard.
         return Ok(ExperimentOutput {
             body: (exp.render)(&[]),
             ..ExperimentOutput::default()
@@ -226,24 +222,18 @@ pub fn run_experiment_full(
     if let (Some(at), Some(first)) = (opts.inject_fault, grid.first_mut()) {
         first.fault = Some(FaultSpec::panic_at(at));
     }
-    // This shard's cells, chosen by content-hash key so the partition is
-    // machine- and order-independent.
-    let total = grid.len() as u64;
-    let mut owned: Vec<(u64, String)> = Vec::new();
-    let mut cells = Vec::new();
-    for (index, spec) in (0..).zip(grid) {
-        let key = cell_key(&spec);
-        if opts.shard.is_none_or(|shard| shard.contains(&key)) {
-            owned.push((index, key));
-            cells.push(spec);
-        }
+    let total = grid.len();
+    if let Some(shard) = opts.shard {
+        // A keyless cell belongs to no shard; `figures` never shards one.
+        grid.retain(|spec| memo_key(spec).is_some_and(|key| shard.contains(&key)));
     }
+    let owned = grid.len();
     let store = opts
         .checkpoint
         .as_deref()
         .map_or(CellStore::Memo, CellStore::Dir);
-    let run = store.run(cells, opts.seeds.max(1))?;
-    for e in &run.write_errors {
+    let run = store.run(grid, opts.seeds.max(1))?;
+    for e in run.corrupt.iter().chain(&run.write_errors) {
         eprintln!("warning: {e}");
     }
     let failures: Vec<CellFailure> = run
@@ -261,66 +251,26 @@ pub fn run_experiment_full(
         // A shard holds an arbitrary subset of rows, which no figure
         // formatter can typeset.
         Some(shard) => header(&format!(
-            "{name}: shard {shard} — ran {}/{total} cells, {} failed",
-            owned.len(),
+            "{name}: shard {shard} — owns {owned}/{total} cells, {} failed",
             failures.len()
         )),
         None if failures.is_empty() => (exp.render)(&reports),
         None => partial_results(name, &run.outcomes),
     };
-    let mut manifest = None;
     if let Some(dir) = &opts.json_dir {
         std::fs::create_dir_all(dir)
             .map_err(|e| PpfError::io(e.to_string()).context(format!("creating json dir {dir}")))?;
-        let (path, json) = match opts.shard {
-            // Sharded mode: this invocation owns only part of the grid, so
-            // it writes a self-describing fragment for `figures merge`
-            // instead of posing as the full experiment document.
-            Some(shard) => {
-                let entries = owned
-                    .iter()
-                    .zip(&run.outcomes)
-                    .map(|((index, key), o)| FragmentEntry {
-                        index: *index,
-                        key: key.clone(),
-                        report: o.report().cloned(),
-                        failure: o.failure().cloned(),
-                    })
-                    .collect();
-                let fragment = ExperimentFragment {
-                    schema_version: SHARD_SCHEMA_VERSION,
-                    experiment: name.to_string(),
-                    shard_index: shard.index,
-                    shard_count: shard.count,
-                    total_cells: total,
-                    entries,
-                };
-                let (indices, keys) = owned.into_iter().unzip();
-                manifest = Some(ManifestExperiment {
-                    experiment: name.to_string(),
-                    total_cells: total,
-                    indices,
-                    keys,
-                });
-                (
-                    format!("{dir}/{name}.fragment.json"),
-                    fragment.to_json_pretty(),
-                )
-            }
-            // One self-describing document per experiment: reports of the
-            // surviving cells plus structured failures — so a partial run
-            // still dumps machine-parseable JSON instead of a bare array
-            // missing rows with no explanation.
-            None => {
-                let doc = ExperimentDoc {
-                    experiment: name.to_string(),
-                    reports,
-                    failures: failures.clone(),
-                };
-                (format!("{dir}/{name}.json"), doc.to_json_pretty())
-            }
+        // One self-describing document per experiment: reports of the
+        // surviving cells plus structured failures — so a partial run
+        // still dumps machine-parseable JSON instead of a bare array
+        // missing rows with no explanation.
+        let doc = ExperimentDoc {
+            experiment: name.to_string(),
+            reports,
+            failures: failures.clone(),
         };
-        std::fs::write(&path, json)
+        let path = format!("{dir}/{name}.json");
+        std::fs::write(&path, doc.to_json_pretty())
             .map_err(|e| PpfError::io(e.to_string()).context(format!("writing {path}")))?;
     }
     Ok(ExperimentOutput {
@@ -328,7 +278,6 @@ pub fn run_experiment_full(
         loaded_cells: run.hits,
         executed_cells: run.executed,
         failures,
-        manifest,
     })
 }
 

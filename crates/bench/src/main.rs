@@ -2,9 +2,9 @@
 //!
 //! ```text
 //! figures [--insts N] [--seeds K] [--json DIR] [--checkpoint DIR]
-//!         [--telemetry DIR] [--shard K/N] <experiment>...
+//!         [--telemetry DIR] <experiment>...
+//! figures --shard K/N --checkpoint DIR [--insts N] [--seeds K] <experiment>...
 //! figures all
-//! figures merge --out DIR FRAGDIR...
 //! figures --list
 //! ```
 //!
@@ -19,33 +19,29 @@
 //! `--telemetry DIR` every cell streams per-interval metrics to
 //! `DIR/<experiment>/<cell>.jsonl`.
 //!
-//! With `--shard K/N` (requires `--json`) only the cells owned by shard
-//! `K` of `N` run; the JSON directory receives one
-//! `<experiment>.fragment.json` per experiment plus a `MANIFEST.json`
-//! describing the coverage. `figures merge --out DIR FRAGDIR...`
-//! reassembles such fragment directories into per-experiment documents
-//! byte-identical to an unsharded `--json` run.
+//! With `--shard K/N` only the cells whose store key shard `K` of `N`
+//! owns run, into the `--checkpoint` directory, and each experiment prints
+//! one coverage line. Shards own disjoint keys, so merging a sweep is
+//! copying the shards' directories into one and running `figures
+//! --checkpoint UNION --json OUT all`, which serves every cell; its
+//! `checkpoint:` lines count any cell no shard stored as executed.
 //!
 //! Exit codes: 0 on success, 1 on usage or I/O errors (nothing runs on a
-//! bad invocation) and on inconsistent merge inputs, 2 when the sweep
-//! completed but some cells failed — or when a merge's inputs are
-//! consistent but don't cover every cell. Tables go to stdout; the
-//! per-cell failure appendix goes to stderr, so stdout stays
-//! machine-parseable even on a partial run.
+//! bad invocation), 2 when the sweep completed but some cells failed.
+//! Tables go to stdout; the per-cell failure appendix goes to stderr, so
+//! stdout stays machine-parseable even on a partial run.
 
 use ppf_bench::figures::{self, ExperimentOptions};
-use ppf_bench::shard::{self, MergeOutcome, ShardManifest, ShardSpec};
-use ppf_types::ToJson;
+use ppf_bench::shard::ShardSpec;
 use std::path::PathBuf;
 use std::process::ExitCode;
 
 const USAGE: &str = "usage: figures [--insts N] [--seeds K] [--json DIR] [--checkpoint DIR] \
-     [--telemetry DIR] [--inject-fault N] [--shard K/N] <experiment>...\n\
-     \x20      figures merge --out DIR FRAGDIR...\n\
+     [--telemetry DIR] [--inject-fault N] <experiment>...\n\
+     \x20      figures --shard K/N --checkpoint DIR [--insts N] [--seeds K] <experiment>...\n\
      \x20      figures --list";
 
-/// Exit code for "the sweep ran, but some cells failed" and for "the merge
-/// inputs are consistent but don't cover every cell".
+/// Exit code for "the sweep ran, but some cells failed".
 const EXIT_PARTIAL: u8 = 2;
 
 fn print_experiments() {
@@ -54,75 +50,8 @@ fn print_experiments() {
     println!("             all");
 }
 
-/// `figures merge --out DIR FRAGDIR...`: reassemble shard fragment
-/// directories into unsharded per-experiment documents.
-fn run_merge(args: &[String]) -> ExitCode {
-    let mut out_dir: Option<PathBuf> = None;
-    let mut dirs: Vec<PathBuf> = Vec::new();
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--out" => {
-                i += 1;
-                match args.get(i) {
-                    Some(d) => out_dir = Some(PathBuf::from(d)),
-                    None => {
-                        eprintln!("--out needs a directory\n{USAGE}");
-                        return ExitCode::FAILURE;
-                    }
-                }
-            }
-            flag if flag.starts_with('-') => {
-                eprintln!("unknown merge flag '{flag}'\n{USAGE}");
-                return ExitCode::FAILURE;
-            }
-            dir => dirs.push(PathBuf::from(dir)),
-        }
-        i += 1;
-    }
-    let Some(out_dir) = out_dir else {
-        eprintln!("merge needs --out DIR\n{USAGE}");
-        return ExitCode::FAILURE;
-    };
-    if dirs.is_empty() {
-        eprintln!("merge needs at least one fragment directory\n{USAGE}");
-        return ExitCode::FAILURE;
-    }
-    match shard::merge_shards(&dirs, &out_dir) {
-        Ok(MergeOutcome::Complete(summary)) => {
-            println!(
-                "merged {} shard(s): {} experiments, {} cells -> {}",
-                summary.shards,
-                summary.experiments,
-                summary.cells,
-                out_dir.display()
-            );
-            ExitCode::SUCCESS
-        }
-        Ok(MergeOutcome::Partial { missing }) => {
-            // The gap report is the product here: a fleet operator needs
-            // to know exactly which cells to re-run, not just "incomplete".
-            eprintln!("merge incomplete — coverage gaps (nothing written):");
-            for (experiment, indices) in &missing {
-                eprintln!(
-                    "  {experiment}: {} cell(s) missing {indices:?}",
-                    indices.len()
-                );
-            }
-            ExitCode::from(EXIT_PARTIAL)
-        }
-        Err(e) => {
-            eprintln!("merge: {e}");
-            ExitCode::FAILURE
-        }
-    }
-}
-
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.first().map(String::as_str) == Some("merge") {
-        return run_merge(&args[1..]);
-    }
     let mut insts = ppf_sim::experiments::DEFAULT_INSTRUCTIONS;
     let mut opts = ExperimentOptions::default();
     let mut names: Vec<String> = Vec::new();
@@ -218,11 +147,26 @@ fn main() -> ExitCode {
         }
         i += 1;
     }
-    if opts.shard.is_some() && opts.json_dir.is_none() {
-        // A shard's entire product is its fragments; without --json it
-        // would do work and throw the results away.
-        eprintln!("--shard requires --json DIR (fragments are the shard's output)\n{USAGE}");
-        return ExitCode::FAILURE;
+    // A shard's only product is its stored cells. Telemetry and
+    // fault-injected cells are never stored, and a shard's document would
+    // pose as a full one while holding part of its grid.
+    let shard_misuse = [
+        (
+            opts.checkpoint.is_none(),
+            "--shard requires --checkpoint DIR",
+        ),
+        (opts.json_dir.is_some(), "--shard rejects --json"),
+        (opts.telemetry.is_some(), "--shard rejects --telemetry"),
+        (
+            opts.inject_fault.is_some(),
+            "--shard rejects --inject-fault",
+        ),
+    ];
+    if opts.shard.is_some() {
+        if let Some((_, msg)) = shard_misuse.iter().find(|(misused, _)| *misused) {
+            eprintln!("{msg}\n{USAGE}");
+            return ExitCode::FAILURE;
+        }
     }
     if names.is_empty() {
         eprintln!("no experiment given; try --help");
@@ -248,7 +192,6 @@ fn main() -> ExitCode {
         return ExitCode::FAILURE;
     }
     let mut failed_cells = 0usize;
-    let mut manifest_experiments = Vec::new();
     for name in &names {
         match figures::run_experiment_full(name, insts, &opts) {
             Ok(out) => {
@@ -264,32 +207,12 @@ fn main() -> ExitCode {
                     );
                 }
                 failed_cells += out.failures.len();
-                manifest_experiments.extend(out.manifest);
             }
             Err(e) => {
                 eprintln!("{name}: {e}");
                 return ExitCode::FAILURE;
             }
         }
-    }
-    // Sharded mode: after the whole invocation, write the shard's
-    // self-description beside its fragments so `figures merge` can
-    // validate coverage without re-deriving any grid.
-    if let (Some(s), Some(dir)) = (opts.shard, &opts.json_dir) {
-        let manifest = ShardManifest {
-            schema_version: shard::SHARD_SCHEMA_VERSION,
-            shard_index: s.index,
-            shard_count: s.count,
-            insts,
-            seeds: opts.seeds as u64,
-            experiments: manifest_experiments,
-        };
-        let path = PathBuf::from(dir).join(shard::MANIFEST_FILE);
-        if let Err(e) = std::fs::write(&path, manifest.to_json_pretty()) {
-            eprintln!("writing {}: {e}", path.display());
-            return ExitCode::FAILURE;
-        }
-        eprintln!("[shard {s}] manifest: {}", path.display());
     }
     if failed_cells > 0 {
         eprintln!("{failed_cells} cell(s) failed; see the failure appendix above");

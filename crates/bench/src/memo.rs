@@ -21,9 +21,9 @@ use crate::checkpoint;
 use ppf_sim::experiments::{
     fan_seeds, merge_seed_outcomes, run_grid_outcomes_traced, CellOutcome, RunSpec,
 };
-use ppf_sim::schedule::{content_key, lock};
+use ppf_sim::schedule::{fnv1a, lock, FNV_OFFSET};
 use ppf_sim::{CostModel, SimReport};
-use ppf_types::PpfError;
+use ppf_types::{PpfError, ToJson};
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::path::Path;
@@ -44,10 +44,12 @@ fn always_executes(spec: &RunSpec) -> bool {
 }
 
 /// The store key of a cell, or `None` when the cell always executes (see
-/// the bypass rule above): a 16-hex-digit content hash of everything that
-/// reaches the machine ([`content_key`]) plus the watchdog bounds, which
-/// decide whether a cell errors. The hex digits also name the cell's
-/// checkpoint file.
+/// the bypass rule above): FNV-1a over the watchdog bounds, which decide
+/// whether a cell errors, and everything of the spec that reaches the
+/// machine (config JSON, workload, seed, instruction budgets, adversary),
+/// as 16 hex digits. Each part ends in a NUL separator so ("ab","c") and
+/// ("a","bc") cannot collide. The hex digits also name the cell's
+/// checkpoint file, and `figures --shard` partitions cells by them.
 ///
 /// The key is *label-independent*: the label is presentation (copied
 /// verbatim into the report and never fed back into the machine), so
@@ -58,9 +60,24 @@ pub fn memo_key(spec: &RunSpec) -> Option<String> {
     if always_executes(spec) {
         return None;
     }
-    let max_cpi = spec.watchdog.max_cpi.to_string();
-    let stall_window = spec.watchdog.stall_window.to_string();
-    Some(content_key(&[&max_cpi, &stall_window], spec))
+    // Attack-free cells hash an empty adversary part.
+    let adversary = spec.adversary.map(|a| a.describe()).unwrap_or_default();
+    let parts = [
+        &spec.watchdog.max_cpi.to_string(),
+        &spec.watchdog.stall_window.to_string(),
+        &spec.config.to_json_string(),
+        spec.workload.name(),
+        &spec.seed.to_string(),
+        &spec.n_instructions.to_string(),
+        &spec.warmup.to_string(),
+        &adversary,
+    ];
+    let mut h = FNV_OFFSET;
+    for part in parts {
+        h = fnv1a(h, part.as_bytes());
+        h = fnv1a(h, &[0]);
+    }
+    Some(format!("{h:016x}"))
 }
 
 /// Where a sweep's finished cells are kept. Both backends key cells by
@@ -84,9 +101,9 @@ pub struct StoredRun {
     /// (cell × seed) runs actually executed this call; `hits + executed`
     /// is always cells × seeds.
     pub executed: usize,
-    /// Checkpoint files that existed but did not parse (counted as
-    /// missing and re-run).
-    pub corrupt: usize,
+    /// Checkpoint files that existed but could not be read or parsed,
+    /// each naming its path (counted as missing and re-run).
+    pub corrupt: Vec<PpfError>,
     /// Non-fatal failures writing checkpoint files (the sweep's results
     /// are still returned; only their persistence failed).
     pub write_errors: Vec<PpfError>,
@@ -119,7 +136,8 @@ impl CellStore<'_> {
     /// give every repeat of a key its first run's outcome under its own
     /// label, and merge the seeds per input cell. Only creating the
     /// checkpoint directory fails hard; unreadable entries are re-run and
-    /// unwritable ones are reported in [`StoredRun::write_errors`].
+    /// reported in [`StoredRun::corrupt`], and unwritable ones in
+    /// [`StoredRun::write_errors`].
     pub fn run(self, specs: Vec<RunSpec>, seeds: u32) -> Result<StoredRun, PpfError> {
         assert!(seeds >= 1);
         if let CellStore::Dir(dir) = self {
@@ -135,7 +153,8 @@ impl CellStore<'_> {
         // executed; every later run with that key copies its outcome.
         let mut rep: Vec<usize> = (0..fanned.len()).collect();
         let mut first: HashMap<&str, usize> = HashMap::new();
-        let (mut hits, mut corrupt) = (0, 0);
+        let mut hits = 0;
+        let mut corrupt = Vec::new();
         for (i, key) in keys.iter().enumerate() {
             let Some(key) = key.as_deref() else { continue };
             match first.entry(key) {
@@ -151,7 +170,7 @@ impl CellStore<'_> {
                             outcomes[i] = Some(CellOutcome::Ok(Box::new(report)));
                         }
                         Ok(None) => {}
-                        Err(_) => corrupt += 1,
+                        Err(e) => corrupt.push(e),
                     }
                 }
             }

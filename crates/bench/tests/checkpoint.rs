@@ -1,8 +1,8 @@
 //! Checkpoint/resume integration drills: fresh runs persist every healthy
 //! cell, resumes execute only the missing or failed ones, a config or
-//! watchdog change invalidates the old entries, corrupt files are re-run,
-//! repeats within one call execute once, and fault or telemetry cells
-//! bypass both store backends.
+//! watchdog change invalidates the old entries, corrupt files are re-run
+//! and named by `figures`, repeats within one call execute once, and fault
+//! or telemetry cells bypass both store backends.
 
 use ppf_bench::checkpoint::cell_path;
 use ppf_bench::memo::{CellStore, StoredRun};
@@ -12,6 +12,7 @@ use ppf_types::telemetry::TelemetryConfig;
 use ppf_types::{PpfErrorKind, SystemConfig};
 use ppf_workloads::{AdversarySpec, AttackKind, FaultSpec, Workload};
 use std::path::{Path, PathBuf};
+use std::process::Command;
 
 const N: u64 = 4_000;
 
@@ -74,7 +75,7 @@ fn resume_executes_only_failed_cells() {
     let first = checkpointed(drill_grid(), &dir);
     assert_eq!(first.hits, 0, "fresh directory has nothing to reload");
     assert_eq!(first.executed, 10);
-    assert_eq!(first.corrupt, 0);
+    assert!(first.corrupt.is_empty());
     assert!(first.write_errors.is_empty());
     assert_eq!(first.outcomes.iter().filter(|o| o.is_ok()).count(), 8);
     // Only the 8 healthy cells were persisted; failures are never
@@ -205,8 +206,8 @@ fn config_change_invalidates_checkpoint() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// A checkpoint file that exists but does not parse is counted corrupt and
-/// the cell is transparently re-run (and re-persisted).
+/// A checkpoint file that exists but does not parse is reported as corrupt
+/// and the cell is re-run (and re-persisted).
 #[test]
 fn corrupt_checkpoint_entry_is_rerun() {
     let dir = scratch("corrupt");
@@ -219,12 +220,62 @@ fn corrupt_checkpoint_entry_is_rerun() {
     std::fs::write(&path, "{ not json").unwrap();
 
     let rerun = checkpointed(grid(), &dir);
-    assert_eq!(rerun.corrupt, 1);
+    assert_eq!(rerun.corrupt.len(), 1);
+    assert_eq!(rerun.corrupt[0].kind, PpfErrorKind::CheckpointCorrupt);
+    assert!(
+        rerun.corrupt[0]
+            .to_string()
+            .contains(path.to_str().unwrap()),
+        "the error names the entry: {}",
+        rerun.corrupt[0]
+    );
     assert_eq!((rerun.hits, rerun.executed), (0, 1));
     assert!(rerun.outcomes[0].is_ok());
     // The re-run rewrote a valid entry.
     let healed = checkpointed(grid(), &dir);
     assert_eq!((healed.hits, healed.executed), (1, 0));
+
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// `figures` names each unreadable entry it re-runs in a `warning:` line on
+/// stderr, so a truncated file in a copied store is not mistaken for a
+/// cell that no shard stored.
+#[test]
+fn figures_warns_about_each_unreadable_entry() {
+    let dir = scratch("figures-truncated");
+    std::fs::remove_dir_all(&dir).ok();
+    let figures = || {
+        Command::new(env!("CARGO_BIN_EXE_figures"))
+            .args(["--insts", "5000", "--checkpoint"])
+            .arg(&dir)
+            .arg("fig2")
+            .output()
+            .expect("figures runs")
+    };
+    assert!(figures().status.success());
+    let entry = std::fs::read_dir(&dir)
+        .unwrap()
+        .next()
+        .expect("fig2 stored its cells")
+        .unwrap()
+        .path();
+    let text = std::fs::read(&entry).unwrap();
+    std::fs::write(&entry, &text[..text.len() / 2]).unwrap();
+
+    let out = figures();
+    assert!(out.status.success());
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    let warnings: Vec<&str> = stderr
+        .lines()
+        .filter(|l| l.starts_with("warning:"))
+        .collect();
+    assert_eq!(warnings.len(), 1, "{stderr}");
+    assert!(warnings[0].contains(entry.to_str().unwrap()), "{stderr}");
+    assert!(
+        stderr.contains("9 cell runs reloaded, 1 executed"),
+        "{stderr}"
+    );
 
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -1,29 +1,22 @@
-//! End-to-end tests of the sharded sweep fabric through the `figures`
-//! binary.
+//! End-to-end tests of sharded sweeps through the `figures` binary.
 //!
-//! The load-bearing contract: for any shard count K, running `--shard k/K`
-//! for every k and merging the fragment directories must produce
-//! per-experiment JSON documents *byte-identical* to an unsharded
-//! `figures --json` run of the same sweep — sharding is a pure partition
-//! of work, never a change of results. The merge must also refuse
-//! inconsistent inputs (overlap, version skew) with structured
-//! `shard-mismatch` errors and report coverage gaps via exit code 2.
+//! The contract: for any shard count K, the checkpoint directories that
+//! `--shard k/K` fills for k = 1..=K partition the unsharded sweep's store
+//! exactly, and serving their union with `--checkpoint UNION --json`
+//! executes nothing and gives the unsharded stdout and documents byte for
+//! byte. Sharding is a partition of work, never a change of results.
 
-use ppf_bench::shard::{ExperimentFragment, ShardManifest, SHARD_SCHEMA_VERSION};
-use ppf_types::FromJson;
 use proptest::prelude::*;
+use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
-use std::process::Command;
+use std::process::{Command, Output};
 use std::sync::OnceLock;
 
-/// The sweep under test: small enough to run many times, two experiments
-/// so cross-experiment manifest handling is exercised.
-const EXPERIMENTS: [&str; 2] = ["fig2", "table2"];
+/// The sweep under test: small enough to run many times. `ablate-assoc`
+/// runs fig2's ten cells again under the label "1-way", so two
+/// experiments share keys, and `table2` has cells of its own.
+const EXPERIMENTS: [&str; 3] = ["fig2", "ablate-assoc", "table2"];
 const INSTS: &str = "5000";
-
-fn figures() -> Command {
-    Command::new(env!("CARGO_BIN_EXE_figures"))
-}
 
 fn temp_dir(name: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("ppf-shard-{name}-{}", std::process::id()));
@@ -32,208 +25,141 @@ fn temp_dir(name: &str) -> PathBuf {
     dir
 }
 
-/// Run `figures --insts INSTS --json <dir> [--shard k/n] fig2 table2`,
-/// asserting success.
-fn run_figures(json_dir: &Path, shard: Option<(u64, u64)>) {
-    let mut cmd = figures();
-    cmd.args(["--insts", INSTS, "--json"]).arg(json_dir);
-    if let Some((k, n)) = shard {
-        cmd.args(["--shard", &format!("{k}/{n}")]);
-    }
-    let out = cmd.args(EXPERIMENTS).output().expect("figures runs");
-    assert!(
-        out.status.success(),
-        "figures failed: {}",
-        String::from_utf8_lossy(&out.stderr)
-    );
+/// Run `figures --insts INSTS <args> EXPERIMENTS`.
+fn figures(args: &[&str]) -> Output {
+    Command::new(env!("CARGO_BIN_EXE_figures"))
+        .args(["--insts", INSTS])
+        .args(args)
+        .args(EXPERIMENTS)
+        .output()
+        .expect("figures runs")
 }
 
-/// The unsharded reference documents, computed once per test process.
-fn baseline() -> &'static Vec<(String, String)> {
-    static BASE: OnceLock<Vec<(String, String)>> = OnceLock::new();
-    BASE.get_or_init(|| {
-        let dir = temp_dir("baseline");
-        run_figures(&dir, None);
-        let docs = EXPERIMENTS
-            .iter()
-            .map(|name| {
-                let text = std::fs::read_to_string(dir.join(format!("{name}.json")))
-                    .expect("unsharded doc written");
-                (name.to_string(), text)
-            })
-            .collect();
-        std::fs::remove_dir_all(&dir).ok();
-        docs
-    })
+/// `p` as a command-line argument.
+fn path(p: &Path) -> &str {
+    p.to_str().expect("temp paths are UTF-8")
 }
 
-/// Run all K shards into fresh directories and return their paths.
-fn run_all_shards(tag: &str, count: u64) -> Vec<PathBuf> {
-    (1..=count)
-        .map(|k| {
-            let dir = temp_dir(&format!("{tag}-{k}of{count}"));
-            run_figures(&dir, Some((k, count)));
-            dir
-        })
+/// The file names in `dir`.
+fn files(dir: &Path) -> BTreeSet<String> {
+    std::fs::read_dir(dir)
+        .unwrap()
+        .map(|e| e.unwrap().file_name().into_string().unwrap())
         .collect()
 }
 
-fn merge(out_dir: &Path, shard_dirs: &[PathBuf]) -> std::process::Output {
-    let mut cmd = figures();
-    cmd.arg("merge").arg("--out").arg(out_dir);
-    for d in shard_dirs {
-        cmd.arg(d);
-    }
-    cmd.output().expect("figures merge runs")
+/// An unsharded run's store, stdout and documents.
+struct Unsharded {
+    store: BTreeSet<String>,
+    stdout: Vec<u8>,
+    docs: Vec<(String, Vec<u8>)>,
+}
+
+/// The unsharded reference, computed once per test process.
+fn unsharded() -> &'static Unsharded {
+    static BASE: OnceLock<Unsharded> = OnceLock::new();
+    BASE.get_or_init(|| {
+        let root = temp_dir("unsharded");
+        let (store, json) = (root.join("store"), root.join("json"));
+        let out = figures(&["--checkpoint", path(&store), "--json", path(&json)]);
+        assert!(
+            out.status.success(),
+            "{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        let docs = EXPERIMENTS
+            .iter()
+            .map(|name| {
+                let doc = std::fs::read(json.join(format!("{name}.json"))).unwrap();
+                (name.to_string(), doc)
+            })
+            .collect();
+        let base = Unsharded {
+            store: files(&store),
+            stdout: out.stdout,
+            docs,
+        };
+        std::fs::remove_dir_all(&root).ok();
+        base
+    })
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(3))]
 
-    /// The tentpole invariant: for any shard count, the union of all
-    /// shards merges byte-identical to the unsharded run.
+    /// For any shard count, the shard stores are pairwise disjoint and
+    /// together hold exactly the unsharded store, and their union serves
+    /// the unsharded stdout and documents without executing a cell.
     #[test]
-    fn shard_union_merges_byte_identical_to_unsharded(count in 2u64..=5) {
-        let shard_dirs = run_all_shards("union", count);
-        let out_dir = temp_dir(&format!("union-merged-{count}"));
-        let out = merge(&out_dir, &shard_dirs);
-        prop_assert!(
-            out.status.success(),
-            "merge failed: {}",
-            String::from_utf8_lossy(&out.stderr)
+    fn shard_stores_partition_the_sweep_and_their_union_serves_it(count in 2u64..=5) {
+        let base = unsharded();
+        let root = temp_dir(&format!("union-{count}"));
+        let union = root.join("union");
+        std::fs::create_dir_all(&union).unwrap();
+        let mut stored = BTreeSet::new();
+        for k in 1..=count {
+            let store = root.join(format!("shard-{k}"));
+            let spec = format!("{k}/{count}");
+            let out = figures(&["--shard", &spec, "--checkpoint", path(&store)]);
+            prop_assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+            for name in files(&store) {
+                prop_assert!(!stored.contains(&name), "{} stored by two shards", name);
+                std::fs::copy(store.join(&name), union.join(&name)).unwrap();
+                stored.insert(name);
+            }
+        }
+        prop_assert_eq!(&stored, &base.store);
+
+        let json = root.join("json");
+        let out = figures(&["--checkpoint", path(&union), "--json", path(&json)]);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        prop_assert!(out.status.success(), "{}", stderr);
+        let lines: Vec<&str> = stderr.lines().filter(|l| l.contains("checkpoint:")).collect();
+        // Every experiment here has a grid, so each prints one line.
+        prop_assert_eq!(lines.len(), EXPERIMENTS.len(), "{}", stderr);
+        prop_assert!(lines.iter().all(|l| l.ends_with(" 0 executed")), "{}", stderr);
+        prop_assert!(out.stdout == base.stdout, "served stdout differs from the unsharded run");
+        for (name, expected) in &base.docs {
+            let doc = std::fs::read(json.join(format!("{name}.json"))).unwrap();
+            prop_assert!(&doc == expected, "{} differs from the unsharded run", name);
+        }
+        prop_assert_eq!(&files(&union), &base.store, "serving added a file");
+        std::fs::remove_dir_all(&root).ok();
+    }
+}
+
+/// `--shard` needs a store to fill and refuses the outputs a shard cannot
+/// give: a document for part of a grid, and keyless telemetry or faulted
+/// cells. Each misuse exits 1 before anything runs, so no store appears.
+#[test]
+fn shard_without_store_or_with_unstorable_output_exits_1() {
+    let root = temp_dir("misuse");
+    let (store, other) = (root.join("store"), root.join("other"));
+    let (store, other) = (path(&store), path(&other));
+    for (args, complaint) in [
+        (vec![], "--shard requires --checkpoint"),
+        (
+            vec!["--checkpoint", store, "--json", other],
+            "--shard rejects --json",
+        ),
+        (
+            vec!["--checkpoint", store, "--telemetry", other],
+            "--shard rejects --telemetry",
+        ),
+        (
+            vec!["--checkpoint", store, "--inject-fault", "100"],
+            "--shard rejects --inject-fault",
+        ),
+    ] {
+        let out = figures(&[&["--shard", "1/2"], &args[..]].concat());
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{stderr}");
+        assert!(stderr.contains(complaint), "{stderr}");
+        assert!(out.stdout.is_empty(), "nothing ran");
+        assert!(
+            files(&root).is_empty(),
+            "{complaint}: a directory was created"
         );
-        for (name, expected) in baseline() {
-            let merged = std::fs::read_to_string(out_dir.join(format!("{name}.json")))
-                .expect("merged doc written");
-            prop_assert_eq!(&merged, expected, "{} differs from unsharded run", name);
-        }
-        for d in shard_dirs {
-            std::fs::remove_dir_all(&d).ok();
-        }
-        std::fs::remove_dir_all(&out_dir).ok();
     }
-}
-
-#[test]
-fn shard_fragments_and_manifest_are_self_describing() {
-    let dirs = run_all_shards("describe", 2);
-    let mut covered: Vec<Vec<u64>> = vec![Vec::new(); EXPERIMENTS.len()];
-    let mut totals: Vec<u64> = vec![0; EXPERIMENTS.len()];
-    for (k, dir) in dirs.iter().enumerate() {
-        let manifest = ShardManifest::from_json_str(
-            &std::fs::read_to_string(dir.join("MANIFEST.json")).expect("manifest written"),
-        )
-        .expect("manifest parses");
-        assert_eq!(manifest.schema_version, SHARD_SCHEMA_VERSION);
-        assert_eq!(manifest.shard_index, k as u64 + 1);
-        assert_eq!(manifest.shard_count, 2);
-        assert_eq!(manifest.insts.to_string(), INSTS);
-        // Both invoked experiments are gridded, so the manifest lists
-        // exactly them, in invocation order.
-        let names: Vec<&str> = manifest
-            .experiments
-            .iter()
-            .map(|e| e.experiment.as_str())
-            .collect();
-        assert_eq!(names, EXPERIMENTS);
-        for (i, exp) in manifest.experiments.iter().enumerate() {
-            assert!(exp.total_cells > 0);
-            totals[i] = exp.total_cells;
-            assert_eq!(exp.indices.len(), exp.keys.len());
-            // The fragment mirrors the manifest's coverage claim.
-            let frag = ExperimentFragment::from_json_str(
-                &std::fs::read_to_string(dir.join(format!("{}.fragment.json", exp.experiment)))
-                    .expect("fragment written"),
-            )
-            .expect("fragment parses");
-            assert_eq!(frag.schema_version, SHARD_SCHEMA_VERSION);
-            assert_eq!(frag.shard_index, manifest.shard_index);
-            let frag_indices: Vec<u64> = frag.entries.iter().map(|e| e.index).collect();
-            assert_eq!(frag_indices, exp.indices);
-            assert!(frag.entries.iter().all(|e| e.report.is_some()));
-            covered[i].extend(&exp.indices);
-        }
-    }
-    // The two shards partition each grid exactly: no gaps, no overlap.
-    for (per_exp, total) in covered.iter_mut().zip(&totals) {
-        per_exp.sort_unstable();
-        assert_eq!(*per_exp, (0..*total).collect::<Vec<u64>>());
-    }
-    for d in dirs {
-        std::fs::remove_dir_all(&d).ok();
-    }
-}
-
-#[test]
-fn merge_rejects_overlapping_shards_with_structured_error() {
-    let dirs = run_all_shards("overlap", 2);
-    let out_dir = temp_dir("overlap-merged");
-    // The same shard twice: every cell it owns is claimed twice.
-    let out = merge(&out_dir, &[dirs[0].clone(), dirs[0].clone()]);
-    assert_eq!(out.status.code(), Some(1));
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(stderr.contains("shard-mismatch"), "{stderr}");
-    assert!(
-        !out_dir.join("fig2.json").exists(),
-        "a refused merge must write nothing"
-    );
-    for d in dirs {
-        std::fs::remove_dir_all(&d).ok();
-    }
-    std::fs::remove_dir_all(&out_dir).ok();
-}
-
-#[test]
-fn merge_reports_coverage_gaps_with_exit_2() {
-    let dirs = run_all_shards("gaps", 2);
-    let out_dir = temp_dir("gaps-merged");
-    // Only shard 1 of 2: consistent inputs, incomplete coverage.
-    let out = merge(&out_dir, &dirs[..1]);
-    assert_eq!(out.status.code(), Some(2), "partial coverage is exit 2");
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(stderr.contains("coverage gaps"), "{stderr}");
-    assert!(stderr.contains("missing"), "{stderr}");
-    assert!(
-        !out_dir.join("fig2.json").exists(),
-        "a partial merge must write nothing"
-    );
-    for d in dirs {
-        std::fs::remove_dir_all(&d).ok();
-    }
-    std::fs::remove_dir_all(&out_dir).ok();
-}
-
-#[test]
-fn merge_rejects_schema_version_skew() {
-    let dirs = run_all_shards("skew", 2);
-    let out_dir = temp_dir("skew-merged");
-    let manifest_path = dirs[1].join("MANIFEST.json");
-    let doctored = std::fs::read_to_string(&manifest_path).unwrap().replacen(
-        "\"schema_version\": 1",
-        "\"schema_version\": 999",
-        1,
-    );
-    std::fs::write(&manifest_path, doctored).unwrap();
-    let out = merge(&out_dir, &dirs);
-    assert_eq!(out.status.code(), Some(1));
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(stderr.contains("schema version"), "{stderr}");
-    for d in dirs {
-        std::fs::remove_dir_all(&d).ok();
-    }
-    std::fs::remove_dir_all(&out_dir).ok();
-}
-
-#[test]
-fn shard_flag_requires_json_dir() {
-    let out = figures()
-        .args(["--insts", INSTS, "--shard", "1/2", "fig2"])
-        .output()
-        .expect("figures runs");
-    assert_eq!(out.status.code(), Some(1));
-    assert!(
-        String::from_utf8_lossy(&out.stderr).contains("--shard requires --json"),
-        "{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
+    std::fs::remove_dir_all(&root).ok();
 }

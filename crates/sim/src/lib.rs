@@ -24,5 +24,5 @@ pub use experiments::{
     fanned_seed, run_grid, run_grid_outcomes, CellFailure, CellOutcome, RunSpec, TelemetrySpec,
 };
 pub use report::SimReport;
-pub use schedule::{cell_key, CostModel};
+pub use schedule::CostModel;
 pub use simulator::{FilterTapEvent, KernelMode, Simulator, WatchdogConfig};

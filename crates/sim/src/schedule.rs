@@ -29,7 +29,7 @@
 //! byte-identical output.
 
 use crate::experiments::RunSpec;
-use ppf_types::{FilterKind, SystemConfig, ToJson};
+use ppf_types::{FilterKind, SystemConfig};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -45,37 +45,6 @@ pub fn fnv1a(mut h: u64, bytes: &[u8]) -> u64 {
 
 /// FNV-1a offset basis (the standard 64-bit seed).
 pub const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-
-/// The content-hash key of one cell: label, config JSON, workload, seed,
-/// instruction budgets and adversary. Any change to any of these yields a
-/// different key. The shard partitioner uses it as the stable identity a
-/// cell keeps across machines, and shard fragments record it per entry.
-pub fn cell_key(spec: &RunSpec) -> String {
-    content_key(&[&spec.label], spec)
-}
-
-/// FNV-1a over the `prefix` parts and then everything of `spec` that
-/// reaches the machine (config JSON, workload, seed, instruction budgets,
-/// adversary), as 16 hex digits. Each part ends in a NUL separator so
-/// ("ab","c") and ("a","bc") cannot collide.
-pub fn content_key(prefix: &[&str], spec: &RunSpec) -> String {
-    // Attack-free cells hash an empty adversary part.
-    let adversary = spec.adversary.map(|a| a.describe()).unwrap_or_default();
-    let machine = [
-        &spec.config.to_json_string(),
-        spec.workload.name(),
-        &spec.seed.to_string(),
-        &spec.n_instructions.to_string(),
-        &spec.warmup.to_string(),
-        &adversary,
-    ];
-    let mut h = FNV_OFFSET;
-    for part in prefix.iter().chain(&machine) {
-        h = fnv1a(h, part.as_bytes());
-        h = fnv1a(h, &[0]);
-    }
-    format!("{h:016x}")
-}
 
 /// Predicted-cost heuristic for grid cells: total instructions (warm-up
 /// included) scaled by a static configuration weight. Predictions only

@@ -35,9 +35,6 @@ pub enum PpfErrorKind {
     TraceEncoding,
     /// An operating-system I/O failure (checkpoint directory, report dump).
     Io,
-    /// Sharded-sweep fragments or manifests that cannot be merged: schema
-    /// version skew, mismatched sweep parameters, or overlapping coverage.
-    ShardMismatch,
 }
 
 impl PpfErrorKind {
@@ -52,7 +49,6 @@ impl PpfErrorKind {
             PpfErrorKind::CheckpointCorrupt => "checkpoint-corrupt",
             PpfErrorKind::TraceEncoding => "trace-encoding",
             PpfErrorKind::Io => "io",
-            PpfErrorKind::ShardMismatch => "shard-mismatch",
         }
     }
 }
@@ -66,7 +62,6 @@ json_unit_enum!(PpfErrorKind {
     CheckpointCorrupt,
     TraceEncoding,
     Io,
-    ShardMismatch,
 });
 
 /// A structured error: taxonomy kind, root-cause message, and a context
@@ -129,11 +124,6 @@ impl PpfError {
     /// Convenience constructor for [`PpfErrorKind::Io`].
     pub fn io(message: impl Into<String>) -> Self {
         Self::new(PpfErrorKind::Io, message)
-    }
-
-    /// Convenience constructor for [`PpfErrorKind::ShardMismatch`].
-    pub fn shard_mismatch(message: impl Into<String>) -> Self {
-        Self::new(PpfErrorKind::ShardMismatch, message)
     }
 
     /// Append a context frame (outer layers call this as the error
@@ -202,7 +192,6 @@ mod tests {
             "checkpoint-corrupt"
         );
         assert_eq!(PpfErrorKind::TraceEncoding.label(), "trace-encoding");
-        assert_eq!(PpfErrorKind::ShardMismatch.label(), "shard-mismatch");
     }
 
     #[test]
