@@ -117,8 +117,8 @@ figures_sweep() {
     # table and writes every document. Shards own disjoint keys, so `cp`
     # refuses to copy one file twice if they ever overlap, and a cell the
     # served run has to execute (its E column) is one no shard stored.
-    # The throughput ratchet rides along so a perf regression can't hide
-    # behind a green sweep.
+    # The throughput ratchet (bench_smoke) rides along so a perf
+    # regression can't hide behind a green sweep.
     : "${PPF_SHARD_INSTS:=100000}"
     cargo build --release -p ppf-bench
     rm -rf cells merged
@@ -137,8 +137,7 @@ figures_sweep() {
         echo "serving the union exited $served and executed $executed cell runs" >&2
         exit 1
     fi
-    ./target/release/bench throughput --quick --trials 5 --no-write \
-        --baseline BENCH_baseline.json
+    bench_smoke
 }
 
 case "$stage" in

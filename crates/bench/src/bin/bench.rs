@@ -30,13 +30,21 @@
 //! and how many intervals after attack-off it took to climb back within
 //! the recovery band of the pre-attack baseline.
 //!
-//! Exit codes: 0 success, 1 usage or I/O errors, 3 perf regression.
+//! Exit codes: 0 success, 1 usage or I/O errors, 3 perf regression. A
+//! stdout closed early (`bench throughput | head`) silences the tables,
+//! not the run: its files are still written and the exit code is
+//! unchanged.
+
+#[path = "../stdout.rs"]
+mod stdout;
 
 use ppf_bench::{throughput, timeline};
 use ppf_types::{FilterKind, ToJson};
 use ppf_workloads::{AdversarySpec, AttackKind, Workload};
+use std::io::{self, Write};
 use std::path::PathBuf;
 use std::process::ExitCode;
+use stdout::Stdout;
 
 const USAGE: &str = "usage: bench throughput [--quick] [--trials N] [--out PATH] [--no-write]\n\
      \x20                       [--baseline PATH] [--max-regress PCT]\n\
@@ -59,7 +67,7 @@ fn parse_filter(name: &str) -> Option<FilterKind> {
     }
 }
 
-fn timeline_main(args: &[String]) -> ExitCode {
+fn timeline_main(args: &[String], out: &mut Stdout) -> io::Result<ExitCode> {
     let mut settings = timeline::TimelineSettings::default();
     let mut json = false;
     let mut attack: Option<AttackKind> = None;
@@ -76,7 +84,7 @@ fn timeline_main(args: &[String]) -> ExitCode {
                         eprintln!(
                             "--attack needs one of poison|alias-flood|phase-shift|interleave\n{USAGE}"
                         );
-                        return ExitCode::FAILURE;
+                        return Ok(ExitCode::FAILURE);
                     }
                 }
             }
@@ -86,7 +94,7 @@ fn timeline_main(args: &[String]) -> ExitCode {
                     Some(n) => attack_start = Some(n),
                     None => {
                         eprintln!("--attack-start needs an instruction index\n{USAGE}");
-                        return ExitCode::FAILURE;
+                        return Ok(ExitCode::FAILURE);
                     }
                 }
             }
@@ -96,7 +104,7 @@ fn timeline_main(args: &[String]) -> ExitCode {
                     Some(n) => attack_stop = Some(n),
                     None => {
                         eprintln!("--attack-stop needs an instruction index\n{USAGE}");
-                        return ExitCode::FAILURE;
+                        return Ok(ExitCode::FAILURE);
                     }
                 }
             }
@@ -106,7 +114,7 @@ fn timeline_main(args: &[String]) -> ExitCode {
                     Some(kind) => settings.filter = kind,
                     None => {
                         eprintln!("--filter needs one of PA|PC|hybrid|perceptron|none\n{USAGE}");
-                        return ExitCode::FAILURE;
+                        return Ok(ExitCode::FAILURE);
                     }
                 }
             }
@@ -116,7 +124,7 @@ fn timeline_main(args: &[String]) -> ExitCode {
                     Some(n) if n > 0 => settings.insts = n,
                     _ => {
                         eprintln!("--insts needs a positive number\n{USAGE}");
-                        return ExitCode::FAILURE;
+                        return Ok(ExitCode::FAILURE);
                     }
                 }
             }
@@ -126,7 +134,7 @@ fn timeline_main(args: &[String]) -> ExitCode {
                     Some(n) if n > 0 => settings.interval_cycles = n,
                     _ => {
                         eprintln!("--interval needs a positive cycle count\n{USAGE}");
-                        return ExitCode::FAILURE;
+                        return Ok(ExitCode::FAILURE);
                     }
                 }
             }
@@ -136,24 +144,24 @@ fn timeline_main(args: &[String]) -> ExitCode {
                     Some(n) => settings.seed = n,
                     None => {
                         eprintln!("--seed needs a number\n{USAGE}");
-                        return ExitCode::FAILURE;
+                        return Ok(ExitCode::FAILURE);
                     }
                 }
             }
             "--json" => json = true,
             "--help" | "-h" => {
-                println!("{USAGE}");
-                return ExitCode::SUCCESS;
+                writeln!(out, "{USAGE}")?;
+                return Ok(ExitCode::SUCCESS);
             }
             flag if flag.starts_with('-') => {
                 eprintln!("unknown argument '{flag}'\n{USAGE}");
-                return ExitCode::FAILURE;
+                return Ok(ExitCode::FAILURE);
             }
             name => match Workload::from_name(name) {
                 Some(w) => settings.workload = w,
                 None => {
                     eprintln!("unknown workload '{name}'");
-                    return ExitCode::FAILURE;
+                    return Ok(ExitCode::FAILURE);
                 }
             },
         }
@@ -170,50 +178,54 @@ fn timeline_main(args: &[String]) -> ExitCode {
             }
             if spec.start >= spec.stop {
                 eprintln!("--attack-start must be below --attack-stop\n{USAGE}");
-                return ExitCode::FAILURE;
+                return Ok(ExitCode::FAILURE);
             }
             settings.attack = Some(spec);
         }
         None if attack_start.is_some() || attack_stop.is_some() => {
             eprintln!("--attack-start/--attack-stop need --attack KIND\n{USAGE}");
-            return ExitCode::FAILURE;
+            return Ok(ExitCode::FAILURE);
         }
         None => {}
     }
     match timeline::run(&settings) {
         Ok(report) => {
             if json {
-                println!("{}", report.to_json_pretty());
+                writeln!(out, "{}", report.to_json_pretty())?;
             } else {
-                print!("{}", timeline::render(&report));
+                write!(out, "{}", timeline::render(&report))?;
             }
-            ExitCode::SUCCESS
+            Ok(ExitCode::SUCCESS)
         }
         Err(e) => {
             eprintln!("timeline failed: {e}");
-            ExitCode::FAILURE
+            Ok(ExitCode::FAILURE)
         }
     }
 }
 
 fn main() -> ExitCode {
+    stdout::run("bench", bench_main)
+}
+
+fn bench_main(out: &mut Stdout) -> io::Result<ExitCode> {
     let args: Vec<String> = std::env::args().skip(1).collect();
     if args.first().map(String::as_str) == Some("timeline") {
-        return timeline_main(&args[1..]);
+        return timeline_main(&args[1..], out);
     }
     if args.first().map(String::as_str) != Some("throughput") {
         match args.first().map(String::as_str) {
             Some("--help") | Some("-h") => {
-                println!("{USAGE}");
-                return ExitCode::SUCCESS;
+                writeln!(out, "{USAGE}")?;
+                return Ok(ExitCode::SUCCESS);
             }
             Some(other) => eprintln!("unknown subcommand '{other}'\n{USAGE}"),
             None => eprintln!("no subcommand given\n{USAGE}"),
         }
-        return ExitCode::FAILURE;
+        return Ok(ExitCode::FAILURE);
     }
     let mut settings = throughput::BenchSettings::full();
-    let mut out: Option<PathBuf> = None;
+    let mut out_path: Option<PathBuf> = None;
     let mut write = true;
     let mut baseline: Option<PathBuf> = None;
     let mut max_regress = throughput::DEFAULT_MAX_REGRESS_PCT;
@@ -232,17 +244,17 @@ fn main() -> ExitCode {
                     Some(n) if n > 0 => settings.trials = n,
                     _ => {
                         eprintln!("--trials needs a positive count\n{USAGE}");
-                        return ExitCode::FAILURE;
+                        return Ok(ExitCode::FAILURE);
                     }
                 }
             }
             "--out" => {
                 i += 1;
                 match args.get(i) {
-                    Some(p) => out = Some(PathBuf::from(p)),
+                    Some(p) => out_path = Some(PathBuf::from(p)),
                     None => {
                         eprintln!("--out needs a path\n{USAGE}");
-                        return ExitCode::FAILURE;
+                        return Ok(ExitCode::FAILURE);
                     }
                 }
             }
@@ -252,7 +264,7 @@ fn main() -> ExitCode {
                     Some(p) => baseline = Some(PathBuf::from(p)),
                     None => {
                         eprintln!("--baseline needs a path\n{USAGE}");
-                        return ExitCode::FAILURE;
+                        return Ok(ExitCode::FAILURE);
                     }
                 }
             }
@@ -262,17 +274,17 @@ fn main() -> ExitCode {
                     Some(p) if p > 0.0 => max_regress = p,
                     _ => {
                         eprintln!("--max-regress needs a positive percentage\n{USAGE}");
-                        return ExitCode::FAILURE;
+                        return Ok(ExitCode::FAILURE);
                     }
                 }
             }
             "--help" | "-h" => {
-                println!("{USAGE}");
-                return ExitCode::SUCCESS;
+                writeln!(out, "{USAGE}")?;
+                return Ok(ExitCode::SUCCESS);
             }
             other => {
                 eprintln!("unknown argument '{other}'\n{USAGE}");
-                return ExitCode::FAILURE;
+                return Ok(ExitCode::FAILURE);
             }
         }
         i += 1;
@@ -281,17 +293,17 @@ fn main() -> ExitCode {
         Ok(r) => r,
         Err(e) => {
             eprintln!("throughput run failed: {e}");
-            return ExitCode::FAILURE;
+            return Ok(ExitCode::FAILURE);
         }
     };
-    println!("{}", throughput::render(&report));
+    writeln!(out, "{}", throughput::render(&report))?;
     if write {
-        let path = out.unwrap_or_else(|| PathBuf::from(format!("BENCH_{}.json", report.rev)));
+        let path = out_path.unwrap_or_else(|| PathBuf::from(format!("BENCH_{}.json", report.rev)));
         match throughput::store_report(&path, &report) {
             Ok(()) => eprintln!("wrote {}", path.display()),
             Err(e) => {
                 eprintln!("{e}");
-                return ExitCode::FAILURE;
+                return Ok(ExitCode::FAILURE);
             }
         }
     }
@@ -300,23 +312,24 @@ fn main() -> ExitCode {
             Ok(b) => b,
             Err(e) => {
                 eprintln!("{e}");
-                return ExitCode::FAILURE;
+                return Ok(ExitCode::FAILURE);
             }
         };
         let cmp = throughput::compare(&base, &report);
-        println!("\nvs baseline {} ({})", base.rev, base_path.display());
-        print!("{}", throughput::render_comparison(&cmp));
+        writeln!(out, "\nvs baseline {} ({})", base.rev, base_path.display())?;
+        write!(out, "{}", throughput::render_comparison(&cmp))?;
         if cmp.regression_exceeds(max_regress) {
             eprintln!(
                 "perf regression: worst layer {:.1}% below baseline (threshold -{max_regress:.0}%)",
                 cmp.worst_pct
             );
-            return ExitCode::from(EXIT_REGRESSION);
+            return Ok(ExitCode::from(EXIT_REGRESSION));
         }
-        println!(
+        writeln!(
+            out,
             "within threshold (worst {:+.1}%, limit -{max_regress:.0}%)",
             cmp.worst_pct
-        );
+        )?;
     }
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }

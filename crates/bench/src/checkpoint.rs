@@ -14,14 +14,14 @@
 //! results can never leak into a new sweep. The directory holds exactly
 //! one file per distinct completed cell and nothing else.
 //!
-//! Writes stream from the worker threads as cells finish (write to a
-//! `.tmp` sibling, then rename), so a crash mid-sweep loses at most the
-//! cells still in flight.
+//! Writes stream from the worker threads as cells finish, each through
+//! [`write_atomic`], so a crash mid-sweep loses at most the cells still in
+//! flight.
 
 use crate::memo::memo_key;
 use ppf_sim::experiments::RunSpec;
 use ppf_sim::SimReport;
-use ppf_types::{FromJson, PpfError, ToJson};
+use ppf_types::{write_atomic, FromJson, PpfError, ToJson};
 use std::path::{Path, PathBuf};
 
 /// Path of a cell's checkpoint file under `dir`, or `None` for a cell that
@@ -51,11 +51,7 @@ pub(crate) fn load(dir: &Path, key: &str) -> Result<Option<SimReport>, PpfError>
         .map_err(|e| PpfError::checkpoint_corrupt(e).context(format!("parsing {}", path.display())))
 }
 
-/// Write one cell's report under `key` atomically (tmp + rename).
+/// Write one cell's report under `key` atomically.
 pub(crate) fn save(dir: &Path, key: &str, report: &SimReport) -> Result<(), PpfError> {
-    let path = key_path(dir, key);
-    let tmp = path.with_extension("json.tmp");
-    std::fs::write(&tmp, report.to_json_pretty())
-        .and_then(|()| std::fs::rename(&tmp, &path))
-        .map_err(|e| PpfError::io(e.to_string()).context(format!("writing {}", path.display())))
+    write_atomic(&key_path(dir, key), &report.to_json_pretty())
 }

@@ -15,10 +15,10 @@ use ppf_sim::experiments::{
 use ppf_sim::report::{f3, geomean, mean, pct, TextTable};
 use ppf_sim::{CellFailure, SimReport};
 use ppf_types::telemetry::{TelemetryConfig, DEFAULT_INTERVAL_CYCLES};
-use ppf_types::{json_struct, FilterKind, PpfError, SystemConfig, ToJson};
+use ppf_types::{json_struct, write_atomic, FilterKind, PpfError, SystemConfig, ToJson};
 use ppf_workloads::{AttackKind, FaultSpec, Workload};
 use std::fmt::Write as _;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 /// One registry entry: the name `figures` accepts, the grid it runs at a
 /// given instruction budget (`None` for the static `table1`), and the
@@ -270,8 +270,7 @@ pub fn run_experiment_full(
             failures: failures.clone(),
         };
         let path = format!("{dir}/{name}.json");
-        std::fs::write(&path, doc.to_json_pretty())
-            .map_err(|e| PpfError::io(e.to_string()).context(format!("writing {path}")))?;
+        write_atomic(Path::new(&path), &doc.to_json_pretty())?;
     }
     Ok(ExperimentOutput {
         body,

@@ -29,12 +29,18 @@
 //! Exit codes: 0 on success, 1 on usage or I/O errors (nothing runs on a
 //! bad invocation), 2 when the sweep completed but some cells failed.
 //! Tables go to stdout; the per-cell failure appendix goes to stderr, so
-//! stdout stays machine-parseable even on a partial run.
+//! stdout stays machine-parseable even on a partial run. A stdout closed
+//! early (`figures all | head`) silences the tables, not the sweep: its
+//! files are still written and the exit code is unchanged.
+
+mod stdout;
 
 use ppf_bench::figures::{self, ExperimentOptions};
 use ppf_bench::shard::ShardSpec;
+use std::io::{self, Write};
 use std::path::PathBuf;
 use std::process::ExitCode;
+use stdout::Stdout;
 
 const USAGE: &str = "usage: figures [--insts N] [--seeds K] [--json DIR] [--checkpoint DIR] \
      [--telemetry DIR] [--inject-fault N] <experiment>...\n\
@@ -44,13 +50,17 @@ const USAGE: &str = "usage: figures [--insts N] [--seeds K] [--json DIR] [--chec
 /// Exit code for "the sweep ran, but some cells failed".
 const EXIT_PARTIAL: u8 = 2;
 
-fn print_experiments() {
+fn print_experiments(out: &mut Stdout) -> io::Result<()> {
     let names: Vec<&str> = figures::EXPERIMENTS.iter().map(|e| e.name).collect();
-    println!("experiments: {}", names.join(" "));
-    println!("             all");
+    writeln!(out, "experiments: {}", names.join(" "))?;
+    writeln!(out, "             all")
 }
 
 fn main() -> ExitCode {
+    stdout::run("figures", figures_main)
+}
+
+fn figures_main(out: &mut Stdout) -> io::Result<ExitCode> {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut insts = ppf_sim::experiments::DEFAULT_INSTRUCTIONS;
     let mut opts = ExperimentOptions::default();
@@ -64,7 +74,7 @@ fn main() -> ExitCode {
                     Some(n) if n > 0 => insts = n,
                     _ => {
                         eprintln!("--insts needs a positive number\n{USAGE}");
-                        return ExitCode::FAILURE;
+                        return Ok(ExitCode::FAILURE);
                     }
                 }
             }
@@ -74,7 +84,7 @@ fn main() -> ExitCode {
                     Some(n) if n >= 1 => opts.seeds = n,
                     _ => {
                         eprintln!("--seeds needs a positive number\n{USAGE}");
-                        return ExitCode::FAILURE;
+                        return Ok(ExitCode::FAILURE);
                     }
                 }
             }
@@ -84,7 +94,7 @@ fn main() -> ExitCode {
                     Some(d) => opts.json_dir = Some(d.clone()),
                     None => {
                         eprintln!("--json needs a directory\n{USAGE}");
-                        return ExitCode::FAILURE;
+                        return Ok(ExitCode::FAILURE);
                     }
                 }
             }
@@ -94,7 +104,7 @@ fn main() -> ExitCode {
                     Some(d) => opts.checkpoint = Some(PathBuf::from(d)),
                     None => {
                         eprintln!("--checkpoint needs a directory\n{USAGE}");
-                        return ExitCode::FAILURE;
+                        return Ok(ExitCode::FAILURE);
                     }
                 }
             }
@@ -104,7 +114,7 @@ fn main() -> ExitCode {
                     Some(d) => opts.telemetry = Some(PathBuf::from(d)),
                     None => {
                         eprintln!("--telemetry needs a directory\n{USAGE}");
-                        return ExitCode::FAILURE;
+                        return Ok(ExitCode::FAILURE);
                     }
                 }
             }
@@ -114,7 +124,7 @@ fn main() -> ExitCode {
                     Some(n) => opts.inject_fault = Some(n),
                     None => {
                         eprintln!("--inject-fault needs an instruction number\n{USAGE}");
-                        return ExitCode::FAILURE;
+                        return Ok(ExitCode::FAILURE);
                     }
                 }
             }
@@ -124,24 +134,24 @@ fn main() -> ExitCode {
                     Some(Ok(s)) => opts.shard = Some(s),
                     _ => {
                         eprintln!("--shard needs K/N with 1 <= K <= N\n{USAGE}");
-                        return ExitCode::FAILURE;
+                        return Ok(ExitCode::FAILURE);
                     }
                 }
             }
             "--list" => {
                 for experiment in figures::EXPERIMENTS {
-                    println!("{}", experiment.name);
+                    writeln!(out, "{}", experiment.name)?;
                 }
-                return ExitCode::SUCCESS;
+                return Ok(ExitCode::SUCCESS);
             }
             "--help" | "-h" => {
-                println!("{USAGE}");
-                print_experiments();
-                return ExitCode::SUCCESS;
+                writeln!(out, "{USAGE}")?;
+                print_experiments(out)?;
+                return Ok(ExitCode::SUCCESS);
             }
             flag if flag.starts_with('-') => {
                 eprintln!("unknown flag '{flag}'\n{USAGE}");
-                return ExitCode::FAILURE;
+                return Ok(ExitCode::FAILURE);
             }
             name => names.push(name.to_string()),
         }
@@ -165,12 +175,12 @@ fn main() -> ExitCode {
     if opts.shard.is_some() {
         if let Some((_, msg)) = shard_misuse.iter().find(|(misused, _)| *misused) {
             eprintln!("{msg}\n{USAGE}");
-            return ExitCode::FAILURE;
+            return Ok(ExitCode::FAILURE);
         }
     }
     if names.is_empty() {
         eprintln!("no experiment given; try --help");
-        return ExitCode::FAILURE;
+        return Ok(ExitCode::FAILURE);
     }
     if names.iter().any(|n| n == "all") {
         names = figures::EXPERIMENTS
@@ -188,35 +198,35 @@ fn main() -> ExitCode {
         for n in unknown {
             eprintln!("unknown experiment '{n}'");
         }
-        print_experiments();
-        return ExitCode::FAILURE;
+        print_experiments(out)?;
+        return Ok(ExitCode::FAILURE);
     }
     let mut failed_cells = 0usize;
     for name in &names {
         match figures::run_experiment_full(name, insts, &opts) {
-            Ok(out) => {
-                println!("{}", out.body);
-                if !out.failures.is_empty() {
+            Ok(run) => {
+                writeln!(out, "{}", run.body)?;
+                if !run.failures.is_empty() {
                     // Diagnostics to stderr: stdout must stay parseable.
-                    eprint!("{}", figures::failure_appendix(&out.failures));
+                    eprint!("{}", figures::failure_appendix(&run.failures));
                 }
-                if opts.checkpoint.is_some() && out.loaded_cells + out.executed_cells > 0 {
+                if opts.checkpoint.is_some() && run.loaded_cells + run.executed_cells > 0 {
                     eprintln!(
                         "[{name}] checkpoint: {} cell runs reloaded, {} executed",
-                        out.loaded_cells, out.executed_cells
+                        run.loaded_cells, run.executed_cells
                     );
                 }
-                failed_cells += out.failures.len();
+                failed_cells += run.failures.len();
             }
             Err(e) => {
                 eprintln!("{name}: {e}");
-                return ExitCode::FAILURE;
+                return Ok(ExitCode::FAILURE);
             }
         }
     }
     if failed_cells > 0 {
         eprintln!("{failed_cells} cell(s) failed; see the failure appendix above");
-        return ExitCode::from(EXIT_PARTIAL);
+        return Ok(ExitCode::from(EXIT_PARTIAL));
     }
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }

@@ -15,7 +15,9 @@
 
 use ppf_sim::experiments::{RunSpec, DEFAULT_INSTRUCTIONS, DEFAULT_SEED};
 use ppf_sim::report::TextTable;
-use ppf_types::{json_struct, FilterKind, PpfError, PrefetchConfig, SystemConfig, ToJson};
+use ppf_types::{
+    json_struct, write_atomic, FilterKind, PpfError, PrefetchConfig, SystemConfig, ToJson,
+};
 use ppf_workloads::Workload;
 use std::time::Instant;
 
@@ -353,10 +355,7 @@ pub fn load_report(path: &std::path::Path) -> Result<BenchReport, PpfError> {
         .map_err(|e| PpfError::io(e).context(format!("parsing {}", path.display())))
 }
 
-/// Write a report as pretty JSON (tmp + rename, like checkpoints).
+/// Write a report as pretty JSON, atomically.
 pub fn store_report(path: &std::path::Path, report: &BenchReport) -> Result<(), PpfError> {
-    let tmp = path.with_extension("json.tmp");
-    std::fs::write(&tmp, report.to_json_pretty())
-        .and_then(|()| std::fs::rename(&tmp, path))
-        .map_err(|e| PpfError::io(e.to_string()).context(format!("writing {}", path.display())))
+    write_atomic(path, &report.to_json_pretty())
 }

@@ -8,12 +8,11 @@
 //! bad-prefetch burst is before the history table converges — the §4
 //! training dynamics the paper describes but never plots.
 
-use ppf_cpu::InstStream;
-use ppf_sim::Simulator;
+use ppf_sim::RunSpec;
 use ppf_types::json_struct;
 use ppf_types::telemetry::{IntervalRecord, TelemetryConfig};
 use ppf_types::{FilterKind, PpfError, SystemConfig};
-use ppf_workloads::{AdversarySpec, AdversaryStream, Workload};
+use ppf_workloads::{AdversarySpec, Workload};
 
 use ppf_sim::report::{f3, TextTable};
 
@@ -298,24 +297,23 @@ pub fn analyze_recovery(records: &[IntervalRecord], attack: &AdversarySpec) -> R
 
 /// Run the instrumented cell and build the report.
 pub fn run(settings: &TimelineSettings) -> Result<TimelineReport, PpfError> {
-    let cfg = SystemConfig::paper_default().with_filter(settings.filter);
-    let stream: Box<dyn InstStream> = match settings.attack {
-        Some(attack) => Box::new(AdversaryStream::new(
-            attack,
-            settings.workload,
-            settings.seed,
-        )),
-        None => Box::new(settings.workload.stream(settings.seed)),
-    };
-    let mut sim = Simulator::with_seed(cfg, stream, settings.seed)?
-        .labeled(
-            format!("timeline-{}", settings.filter.label()),
-            settings.workload.name(),
-        )
-        .with_telemetry(&TelemetryConfig::every(settings.interval_cycles))?;
     // Deliberately no warm-up: interval 0 starts at the cold machine, so
     // the filter's weakly-good transient is on the curve.
-    sim.run_checked(settings.insts)?;
+    let spec = RunSpec {
+        seed: settings.seed,
+        n_instructions: settings.insts,
+        warmup: 0,
+        adversary: settings.attack,
+        ..RunSpec::new(
+            format!("timeline-{}", settings.filter.label()),
+            SystemConfig::paper_default().with_filter(settings.filter),
+            settings.workload,
+        )
+    };
+    let mut sim = spec
+        .build_simulator()?
+        .with_telemetry(&TelemetryConfig::every(settings.interval_cycles))?;
+    sim.run_checked(spec.n_instructions)?;
     let records = sim.take_telemetry_records();
     if records.is_empty() {
         return Err(PpfError::config_invalid(format!(

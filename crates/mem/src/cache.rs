@@ -27,7 +27,7 @@
 //! the line's PIB is set; fill-ready cycles live in an array that the first
 //! fill carrying a nonzero cycle sizes.
 
-use ppf_types::{CacheConfig, Cycle, LineAddr, PrefetchOrigin, MAX_TENANTS, TENANT_ADDR_SHIFT};
+use ppf_types::{CacheConfig, Cycle, LineAddr, PrefetchOrigin};
 
 /// How a line is being filled.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -105,34 +105,6 @@ pub struct LineState {
     pub ready: Cycle,
 }
 
-/// Per-tenant attribution of prefetch outcomes and eviction pressure
-/// (DESIGN.md §12). Indexed by the tenant IDs carried in prefetch
-/// provenance / encoded in the address region, so a hostile tenant's bad
-/// prefetches and the conflict evictions it inflicts on other tenants are
-/// charged to *it* rather than diluted into global counters.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct TenantAttribution {
-    /// Referenced (RIB=1) prefetched lines retired, per owning tenant.
-    pub prefetch_good: [u64; MAX_TENANTS],
-    /// Unreferenced (RIB=0) prefetched lines retired, per owning tenant.
-    pub prefetch_bad: [u64; MAX_TENANTS],
-    /// Conflict evictions: `cross_evictions[victim][evictor]` counts valid
-    /// lines of tenant `victim` displaced by a fill from tenant `evictor`.
-    /// Off-diagonal mass is inter-tenant interference.
-    pub cross_evictions: [[u64; MAX_TENANTS]; MAX_TENANTS],
-}
-
-impl TenantAttribution {
-    /// Evictions of `victim`'s lines caused by *other* tenants.
-    pub fn inflicted_on(&self, victim: u8) -> u64 {
-        let v = victim as usize % MAX_TENANTS;
-        (0..MAX_TENANTS)
-            .filter(|&e| e != v)
-            .map(|e| self.cross_evictions[v][e])
-            .sum()
-    }
-}
-
 /// A set-associative LRU cache with PIB/RIB line metadata. Every array is
 /// indexed by way slot, `set * ways + way`.
 #[derive(Debug, Clone)]
@@ -156,10 +128,6 @@ pub struct Cache {
     set_mask: u64,
     /// The next LRU stamp (0 marks a way never touched).
     next_stamp: u64,
-    /// Right-shift that exposes the tenant bits of a *line* address
-    /// (`TENANT_ADDR_SHIFT` minus the line-offset bits).
-    tenant_shift: u32,
-    attribution: TenantAttribution,
 }
 
 impl Cache {
@@ -180,23 +148,7 @@ impl Cache {
             ways,
             set_mask: (sets - 1) as u64,
             next_stamp: 1,
-            tenant_shift: TENANT_ADDR_SHIFT.saturating_sub(cfg.line_bytes.max(1).trailing_zeros()),
-            attribution: TenantAttribution::default(),
         }
-    }
-
-    /// Tenant owning a resident line: the prefetch provenance when the line
-    /// was prefetched (authoritative), else the tenant bits of its address
-    /// region — the same derivation [`ppf_types::tenant_of_addr`] performs
-    /// on byte addresses.
-    #[inline]
-    fn tenant_of_line(&self, line: LineAddr) -> u8 {
-        ((line.0 >> self.tenant_shift) as usize & (MAX_TENANTS - 1)) as u8
-    }
-
-    /// Per-tenant prefetch-outcome and interference counters.
-    pub fn tenant_attribution(&self) -> &TenantAttribution {
-        &self.attribution
     }
 
     /// The line resident in valid way slot `idx`.
@@ -244,25 +196,15 @@ impl Cache {
         }
     }
 
-    /// Retire valid way slot `idx`: charge a prefetched line's outcome to
-    /// its owning tenant and return its eviction report. The caller
-    /// refills or invalidates the slot.
+    /// The eviction report of valid way slot `idx`. The caller refills or
+    /// invalidates the slot.
     #[inline]
-    fn retire(&mut self, idx: usize) -> Evicted {
+    fn evicted_at(&self, idx: usize) -> Evicted {
         let f = self.flags[idx];
-        let prefetch = self.origin_at(idx).map(|o| (o, f & RIB != 0));
-        if let Some((origin, referenced)) = prefetch {
-            let t = origin.tenant as usize % MAX_TENANTS;
-            if referenced {
-                self.attribution.prefetch_good[t] += 1;
-            } else {
-                self.attribution.prefetch_bad[t] += 1;
-            }
-        }
         Evicted {
             line: self.line_at(idx),
             dirty: f & DIRTY != 0,
-            prefetch,
+            prefetch: self.origin_at(idx).map(|o| (o, f & RIB != 0)),
             ready: self.ready_at(idx),
         }
     }
@@ -364,20 +306,7 @@ impl Cache {
                 range.start + way
             }
         };
-        let report = (self.tags[idx] != 0).then(|| {
-            let report = self.retire(idx);
-            let victim = match report.prefetch {
-                Some((origin, _)) => origin.tenant,
-                None => self.tenant_of_line(report.line),
-            };
-            let evictor = match kind {
-                FillKind::Prefetch(o) => o.tenant,
-                FillKind::Demand => self.tenant_of_line(line),
-            };
-            self.attribution.cross_evictions[victim as usize % MAX_TENANTS]
-                [evictor as usize % MAX_TENANTS] += 1;
-            report
-        });
+        let report = (self.tags[idx] != 0).then(|| self.evicted_at(idx));
         self.tags[idx] = tag_of(line);
         self.stamps[idx] = stamp;
         self.set_ready(idx, ready_at);
@@ -409,7 +338,7 @@ impl Cache {
     /// Remove `line` if present, returning its eviction report.
     pub fn invalidate(&mut self, line: LineAddr) -> Option<Evicted> {
         let idx = self.find(line)?;
-        let report = self.retire(idx);
+        let report = self.evicted_at(idx);
         self.tags[idx] = 0;
         Some(report)
     }
@@ -448,7 +377,7 @@ impl Cache {
             if self.tags[idx] == 0 {
                 return None;
             }
-            let report = self.retire(idx);
+            let report = self.evicted_at(idx);
             self.tags[idx] = 0;
             Some(report)
         })
@@ -682,38 +611,6 @@ mod tests {
             }
         }
         c.check_invariants().unwrap();
-    }
-
-    #[test]
-    fn tenant_attribution_charges_the_causing_tenant() {
-        // 32B lines: tenant bits sit at line-address bit 36.
-        let t1 = 1u64 << 36;
-        let mut c = Cache::new(&cfg(1024, 1));
-        // Tenant 1 prefetches a line into tenant 0's set, unreferenced...
-        let victim = LineAddr(5);
-        c.fill(victim, FillKind::Demand, 0);
-        let mut o = origin(LineAddr(t1 | 37)); // same set (32 sets): 5 + 32
-        o.tenant = 1;
-        c.fill(LineAddr(37), FillKind::Prefetch(o), 0);
-        // ...then the bad prefetch is itself displaced by tenant 0.
-        c.fill(LineAddr(69), FillKind::Demand, 0);
-        let a = c.tenant_attribution();
-        assert_eq!(a.cross_evictions[0][1], 1, "t1 displaced t0's line");
-        assert_eq!(a.cross_evictions[1][0], 1, "t0 displaced t1's prefetch");
-        assert_eq!(a.prefetch_bad[1], 1, "bad prefetch charged to tenant 1");
-        assert_eq!(a.prefetch_bad[0], 0);
-        assert_eq!(a.inflicted_on(0), 1);
-    }
-
-    #[test]
-    fn drain_attributes_resident_prefetches() {
-        let mut c = Cache::new(&cfg(1024, 1));
-        let mut o = origin(LineAddr(2));
-        o.tenant = 2;
-        c.fill(LineAddr(2), FillKind::Prefetch(o), 0);
-        c.probe(LineAddr(2), false);
-        let _ = c.drain().count();
-        assert_eq!(c.tenant_attribution().prefetch_good[2], 1);
     }
 
     #[test]

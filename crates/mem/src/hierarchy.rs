@@ -153,11 +153,6 @@ impl Hierarchy {
         start
     }
 
-    /// Line size in bytes.
-    pub fn line_bytes(&self) -> u32 {
-        self.line_bytes
-    }
-
     /// L1D, prefetch-buffer and victim-cache lines whose fill is still in
     /// flight at `now` — the interval-telemetry gauge. A full scan, so call
     /// it only when a sample is taken; it never affects timing.

@@ -43,7 +43,7 @@ pub mod queue;
 pub mod side;
 
 pub use bus::Bus;
-pub use cache::{Cache, Evicted, FillKind, LineState, ProbeHit, TenantAttribution};
+pub use cache::{Cache, Evicted, FillKind, LineState, ProbeHit};
 pub use classify::{MissClassifier, MissKind};
 pub use dram::MainMemory;
 pub use hierarchy::{AccessKind, AccessResult, Hierarchy, PrefetchIssue};

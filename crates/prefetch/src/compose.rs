@@ -8,7 +8,7 @@
 //! the same trigger event (the queue de-duplicates across events).
 
 use crate::{AccessEvent, Prefetcher};
-use ppf_types::{PrefetchRequest, PrefetchSource};
+use ppf_types::PrefetchRequest;
 
 /// An ordered collection of hardware prefetchers sharing one trigger feed.
 pub struct ComposedPrefetcher {
@@ -19,28 +19,6 @@ impl ComposedPrefetcher {
     /// Compose the given generators; earlier generators win same-line ties.
     pub fn new(generators: Vec<Box<dyn Prefetcher>>) -> Self {
         ComposedPrefetcher { generators }
-    }
-
-    /// No hardware prefetching (software-only or prefetch-off machines).
-    pub fn none() -> Self {
-        ComposedPrefetcher {
-            generators: Vec::new(),
-        }
-    }
-
-    /// Number of composed generators.
-    pub fn len(&self) -> usize {
-        self.generators.len()
-    }
-
-    /// True when no generator is present.
-    pub fn is_empty(&self) -> bool {
-        self.generators.is_empty()
-    }
-
-    /// Names of the composed generators, in order.
-    pub fn names(&self) -> Vec<&'static str> {
-        self.generators.iter().map(|g| g.name()).collect()
     }
 
     /// A deep copy of the composition at its current training state, or
@@ -54,20 +32,10 @@ impl ComposedPrefetcher {
             .collect::<Option<Vec<_>>>()?;
         Some(ComposedPrefetcher { generators })
     }
-}
 
-impl Prefetcher for ComposedPrefetcher {
-    fn name(&self) -> &'static str {
-        "composed"
-    }
-
-    fn source(&self) -> PrefetchSource {
-        // Individual requests carry their own provenance; this value is
-        // never attached to a request by the composition itself.
-        PrefetchSource::Nsp
-    }
-
-    fn on_access(&mut self, ev: &AccessEvent, out: &mut Vec<PrefetchRequest>) {
+    /// Feed one demand access to every generator in order, appending their
+    /// candidates to `out` minus same-line repeats within this event.
+    pub fn on_access(&mut self, ev: &AccessEvent, out: &mut Vec<PrefetchRequest>) {
         let start = out.len();
         for g in &mut self.generators {
             g.on_access(ev, out);
@@ -91,17 +59,11 @@ mod tests {
     use super::*;
     use crate::nsp::NextSequencePrefetcher;
     use crate::test_util::miss_event;
-    use ppf_types::LineAddr;
+    use ppf_types::{LineAddr, PrefetchSource};
 
     /// A generator that always proposes a fixed line.
     struct Fixed(u64, PrefetchSource);
     impl Prefetcher for Fixed {
-        fn name(&self) -> &'static str {
-            "fixed"
-        }
-        fn source(&self) -> PrefetchSource {
-            self.1
-        }
         fn on_access(&mut self, ev: &AccessEvent, out: &mut Vec<PrefetchRequest>) {
             out.push(PrefetchRequest {
                 line: LineAddr(self.0),
@@ -155,20 +117,9 @@ mod tests {
 
     #[test]
     fn empty_composition_is_quiet() {
-        let mut c = ComposedPrefetcher::none();
-        assert!(c.is_empty());
+        let mut c = ComposedPrefetcher::new(Vec::new());
         let mut out = Vec::new();
         c.on_access(&miss_event(0x100, 10, false), &mut out);
         assert!(out.is_empty());
-    }
-
-    #[test]
-    fn names_in_order() {
-        let c = ComposedPrefetcher::new(vec![
-            Box::new(NextSequencePrefetcher::new()),
-            Box::new(Fixed(1, PrefetchSource::Sdp)),
-        ]);
-        assert_eq!(c.names(), vec!["nsp", "fixed"]);
-        assert_eq!(c.len(), 2);
     }
 }

@@ -107,14 +107,6 @@ impl Prefetcher for CorrelationPrefetcher {
         Some(Box::new(self.clone()))
     }
 
-    fn name(&self) -> &'static str {
-        "correlation"
-    }
-
-    fn source(&self) -> PrefetchSource {
-        PrefetchSource::Stride // shares the "extension" stats slot
-    }
-
     fn on_access(&mut self, ev: &AccessEvent, out: &mut Vec<PrefetchRequest>) {
         // Correlation tables watch the L1 miss stream.
         if ev.l1_hit {
@@ -133,7 +125,7 @@ impl Prefetcher for CorrelationPrefetcher {
                 out.push(PrefetchRequest {
                     line: *succ,
                     trigger_pc: ev.pc,
-                    source: PrefetchSource::Stride,
+                    source: PrefetchSource::Stride, // shares the "extension" stats slot
                     tenant: 0,
                     depth: (d + 1).min(u8::MAX as usize) as u8,
                 });

@@ -18,8 +18,9 @@
 //! * [`software`] — helpers for the software prefetch instructions the
 //!   workload streams carry (identified in the LSQ, Figure 3).
 //!
-//! All hardware generators implement [`Prefetcher`]: the simulator feeds
-//! them one [`AccessEvent`] per demand access and collects candidate
+//! All hardware generators implement [`Prefetcher`], and
+//! [`ComposedPrefetcher`] chains them: the simulator feeds it one
+//! [`AccessEvent`] per demand access and collects candidate
 //! [`PrefetchRequest`]s, which then pass through the pollution filter.
 
 #![warn(missing_docs)]
@@ -31,7 +32,7 @@ pub mod sdp;
 pub mod software;
 pub mod stride;
 
-use ppf_types::{Addr, LineAddr, Pc, PrefetchRequest, PrefetchSource};
+use ppf_types::{Addr, LineAddr, Pc, PrefetchRequest};
 
 pub use compose::ComposedPrefetcher;
 pub use correlation::CorrelationPrefetcher;
@@ -65,17 +66,15 @@ pub struct AccessEvent {
     pub is_store: bool,
 }
 
-/// A hardware prefetch generator.
+/// A hardware prefetch generator. The trait has two methods:
+/// [`Prefetcher::on_access`] trains on one demand access and proposes
+/// candidates, each tagged with its own
+/// [`PrefetchSource`](ppf_types::PrefetchSource), and
+/// [`Prefetcher::clone_box`] copies the generator's training state.
 ///
 /// `Send` so a simulator, which owns its generators, can be built on one
 /// thread and run on another.
 pub trait Prefetcher: Send {
-    /// Short name for reports.
-    fn name(&self) -> &'static str;
-
-    /// The provenance tag attached to this generator's requests.
-    fn source(&self) -> PrefetchSource;
-
     /// Observe one demand access; append any candidate prefetches to `out`.
     /// Implementations must not clear `out` (generators are chained).
     fn on_access(&mut self, ev: &AccessEvent, out: &mut Vec<PrefetchRequest>);

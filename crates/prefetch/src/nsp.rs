@@ -40,14 +40,6 @@ impl Prefetcher for NextSequencePrefetcher {
         Some(Box::new(self.clone()))
     }
 
-    fn name(&self) -> &'static str {
-        "nsp"
-    }
-
-    fn source(&self) -> PrefetchSource {
-        PrefetchSource::Nsp
-    }
-
     fn on_access(&mut self, ev: &AccessEvent, out: &mut Vec<PrefetchRequest>) {
         let triggered = !ev.l1_hit || ev.nsp_tagged_hit;
         if !triggered {

@@ -164,14 +164,6 @@ impl Prefetcher for ShadowDirectoryPrefetcher {
         Some(Box::new(self.clone()))
     }
 
-    fn name(&self) -> &'static str {
-        "sdp"
-    }
-
-    fn source(&self) -> PrefetchSource {
-        PrefetchSource::Sdp
-    }
-
     fn on_access(&mut self, ev: &AccessEvent, out: &mut Vec<PrefetchRequest>) {
         // Confirmation watches *all* demand accesses: a successful shadow
         // prefetch makes its target hit in the L1, so the "prefetched line

@@ -89,14 +89,6 @@ impl Prefetcher for StridePrefetcher {
         Some(Box::new(self.clone()))
     }
 
-    fn name(&self) -> &'static str {
-        "stride"
-    }
-
-    fn source(&self) -> PrefetchSource {
-        PrefetchSource::Stride
-    }
-
     fn on_access(&mut self, ev: &AccessEvent, out: &mut Vec<PrefetchRequest>) {
         let slot = self.slot(ev.pc);
         let e = &mut self.entries[slot];

@@ -165,9 +165,10 @@ impl RunSpec {
         )
     }
 
-    /// Execute this cell, surfacing failures (invalid config, watchdog
-    /// trip, funnel violation) as structured errors.
-    pub fn run_checked(&self) -> Result<SimReport, PpfError> {
+    /// This cell's machine, cold: its instruction stream (the workload, or
+    /// the workload under its adversary, inside any fault), labelled and
+    /// bounded by its watchdog. Warm-up and telemetry are the caller's.
+    pub fn build_simulator(&self) -> Result<Simulator, PpfError> {
         // Composition order matters: the fault wrapper sits outermost so a
         // fault drill trips at the same emitted-instruction index whether
         // or not an adversary is also mixed in.
@@ -184,9 +185,15 @@ impl RunSpec {
         };
         let sim = Simulator::with_seed(self.config.clone(), stream, self.seed)
             .map_err(|e| e.context(self.identity()))?;
-        let mut sim = sim
+        Ok(sim
             .labeled(self.label.clone(), self.workload.name())
-            .with_watchdog(self.watchdog);
+            .with_watchdog(self.watchdog))
+    }
+
+    /// Execute this cell, surfacing failures (invalid config, watchdog
+    /// trip, funnel violation) as structured errors.
+    pub fn run_checked(&self) -> Result<SimReport, PpfError> {
+        let mut sim = self.build_simulator()?;
         if let Some(t) = &self.telemetry {
             sim = sim
                 .with_telemetry(&t.config)
@@ -382,8 +389,9 @@ pub fn run_grid_outcomes(specs: Vec<RunSpec>) -> Vec<CellOutcome> {
     run_grid_outcomes_traced(specs, &CostModel, |_, _| {}).0
 }
 
-/// Execution trace of one grid run: scheduling evidence for tests and
-/// per-cell timings.
+/// Execution trace of one scheduled run (a grid's cells, or any jobs given
+/// to [`crate::schedule::run_scheduled`]): scheduling evidence for tests
+/// and per-cell timings.
 #[derive(Debug, Default)]
 pub struct GridTrace {
     /// Cell indices in the order execution started (retried cells appear
@@ -392,8 +400,8 @@ pub struct GridTrace {
     /// Always 0: workers share one job list, so no cell is ever taken from
     /// another worker. Kept so readers of the field still build.
     pub steals: u64,
-    /// Retry re-enqueues (satellite fix: retries go to the back of the
-    /// scheduler, never inline on the same worker).
+    /// Retry re-enqueues (retries go to the back of the scheduler, never
+    /// inline on the same worker).
     pub retries: u64,
     /// Wall time of each cell's final attempt, in microseconds.
     pub cell_micros: Vec<u64>,
@@ -425,7 +433,7 @@ where
         .map(|p| p.get())
         .unwrap_or(4)
         .min(n);
-    let (outcomes, trace) = crate::schedule::run_scheduled(n, workers, &costs, |job, attempt| {
+    crate::schedule::run_scheduled(n, workers, &costs, |job, attempt| {
         let spec = &specs[job];
         let error = match catch_unwind(AssertUnwindSafe(|| spec.run_checked())) {
             Ok(Ok(report)) => {
@@ -442,15 +450,7 @@ where
         let outcome = CellOutcome::Failed(cell_failure(spec, error, attempt + 1));
         observe(job, &outcome);
         crate::schedule::Attempt::Done(outcome)
-    });
-    let grid_trace = GridTrace {
-        start_order: trace.start_order,
-        steals: 0,
-        retries: trace.retries,
-        cell_micros: trace.cell_micros,
-        snapshot_reuses: 0,
-    };
-    (outcomes, grid_trace)
+    })
 }
 
 fn all_workloads(label: &str, config: SystemConfig, n: u64) -> Vec<RunSpec> {

@@ -28,7 +28,7 @@
 //! *order*; results are position-addressed, so any schedule produces
 //! byte-identical output.
 
-use crate::experiments::RunSpec;
+use crate::experiments::{GridTrace, RunSpec};
 use ppf_types::{FilterKind, SystemConfig};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -63,9 +63,8 @@ impl CostModel {
 /// no-prefetch machine): prefetching, filtering and miss classification
 /// each add per-instruction work.
 fn config_weight(config: &SystemConfig) -> u64 {
-    let p = &config.prefetch;
     let mut weight: u64 = 100;
-    if p.nsp || p.sdp || p.stride || p.correlation || p.software {
+    if config.prefetch.any_enabled() {
         weight += 40;
     }
     if config.filter.kind != FilterKind::None {
@@ -88,24 +87,12 @@ pub enum Attempt<R> {
     Retry,
 }
 
-/// Execution trace of one scheduled run, for tests and telemetry.
-#[derive(Debug, Default)]
-pub struct Trace {
-    /// Job indices in the order execution *started* (a retried job appears
-    /// once per attempt).
-    pub start_order: Vec<usize>,
-    /// Retry re-enqueues.
-    pub retries: u64,
-    /// Wall time of each job's final attempt, in microseconds.
-    pub cell_micros: Vec<u64>,
-}
-
 /// Run `n` jobs over `workers` threads. `costs[i]` is job `i`'s predicted
 /// cost (ordering only); `exec(job, attempt)` runs one attempt and decides
 /// completion vs retry. Results are returned in job order regardless of
-/// schedule. `exec` must eventually return [`Attempt::Done`] for every job
-/// (the grid runner bounds attempts itself).
-pub fn run_scheduled<R, F>(n: usize, workers: usize, costs: &[u64], exec: F) -> (Vec<R>, Trace)
+/// schedule, with the run's [`GridTrace`]. `exec` must eventually return
+/// [`Attempt::Done`] for every job (the grid runner bounds attempts itself).
+pub fn run_scheduled<R, F>(n: usize, workers: usize, costs: &[u64], exec: F) -> (Vec<R>, GridTrace)
 where
     R: Send,
     F: Fn(usize, u32) -> Attempt<R> + Sync,
@@ -165,14 +152,16 @@ where
         .into_iter()
         .map(|r| r.expect("every job completed"))
         .collect();
-    let trace = Trace {
+    let trace = GridTrace {
         start_order: start_order
             .into_inner()
             .unwrap_or_else(std::sync::PoisonError::into_inner),
+        steals: 0,
         retries: retries.into_inner(),
         cell_micros: cell_micros
             .into_inner()
             .unwrap_or_else(std::sync::PoisonError::into_inner),
+        snapshot_reuses: 0,
     };
     (results, trace)
 }

@@ -298,12 +298,6 @@ impl MemSystem {
         self.hierarchy.in_flight(now)
     }
 
-    /// Per-tenant prefetch-outcome and interference counters from the L1
-    /// (DESIGN.md §12 — who caused what).
-    pub fn tenant_attribution(&self) -> &ppf_mem::TenantAttribution {
-        self.hierarchy.l1.tenant_attribution()
-    }
-
     /// The good/bad census and the filter's eviction-time training — the
     /// PIB/RIB feedback path of §4, and the only place either happens. It
     /// takes the `(provenance, referenced)` of a prefetched line whose
@@ -546,11 +540,6 @@ impl Simulator {
         self
     }
 
-    /// The active cycle kernel.
-    pub fn kernel(&self) -> KernelMode {
-        self.kernel
-    }
-
     /// Enable interval telemetry (builder form). A disabled `cfg` leaves
     /// the simulator exactly as constructed: no sampler is allocated and
     /// runs stay cycle-identical to a telemetry-free build. Fails on a
@@ -744,11 +733,6 @@ impl Simulator {
         let sampler = self.telemetry.as_mut().expect("guarded by is_some");
         sampler.set_gauges(fraction_good, mshr_live, queue_backlog);
         sampler.sample(self.now, self.core_stats.instructions, &self.mem.stats);
-    }
-
-    /// Interval records collected so far (empty when telemetry is off).
-    pub fn telemetry_records(&self) -> &[IntervalRecord] {
-        self.telemetry.as_ref().map_or(&[], |t| t.records())
     }
 
     /// Take ownership of the collected interval records (empty when
@@ -1014,7 +998,6 @@ mod tests {
         .unwrap();
         let off = sim.run(N);
         assert_eq!(off.stats, plain.stats);
-        assert!(sim.telemetry_records().is_empty());
         assert!(sim.take_telemetry_records().is_empty());
     }
 
@@ -1031,7 +1014,7 @@ mod tests {
         .unwrap();
         let on = sim.run(N);
         assert_eq!(on.stats, plain.stats, "telemetry must be a pure observer");
-        let records = sim.telemetry_records();
+        let records = sim.take_telemetry_records();
         assert!(!records.is_empty());
         // Intervals tile the measured run: contiguous, instruction-complete.
         let covered: u64 = records.iter().map(|r| r.instructions).sum();
@@ -1055,11 +1038,11 @@ mod tests {
         .unwrap();
         sim.warmup(20_000);
         assert!(
-            sim.telemetry_records().is_empty(),
+            sim.take_telemetry_records().is_empty(),
             "warm-up records are dropped at the measurement boundary"
         );
         sim.run(30_000);
-        let records = sim.telemetry_records();
+        let records = sim.take_telemetry_records();
         assert!(!records.is_empty());
         assert_eq!(records[0].interval, 0);
         assert_eq!(records[0].start_cycle, 0);

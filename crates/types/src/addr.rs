@@ -18,9 +18,6 @@ pub type Pc = u64;
 /// A core-clock cycle count.
 pub type Cycle = u64;
 
-/// Size of one instruction in bytes; PCs advance by this much.
-pub const INST_BYTES: u64 = 4;
-
 /// A cache-line number: a byte address with the line-offset bits stripped.
 ///
 /// `LineAddr` is produced by [`LineAddr::of`] given a line size and can be

@@ -9,7 +9,9 @@
 //! used to produce — same field names, so previously emitted JSON artifacts
 //! stay readable.
 
+use crate::PpfError;
 use std::fmt;
+use std::path::Path;
 
 /// Errors from parsing or decoding JSON; the payload describes the problem.
 pub type JsonError = String;
@@ -607,6 +609,19 @@ impl<T: FromJson + Default + Copy, const N: usize> FromJson for [T; N] {
     }
 }
 
+/// Replace the file at `path` with `text` atomically: the text goes to a
+/// sibling named after the file plus `.tmp`, which is then renamed into
+/// place, so neither a reader nor a crash mid-write leaves a torn file.
+/// Every document, cell file and JSONL stream the harness writes goes
+/// through here. An error names `path`.
+pub fn write_atomic(path: &Path, text: &str) -> Result<(), PpfError> {
+    let mut tmp = path.as_os_str().to_owned();
+    tmp.push(".tmp");
+    std::fs::write(&tmp, text)
+        .and_then(|()| std::fs::rename(&tmp, path))
+        .map_err(|e| PpfError::io(e.to_string()).context(format!("writing {}", path.display())))
+}
+
 /// Generate [`ToJson`]/[`FromJson`] for a struct with named public fields.
 /// Field names become JSON keys, matching serde's derive output.
 #[macro_export]
@@ -678,6 +693,24 @@ macro_rules! json_unit_enum {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn write_atomic_replaces_the_file_and_names_the_path_on_error() {
+        let dir = std::env::temp_dir().join(format!("ppf-write-atomic-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("doc.json");
+        write_atomic(&path, "old").unwrap();
+        write_atomic(&path, "new").unwrap();
+        assert_eq!(std::fs::read_to_string(&path).unwrap(), "new");
+        assert!(!dir.join("doc.json.tmp").exists(), "no temp file left");
+        let missing = dir.join("absent").join("doc.json");
+        let err = write_atomic(&missing, "x").unwrap_err();
+        assert!(
+            err.to_string().contains(&missing.display().to_string()),
+            "{err}"
+        );
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
 
     #[test]
     fn parses_scalars() {

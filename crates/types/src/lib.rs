@@ -27,7 +27,7 @@ pub use config::{
     FilterConfig, FilterKind, MemConfig, PrefetchConfig, SystemConfig, VictimConfig,
 };
 pub use error::{PpfError, PpfErrorKind};
-pub use json::{FromJson, JsonError, JsonValue, ToJson};
+pub use json::{write_atomic, FromJson, JsonError, JsonValue, ToJson};
 pub use prefetch::{
     tenant_of_addr, PrefetchOrigin, PrefetchRequest, PrefetchSource, MAX_PREFETCH_DEPTH,
     MAX_TENANTS, TENANT_ADDR_SHIFT,

@@ -13,7 +13,7 @@ use crate::json_unit_enum;
 
 /// Maximum number of distinct tenants the machine distinguishes. Sized for
 /// the adversarial multi-program experiments (victim + aggressor, with two
-/// spare IDs); per-tenant attribution arrays are indexed `0..MAX_TENANTS`.
+/// spare IDs); tenant IDs wrap modulo `MAX_TENANTS`.
 pub const MAX_TENANTS: usize = 4;
 
 /// Bit position, in a *byte* address, of the tenant ID field. The

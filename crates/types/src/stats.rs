@@ -282,26 +282,6 @@ impl SimStats {
         }
     }
 
-    /// Fraction of issued prefetches that were good, in \[0,1\].
-    pub fn prefetch_accuracy(&self) -> f64 {
-        let done = self.good_total() + self.bad_total();
-        if done == 0 {
-            0.0
-        } else {
-            self.good_total() as f64 / done as f64
-        }
-    }
-
-    /// L1 traffic from prefetches relative to demand traffic (Figure 2's
-    /// "prefetch access to normal access ratio").
-    pub fn prefetch_traffic_ratio(&self) -> f64 {
-        if self.l1.demand_accesses == 0 {
-            0.0
-        } else {
-            self.prefetches_issued.total() as f64 / self.l1.demand_accesses as f64
-        }
-    }
-
     /// The prefetch-funnel conservation invariant: every generated candidate
     /// is accounted for by exactly one downstream outcome —
     ///
@@ -457,17 +437,6 @@ mod tests {
     }
 
     #[test]
-    fn accuracy() {
-        let mut s = SimStats::default();
-        assert_eq!(s.prefetch_accuracy(), 0.0);
-        for _ in 0..3 {
-            s.prefetch_good.bump(PrefetchSource::Sdp);
-        }
-        s.prefetch_bad.bump(PrefetchSource::Sdp);
-        assert!((s.prefetch_accuracy() - 0.75).abs() < 1e-12);
-    }
-
-    #[test]
     fn merge_accumulates() {
         let mut a = SimStats {
             instructions: 10,
@@ -484,16 +453,6 @@ mod tests {
         assert_eq!(a.instructions, 30);
         assert_eq!(a.cycles, 20);
         assert_eq!(a.bus_bytes, 64);
-    }
-
-    #[test]
-    fn traffic_ratio() {
-        let mut s = SimStats::default();
-        s.l1.demand_accesses = 100;
-        for _ in 0..41 {
-            s.prefetches_issued.bump(PrefetchSource::Nsp);
-        }
-        assert!((s.prefetch_traffic_ratio() - 0.41).abs() < 1e-12);
     }
 
     #[test]

@@ -16,8 +16,8 @@
 //!   instantaneous gauges the simulator pushes because they cannot be
 //!   derived from the cumulative [`SimStats`] counters (filter
 //!   `fraction_good`, lines still in flight, prefetch-queue backlog).
-//! * [`JsonlSink`] — writes records as JSON lines with the same atomic
-//!   write discipline (`.tmp` sibling + rename) as the checkpoint layer, so
+//! * [`JsonlSink`] — writes records as JSON lines through
+//!   [`write_atomic`](crate::write_atomic), like the checkpoint layer, so
 //!   telemetry streams can live alongside checkpoint directories without a
 //!   crash ever leaving a half-written file.
 //!
@@ -316,11 +316,11 @@ pub fn parse_jsonl(text: &str) -> Result<Vec<IntervalRecord>, PpfError> {
     Ok(out)
 }
 
-/// An atomic-write JSON-lines sink: the whole stream is written to a
-/// `.tmp` sibling and renamed into place, the same crash-safety discipline
-/// as the checkpoint layer (a reader never observes a torn file, and a
-/// telemetry directory can sit next to — or inside — a checkpoint
-/// directory without interference).
+/// An atomic-write JSON-lines sink: the whole stream goes through
+/// [`write_atomic`](crate::write_atomic), like every file the harness
+/// writes (a reader never observes a torn file, and a telemetry directory
+/// can sit next to — or inside — a checkpoint directory without
+/// interference).
 #[derive(Debug, Clone)]
 pub struct JsonlSink {
     path: PathBuf,
@@ -339,12 +339,7 @@ impl JsonlSink {
 
     /// Atomically replace the file at the sink's path with `records`.
     pub fn write(&self, records: &[IntervalRecord]) -> Result<(), PpfError> {
-        let tmp = self.path.with_extension("jsonl.tmp");
-        std::fs::write(&tmp, to_jsonl(records))
-            .and_then(|()| std::fs::rename(&tmp, &self.path))
-            .map_err(|e| {
-                PpfError::io(e.to_string()).context(format!("writing {}", self.path.display()))
-            })
+        crate::write_atomic(&self.path, &to_jsonl(records))
     }
 
     /// Read the stream back (for `bench timeline --json` and tests).

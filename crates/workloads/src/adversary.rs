@@ -24,8 +24,8 @@
 //!   Defeated by per-tenant partitioning / tag-mixing.
 //!
 //! All attack traffic lives in tenant 1's address region (bit
-//! [`TENANT_ADDR_SHIFT`]), so per-tenant attribution charges it to the
-//! attacker and the hardened table configurations can isolate it. Streams
+//! [`TENANT_ADDR_SHIFT`]), so the hardened table configurations can
+//! isolate it. Streams
 //! are pure functions of `(spec, workload, seed)` — attacks replay
 //! bit-identically under a pinned seed.
 
