@@ -52,6 +52,10 @@ kernel_identity() {
     # logic's wake-up caching is exactly the code optimized builds reorder.
     cargo test --release -q --test kernel_identity
     cargo test --release -q --test port_contention
+    # Telemetry is a pure observer: the proptest that no sampling interval
+    # moves a statistic, under the optimized codegen of the per-cycle
+    # sampling hook in `drive`.
+    cargo test --release -q --test telemetry
     # Stream-identity golden: the branch-free instruction generator must
     # emit the committed streams under optimized codegen too, which is what
     # reorders its selects and conditional draws.

@@ -9,12 +9,12 @@
 use crate::memo::{memo_key, CellStore};
 use crate::shard::ShardSpec;
 use ppf_sim::experiments::{
-    self, ablations, CellOutcome, RunSpec, TelemetrySpec, ATTACKED_FILTERS, FAMILY_FILTERS,
-    HARDENINGS, TABLE_SIZES,
+    self, ablations, within_band, CellOutcome, RunSpec, TelemetrySpec, ATTACKED_FILTERS,
+    CALIBRATION_L1_BAND, CALIBRATION_L2_BAND, FAMILY_FILTERS, HARDENINGS, TABLE_SIZES,
 };
 use ppf_sim::report::{f3, geomean, mean, pct, TextTable};
 use ppf_sim::{CellFailure, SimReport};
-use ppf_types::telemetry::{TelemetryConfig, DEFAULT_INTERVAL_CYCLES};
+use ppf_types::telemetry::DEFAULT_INTERVAL_CYCLES;
 use ppf_types::{json_struct, write_atomic, FilterKind, PpfError, SystemConfig, ToJson};
 use ppf_workloads::{AttackKind, FaultSpec, Workload};
 use std::fmt::Write as _;
@@ -214,7 +214,7 @@ pub fn run_experiment_full(
         let dir = base.join(name);
         for spec in &mut grid {
             spec.telemetry = Some(TelemetrySpec {
-                config: TelemetryConfig::every(DEFAULT_INTERVAL_CYCLES),
+                interval_cycles: DEFAULT_INTERVAL_CYCLES,
                 dir: dir.clone(),
             });
         }
@@ -557,22 +557,10 @@ fn table2(reports: &[SimReport]) -> String {
     out
 }
 
-/// `figures calibrate` tolerances — the same bands `tests/calibration.rs`
-/// enforces: a workload is "ok" when its measured miss rate is within the
-/// relative band of the Table 2 target *or* within the absolute band.
-const CAL_L1_REL: f64 = 0.25;
-const CAL_L1_ABS: f64 = 0.015;
-const CAL_L2_REL: f64 = 0.35;
-const CAL_L2_ABS: f64 = 0.03;
-
-fn within_band(measured: f64, target: f64, rel: f64, abs: f64) -> bool {
-    (measured - target).abs() <= target * rel || (measured - target).abs() <= abs
-}
-
 /// Drift cell: signed percentage-point delta, flagged when outside both the
-/// relative and absolute tolerance bands.
-fn drift_cell(measured: f64, target: f64, rel: f64, abs: f64) -> String {
-    let mark = if within_band(measured, target, rel, abs) {
+/// relative and absolute halves of the calibration `band`.
+fn drift_cell(measured: f64, target: f64, band: (f64, f64)) -> String {
+    let mark = if within_band(measured, target, band) {
         ""
     } else {
         " !"
@@ -615,8 +603,8 @@ fn calibrate(reports: &[SimReport]) -> String {
         let spec = w.spec();
         let l1 = r.stats.l1.miss_rate();
         let l2 = r.stats.l2.miss_rate();
-        if within_band(l1, spec.expect_l1_miss, CAL_L1_REL, CAL_L1_ABS)
-            && within_band(l2, spec.expect_l2_miss, CAL_L2_REL, CAL_L2_ABS)
+        if within_band(l1, spec.expect_l1_miss, CALIBRATION_L1_BAND)
+            && within_band(l2, spec.expect_l2_miss, CALIBRATION_L2_BAND)
         {
             ok += 1;
         }
@@ -624,24 +612,25 @@ fn calibrate(reports: &[SimReport]) -> String {
             r.workload.clone(),
             pct(l1),
             pct(spec.expect_l1_miss),
-            drift_cell(l1, spec.expect_l1_miss, CAL_L1_REL, CAL_L1_ABS),
+            drift_cell(l1, spec.expect_l1_miss, CALIBRATION_L1_BAND),
             pct(l2),
             pct(spec.expect_l2_miss),
-            drift_cell(l2, spec.expect_l2_miss, CAL_L2_REL, CAL_L2_ABS),
+            drift_cell(l2, spec.expect_l2_miss, CALIBRATION_L2_BAND),
             class_cell(&r.stats.l1.miss_class),
             class_cell(&r.stats.l2.miss_class),
         ]);
     }
     let total = t.len();
     out.push_str(&t.render());
+    let ((l1_rel, l1_abs), (l2_rel, l2_abs)) = (CALIBRATION_L1_BAND, CALIBRATION_L2_BAND);
     let _ = writeln!(
         out,
         "{ok}/{total} workloads within the calibration tolerance \
          (L1: {}% rel or {}pt; L2: {}% rel or {}pt)",
-        100.0 * CAL_L1_REL,
-        100.0 * CAL_L1_ABS,
-        100.0 * CAL_L2_REL,
-        100.0 * CAL_L2_ABS
+        100.0 * l1_rel,
+        100.0 * l1_abs,
+        100.0 * l2_rel,
+        100.0 * l2_abs
     );
     let _ = writeln!(
         out,

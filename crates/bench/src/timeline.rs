@@ -10,7 +10,7 @@
 
 use ppf_sim::RunSpec;
 use ppf_types::json_struct;
-use ppf_types::telemetry::{IntervalRecord, TelemetryConfig};
+use ppf_types::telemetry::IntervalRecord;
 use ppf_types::{FilterKind, PpfError, SystemConfig};
 use ppf_workloads::{AdversarySpec, Workload};
 
@@ -312,7 +312,7 @@ pub fn run(settings: &TimelineSettings) -> Result<TimelineReport, PpfError> {
     };
     let mut sim = spec
         .build_simulator()?
-        .with_telemetry(&TelemetryConfig::every(settings.interval_cycles))?;
+        .with_telemetry(settings.interval_cycles)?;
     sim.run_checked(spec.n_instructions)?;
     let records = sim.take_telemetry_records();
     if records.is_empty() {

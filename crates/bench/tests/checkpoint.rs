@@ -8,7 +8,6 @@ use ppf_bench::checkpoint::cell_path;
 use ppf_bench::memo::{CellStore, StoredRun};
 use ppf_sim::experiments::CellOutcome;
 use ppf_sim::{RunSpec, WatchdogConfig};
-use ppf_types::telemetry::TelemetryConfig;
 use ppf_types::{PpfErrorKind, SystemConfig};
 use ppf_workloads::{AdversarySpec, AttackKind, FaultSpec, Workload};
 use std::path::{Path, PathBuf};
@@ -411,8 +410,7 @@ fn fault_and_telemetry_cells_bypass_both_backends() {
         let spec =
             RunSpec::new("bypass", SystemConfig::paper_default(), Workload::Bh).instructions(N);
         vec![
-            spec.clone()
-                .with_telemetry(TelemetryConfig::every(1_000), &streams),
+            spec.clone().with_telemetry(1_000, &streams),
             spec.with_fault(FaultSpec::panic_at(u64::MAX)),
         ]
     };

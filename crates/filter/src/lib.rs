@@ -254,7 +254,7 @@ impl PollutionFilter {
         good / total as f64
     }
 
-    /// Snapshot of every component table's raw counter array, in table
+    /// A copy of every component table's raw counter array, in table
     /// order. Cheap state-inspection hook for the differential oracle.
     pub fn counter_snapshot(&self) -> Vec<Vec<u8>> {
         self.counter_tables()
@@ -263,7 +263,7 @@ impl PollutionFilter {
             .collect()
     }
 
-    /// Snapshot of the hybrid chooser's counters; `None` for non-hybrid
+    /// A copy of the hybrid chooser's counters; `None` for non-hybrid
     /// kinds.
     pub fn chooser_snapshot(&self) -> Option<Vec<u8>> {
         match &self.predictor {
@@ -272,7 +272,7 @@ impl PollutionFilter {
         }
     }
 
-    /// Snapshot of the perceptron's signed weight tables in feature order;
+    /// A copy of the perceptron's signed weight tables in feature order;
     /// `None` for counter-based kinds.
     pub fn weight_snapshot(&self) -> Option<Vec<Vec<i8>>> {
         match &self.predictor {

@@ -83,7 +83,7 @@ fn tag_of(line: LineAddr) -> u64 {
 }
 
 /// Observable metadata of one resident line — the cache's architectural
-/// state minus replacement bookkeeping. Snapshot type for differential
+/// state minus replacement bookkeeping. The state type for differential
 /// checking (`ppf-oracle`) and diagnostics; replacement stamps are
 /// deliberately excluded because they are an implementation detail the
 /// reference models must not depend on.
@@ -358,7 +358,7 @@ impl Cache {
             .count()
     }
 
-    /// Snapshot of every resident line's observable state, sorted by line
+    /// A copy of every resident line's observable state, sorted by line
     /// number. Cheap state-inspection hook for the differential oracle.
     pub fn resident_lines(&self) -> Vec<LineState> {
         let mut out: Vec<LineState> = (0..self.tags.len())

@@ -26,7 +26,7 @@ use ppf_prefetch::{
     software, AccessEvent, ComposedPrefetcher, CorrelationPrefetcher, NextSequencePrefetcher,
     Prefetcher, ShadowDirectoryPrefetcher, StridePrefetcher,
 };
-use ppf_types::telemetry::{IntervalRecord, IntervalSampler, TelemetryConfig};
+use ppf_types::telemetry::{IntervalRecord, IntervalSampler};
 use ppf_types::{
     tenant_of_addr, Addr, Cycle, LineAddr, Pc, PpfError, PrefetchOrigin, PrefetchRequest,
     PrefetchSource, SimStats, SystemConfig,
@@ -489,8 +489,7 @@ pub struct Simulator {
     watchdog: WatchdogConfig,
     kernel: KernelMode,
     /// Interval telemetry; `None` (the default) is the provably-free-off
-    /// state — the per-cycle loop pays one `is_some()` branch and nothing
-    /// else.
+    /// state — the per-cycle loop pays one branch on it and nothing else.
     telemetry: Option<IntervalSampler>,
 }
 
@@ -540,16 +539,14 @@ impl Simulator {
         self
     }
 
-    /// Enable interval telemetry (builder form). A disabled `cfg` leaves
-    /// the simulator exactly as constructed: no sampler is allocated and
-    /// runs stay cycle-identical to a telemetry-free build. Fails on a
-    /// structurally invalid config (enabled with a zero interval).
-    pub fn with_telemetry(mut self, cfg: &TelemetryConfig) -> Result<Self, PpfError> {
-        cfg.validate()?;
-        self.telemetry = IntervalSampler::new(cfg);
-        if let Some(t) = &mut self.telemetry {
-            t.reset(self.now);
-        }
+    /// Sample interval telemetry every `interval_cycles` cycles from the
+    /// current cycle on (builder form). The sampler only observes, so runs
+    /// stay cycle-identical to a telemetry-free build. Fails on a zero
+    /// interval.
+    pub fn with_telemetry(mut self, interval_cycles: u64) -> Result<Self, PpfError> {
+        let mut sampler = IntervalSampler::new(interval_cycles)?;
+        sampler.reset(self.now);
+        self.telemetry = Some(sampler);
         Ok(self)
     }
 
@@ -609,9 +606,19 @@ impl Simulator {
                 self.mem.drain_prefetch_queue(self.now);
             }
             // Interval telemetry: a read-only observer, like the watchdog
-            // below. Telemetry-off runs pay exactly this one branch.
-            if self.telemetry.is_some() {
-                self.telemetry_sample();
+            // below. Telemetry-off runs pay exactly this one branch; the
+            // `next_due` guard makes a mid-interval cycle one comparison.
+            if let Some(t) = &mut self.telemetry {
+                if self.now >= t.next_due() {
+                    t.sample(
+                        self.now,
+                        self.core_stats.instructions,
+                        &self.mem.stats,
+                        self.mem.filter().fraction_good(),
+                        self.mem.in_flight(self.now) as u64,
+                        self.mem.queue_backlog(),
+                    );
+                }
             }
             if self.core_stats.instructions > last_retired {
                 last_retired = self.core_stats.instructions;
@@ -717,22 +724,6 @@ impl Simulator {
             t.reset(self.now);
         }
         Ok(())
-    }
-
-    /// Close the telemetry interval ending at `self.now` if one is due.
-    /// Only called when a sampler exists; the `next_due` guard makes the
-    /// common (mid-interval) case a single comparison.
-    fn telemetry_sample(&mut self) {
-        let sampler = self.telemetry.as_mut().expect("guarded by is_some");
-        if self.now < sampler.next_due() {
-            return;
-        }
-        let fraction_good = self.mem.filter().fraction_good();
-        let mshr_live = self.mem.in_flight(self.now) as u64;
-        let queue_backlog = self.mem.queue_backlog();
-        let sampler = self.telemetry.as_mut().expect("guarded by is_some");
-        sampler.set_gauges(fraction_good, mshr_live, queue_backlog);
-        sampler.sample(self.now, self.core_stats.instructions, &self.mem.stats);
     }
 
     /// Take ownership of the collected interval records (empty when
@@ -983,25 +974,6 @@ mod tests {
     }
 
     #[test]
-    fn telemetry_off_is_cycle_identical() {
-        // The free-when-off contract: a run built through `with_telemetry`
-        // with a disabled config produces bit-identical stats to a run
-        // that never heard of telemetry.
-        let plain = run(SystemConfig::paper_default(), Workload::Em3d);
-        let mut sim = Simulator::with_seed(
-            SystemConfig::paper_default(),
-            Box::new(Workload::Em3d.stream(42)),
-            42,
-        )
-        .unwrap()
-        .with_telemetry(&TelemetryConfig::default())
-        .unwrap();
-        let off = sim.run(N);
-        assert_eq!(off.stats, plain.stats);
-        assert!(sim.take_telemetry_records().is_empty());
-    }
-
-    #[test]
     fn telemetry_on_does_not_change_stats() {
         let plain = run(SystemConfig::paper_default(), Workload::Mcf);
         let mut sim = Simulator::with_seed(
@@ -1010,7 +982,7 @@ mod tests {
             42,
         )
         .unwrap()
-        .with_telemetry(&TelemetryConfig::every(1_000))
+        .with_telemetry(1_000)
         .unwrap();
         let on = sim.run(N);
         assert_eq!(on.stats, plain.stats, "telemetry must be a pure observer");
@@ -1034,7 +1006,7 @@ mod tests {
             42,
         )
         .unwrap()
-        .with_telemetry(&TelemetryConfig::every(500))
+        .with_telemetry(500)
         .unwrap();
         sim.warmup(20_000);
         assert!(
@@ -1056,11 +1028,7 @@ mod tests {
             1,
         )
         .unwrap();
-        let cfg = TelemetryConfig {
-            enabled: true,
-            interval_cycles: 0,
-        };
-        assert!(sim.with_telemetry(&cfg).is_err());
+        assert!(sim.with_telemetry(0).is_err());
     }
 
     #[test]

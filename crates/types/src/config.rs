@@ -548,6 +548,13 @@ impl SystemConfig {
             // 32-byte lines, so no sub-line fill logic is modelled.
             return Err(PpfError::config_invalid("L1 and L2 line sizes must match"));
         }
+        if self.l1i.line_bytes != self.l1.line_bytes {
+            // Instruction fetch addresses the L1I in L1D-sized lines, so an
+            // L1I with its own line size would simulate a different cache.
+            return Err(PpfError::config_invalid(
+                "L1I and L1D line sizes must match",
+            ));
+        }
         if !self.filter.table_entries.is_power_of_two() {
             return Err(PpfError::config_invalid(format!(
                 "filter table entries {} not a power of two",
@@ -810,6 +817,12 @@ mod tests {
         let mut c = SystemConfig::paper_default();
         c.l2.line_bytes = 64;
         assert!(c.validate().is_err());
+
+        // A valid L1I geometry on its own, but fetch would index it in
+        // 32-byte lines.
+        let mut c = SystemConfig::paper_default();
+        c.l1i.line_bytes = 64;
+        assert!(c.validate().is_err(), "L1I line size differs from L1D's");
 
         let mut c = SystemConfig::paper_default();
         c.filter.counter_bits = 0;

@@ -34,4 +34,4 @@ pub use prefetch::{
 };
 pub use rng::SplitMix64;
 pub use stats::{CacheStats, MissClass, PerSource, SimStats};
-pub use telemetry::{IntervalRecord, IntervalSampler, JsonlSink, TelemetryConfig};
+pub use telemetry::{IntervalRecord, IntervalSampler};

@@ -8,80 +8,33 @@
 //! not a number. This module provides the zero-dependency plumbing for that
 //! curve:
 //!
-//! * [`TelemetryConfig`] — off by default; when enabled the simulator ticks
-//!   an [`IntervalSampler`] every `interval_cycles` cycles.
-//! * [`IntervalSampler`] — differences successive `SimStats` snapshots into
-//!   per-interval [`IntervalRecord`]s (IPC, L1 miss rate, per-source
-//!   prefetch issued/filtered/dropped, bus occupancy, …), plus three
-//!   instantaneous gauges the simulator pushes because they cannot be
-//!   derived from the cumulative [`SimStats`] counters (filter
+//! * [`IntervalSampler`] — closes an interval every `interval_cycles`
+//!   cycles and differences the cumulative [`SimStats`] it is handed
+//!   against the previous sample into an [`IntervalRecord`] (IPC, L1 miss
+//!   rate, per-source prefetch issued/filtered/dropped, bus occupancy, …),
+//!   plus three instantaneous gauges the simulator reads at the sample
+//!   cycle because no cumulative counter yields them (filter
 //!   `fraction_good`, lines still in flight, prefetch-queue backlog).
-//! * [`JsonlSink`] — writes records as JSON lines through
-//!   [`write_atomic`](crate::write_atomic), like the checkpoint layer, so
-//!   telemetry streams can live alongside checkpoint directories without a
-//!   crash ever leaving a half-written file.
+//! * [`to_jsonl`] / [`parse_jsonl`] — one compact record per line. Streams
+//!   are written with [`write_atomic`](crate::write_atomic), like every
+//!   file the harness writes, so a telemetry directory can sit next to a
+//!   checkpoint directory and a crash never leaves a half-written file.
 //!
-//! The subsystem is free when disabled by construction: the simulator holds
-//! an `Option<IntervalSampler>` that is `None` unless telemetry was
-//! explicitly enabled, every hook is a read-only observer behind one
-//! predictable `is_some()` branch, and nothing here ever writes to
-//! `SimStats` — so a telemetry-off run is cycle-for-cycle identical to a
-//! pre-telemetry build (asserted by `tests/telemetry.rs`).
+//! Telemetry is an interval a run either has or does not have: the
+//! simulator holds an `Option<IntervalSampler>` that is `None` unless a run
+//! asks for an interval, its per-cycle hook is one branch on that option,
+//! and nothing here ever writes to `SimStats` — so a telemetry-off run is
+//! cycle-for-cycle identical to a pre-telemetry build, and any sampling
+//! interval leaves the statistics unchanged (asserted by
+//! `tests/telemetry.rs`).
 
 use crate::json_struct;
 use crate::stats::{PerSource, SimStats};
 use crate::{Cycle, PpfError};
-use std::path::{Path, PathBuf};
 
 /// Default sampling interval: long enough that a 1M-instruction run emits
 /// a few hundred records, short enough to resolve the filter's warm-up.
 pub const DEFAULT_INTERVAL_CYCLES: u64 = 10_000;
-
-/// Interval-telemetry configuration. Disabled by default; a disabled config
-/// constructs no sampler at all, so the simulator's per-cycle cost is one
-/// `Option::is_some` branch.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TelemetryConfig {
-    /// Collect interval records?
-    pub enabled: bool,
-    /// Cycles per sampling interval (must be nonzero when enabled).
-    pub interval_cycles: u64,
-}
-
-impl Default for TelemetryConfig {
-    fn default() -> Self {
-        TelemetryConfig {
-            enabled: false,
-            interval_cycles: DEFAULT_INTERVAL_CYCLES,
-        }
-    }
-}
-
-impl TelemetryConfig {
-    /// An enabled config sampling every `interval_cycles` cycles.
-    pub fn every(interval_cycles: u64) -> Self {
-        TelemetryConfig {
-            enabled: true,
-            interval_cycles,
-        }
-    }
-
-    /// Structural validation (an enabled zero-cycle interval would sample
-    /// forever without advancing).
-    pub fn validate(&self) -> Result<(), PpfError> {
-        if self.enabled && self.interval_cycles == 0 {
-            return Err(PpfError::config_invalid(
-                "telemetry interval_cycles must be nonzero when enabled",
-            ));
-        }
-        Ok(())
-    }
-}
-
-json_struct!(TelemetryConfig {
-    enabled,
-    interval_cycles,
-});
 
 /// One sampled interval: deltas of the cumulative funnel counters plus the
 /// instantaneous gauges, in measurement-relative cycles (cycle 0 is the
@@ -141,41 +94,12 @@ json_struct!(IntervalRecord {
     queue_backlog,
 });
 
-/// Cumulative-counter snapshot differencing successive samples.
-#[derive(Debug, Clone, Copy, Default)]
-struct Snapshot {
-    instructions: u64,
-    l1_accesses: u64,
-    l1_misses: u64,
-    issued: PerSource,
-    filtered: PerSource,
-    dropped: PerSource,
-    good: u64,
-    bad: u64,
-    bus_busy: u64,
-}
-
-impl Snapshot {
-    fn take(instructions: u64, stats: &SimStats) -> Self {
-        Snapshot {
-            instructions,
-            l1_accesses: stats.l1.demand_accesses,
-            l1_misses: stats.l1.demand_misses,
-            issued: stats.prefetches_issued,
-            filtered: stats.prefetches_filtered,
-            dropped: stats.prefetches_queue_overflow,
-            good: stats.prefetch_good.total(),
-            bad: stats.prefetch_bad.total(),
-            bus_busy: stats.bus_busy_cycles,
-        }
-    }
-}
-
 /// The interval sampler the simulator ticks from its per-cycle loop.
 ///
-/// Read-only with respect to the machine: it observes `SimStats` and the
-/// gauges the simulator pushes, and never feeds anything back — the
-/// structural argument for "telemetry cannot change simulation results".
+/// Read-only with respect to the machine: it observes the `SimStats` and
+/// gauges each [`sample`](IntervalSampler::sample) is handed, and never
+/// feeds anything back — the structural argument for "telemetry cannot
+/// change simulation results".
 #[derive(Debug, Clone)]
 pub struct IntervalSampler {
     interval: u64,
@@ -183,37 +107,29 @@ pub struct IntervalSampler {
     origin: Cycle,
     /// Absolute cycle at which the next sample is due.
     next_due: Cycle,
-    prev: Snapshot,
-    /// The gauges last pushed by [`IntervalSampler::set_gauges`].
-    fraction_good: f64,
-    mshr_live: u64,
-    queue_backlog: u64,
+    /// Cumulative counters at the previous sample (zero at the origin).
+    prev: SimStats,
+    prev_instructions: u64,
     records: Vec<IntervalRecord>,
 }
 
 impl IntervalSampler {
-    /// A sampler for `cfg`, or `None` when telemetry is disabled (the
-    /// provably-free-when-off representation: no sampler, no work).
-    pub fn new(cfg: &TelemetryConfig) -> Option<Self> {
-        if !cfg.enabled {
-            return None;
+    /// A sampler closing an interval every `interval_cycles` cycles. Fails
+    /// on a zero interval, which would sample forever without advancing.
+    pub fn new(interval_cycles: u64) -> Result<Self, PpfError> {
+        if interval_cycles == 0 {
+            return Err(PpfError::config_invalid(
+                "telemetry interval_cycles must be nonzero",
+            ));
         }
-        assert!(cfg.interval_cycles > 0, "telemetry interval must be > 0");
-        Some(IntervalSampler {
-            interval: cfg.interval_cycles,
+        Ok(IntervalSampler {
+            interval: interval_cycles,
             origin: 0,
-            next_due: cfg.interval_cycles,
-            prev: Snapshot::default(),
-            fraction_good: 0.0,
-            mshr_live: 0,
-            queue_backlog: 0,
+            next_due: interval_cycles,
+            prev: SimStats::default(),
+            prev_instructions: 0,
             records: Vec::new(),
         })
-    }
-
-    /// Cycles per interval.
-    pub fn interval_cycles(&self) -> u64 {
-        self.interval
     }
 
     /// Absolute cycle at which the next sample is due — the simulator's
@@ -229,31 +145,32 @@ impl IntervalSampler {
     pub fn reset(&mut self, origin: Cycle) {
         self.origin = origin;
         self.next_due = origin + self.interval;
-        self.prev = Snapshot::default();
+        self.prev = SimStats::default();
+        self.prev_instructions = 0;
         self.records.clear();
-    }
-
-    /// Push the instantaneous gauges for the upcoming sample.
-    #[inline]
-    pub fn set_gauges(&mut self, fraction_good: f64, mshr_live: u64, queue_backlog: u64) {
-        self.fraction_good = fraction_good;
-        self.mshr_live = mshr_live;
-        self.queue_backlog = queue_backlog;
     }
 
     /// Close the interval ending at `now` and append its record.
     /// `instructions` is the cumulative retired-instruction count since the
     /// measurement origin (it lives in the driving core's stats struct,
-    /// separate from the memory-side `stats`).
-    pub fn sample(&mut self, now: Cycle, instructions: u64, stats: &SimStats) {
-        let cur = Snapshot::take(instructions, stats);
-        let interval = (now - self.origin) / self.interval - 1;
-        let d_insts = cur.instructions - self.prev.instructions;
-        let d_acc = cur.l1_accesses - self.prev.l1_accesses;
-        let d_miss = cur.l1_misses - self.prev.l1_misses;
-        let d_bus = cur.bus_busy.saturating_sub(self.prev.bus_busy);
+    /// separate from the memory-side `stats`). The three gauges are the
+    /// machine's state at `now`, which no cumulative counter yields.
+    pub fn sample(
+        &mut self,
+        now: Cycle,
+        instructions: u64,
+        stats: &SimStats,
+        fraction_good: f64,
+        mshr_live: u64,
+        queue_backlog: u64,
+    ) {
+        let prev = &self.prev;
+        let d_insts = instructions - self.prev_instructions;
+        let d_acc = stats.l1.demand_accesses - prev.l1.demand_accesses;
+        let d_miss = stats.l1.demand_misses - prev.l1.demand_misses;
+        let d_bus = stats.bus_busy_cycles.saturating_sub(prev.bus_busy_cycles);
         self.records.push(IntervalRecord {
-            interval,
+            interval: (now - self.origin) / self.interval - 1,
             start_cycle: now - self.origin - self.interval,
             end_cycle: now - self.origin,
             instructions: d_insts,
@@ -263,23 +180,21 @@ impl IntervalSampler {
             } else {
                 d_miss as f64 / d_acc as f64
             },
-            prefetch_issued: cur.issued.delta(&self.prev.issued),
-            prefetch_filtered: cur.filtered.delta(&self.prev.filtered),
-            prefetch_dropped: cur.dropped.delta(&self.prev.dropped),
-            prefetch_good: cur.good - self.prev.good,
-            prefetch_bad: cur.bad - self.prev.bad,
-            fraction_good: self.fraction_good,
+            prefetch_issued: stats.prefetches_issued.delta(&prev.prefetches_issued),
+            prefetch_filtered: stats.prefetches_filtered.delta(&prev.prefetches_filtered),
+            prefetch_dropped: stats
+                .prefetches_queue_overflow
+                .delta(&prev.prefetches_queue_overflow),
+            prefetch_good: stats.prefetch_good.total() - prev.prefetch_good.total(),
+            prefetch_bad: stats.prefetch_bad.total() - prev.prefetch_bad.total(),
+            fraction_good,
             bus_occupancy: (d_bus.min(self.interval)) as f64 / self.interval as f64,
-            mshr_live: self.mshr_live,
-            queue_backlog: self.queue_backlog,
+            mshr_live,
+            queue_backlog,
         });
-        self.prev = cur;
+        self.prev.clone_from(stats);
+        self.prev_instructions = instructions;
         self.next_due += self.interval;
-    }
-
-    /// Records collected since the last reset.
-    pub fn records(&self) -> &[IntervalRecord] {
-        &self.records
     }
 
     /// Take ownership of the collected records.
@@ -316,45 +231,9 @@ pub fn parse_jsonl(text: &str) -> Result<Vec<IntervalRecord>, PpfError> {
     Ok(out)
 }
 
-/// An atomic-write JSON-lines sink: the whole stream goes through
-/// [`write_atomic`](crate::write_atomic), like every file the harness
-/// writes (a reader never observes a torn file, and a telemetry directory
-/// can sit next to — or inside — a checkpoint directory without
-/// interference).
-#[derive(Debug, Clone)]
-pub struct JsonlSink {
-    path: PathBuf,
-}
-
-impl JsonlSink {
-    /// A sink writing to `path` (conventionally `<dir>/<cell>.jsonl`).
-    pub fn new(path: impl Into<PathBuf>) -> Self {
-        JsonlSink { path: path.into() }
-    }
-
-    /// Destination path.
-    pub fn path(&self) -> &Path {
-        &self.path
-    }
-
-    /// Atomically replace the file at the sink's path with `records`.
-    pub fn write(&self, records: &[IntervalRecord]) -> Result<(), PpfError> {
-        crate::write_atomic(&self.path, &to_jsonl(records))
-    }
-
-    /// Read the stream back (for `bench timeline --json` and tests).
-    pub fn read(&self) -> Result<Vec<IntervalRecord>, PpfError> {
-        let text = std::fs::read_to_string(&self.path).map_err(|e| {
-            PpfError::io(e.to_string()).context(format!("reading {}", self.path.display()))
-        })?;
-        parse_jsonl(&text)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::json::{FromJson, ToJson};
 
     fn record(i: u64) -> IntervalRecord {
         let mut issued = PerSource::default();
@@ -379,44 +258,23 @@ mod tests {
     }
 
     #[test]
-    fn config_is_off_by_default_and_builds_no_sampler() {
-        let cfg = TelemetryConfig::default();
-        assert!(!cfg.enabled);
-        assert!(IntervalSampler::new(&cfg).is_none());
-        assert!(cfg.validate().is_ok());
-    }
-
-    #[test]
     fn enabled_zero_interval_is_invalid() {
-        let cfg = TelemetryConfig {
-            enabled: true,
-            interval_cycles: 0,
-        };
-        assert!(cfg.validate().is_err());
-    }
-
-    #[test]
-    fn config_json_round_trips() {
-        let cfg = TelemetryConfig::every(2500);
-        let back = TelemetryConfig::from_json_str(&cfg.to_json_string()).unwrap();
-        assert_eq!(back, cfg);
+        assert!(IntervalSampler::new(0).is_err());
     }
 
     #[test]
     fn sampler_differences_cumulative_counters() {
-        let mut s = IntervalSampler::new(&TelemetryConfig::every(100)).unwrap();
+        let mut s = IntervalSampler::new(100).unwrap();
         let mut stats = SimStats::default();
         stats.l1.demand_accesses = 80;
         stats.l1.demand_misses = 8;
         stats.bus_busy_cycles = 40;
-        s.set_gauges(1.0, 2, 1);
-        s.sample(100, 150, &stats);
+        s.sample(100, 150, &stats, 1.0, 2, 1);
         stats.l1.demand_accesses = 200;
         stats.l1.demand_misses = 38;
         stats.bus_busy_cycles = 90;
-        s.set_gauges(0.75, 5, 0);
-        s.sample(200, 260, &stats);
-        let r = s.records();
+        s.sample(200, 260, &stats, 0.75, 5, 0);
+        let r = s.take_records();
         assert_eq!(r.len(), 2);
         assert_eq!(r[0].interval, 0);
         assert_eq!(r[0].instructions, 150);
@@ -433,17 +291,18 @@ mod tests {
 
     #[test]
     fn sampler_reset_drops_warmup_records() {
-        let mut s = IntervalSampler::new(&TelemetryConfig::every(50)).unwrap();
+        let mut s = IntervalSampler::new(50).unwrap();
         let stats = SimStats::default();
-        s.sample(50, 10, &stats);
-        assert_eq!(s.records().len(), 1);
+        s.sample(50, 10, &stats, 0.0, 0, 0);
+        assert_eq!(s.clone().take_records().len(), 1);
         s.reset(75);
-        assert!(s.records().is_empty());
+        assert!(s.clone().take_records().is_empty());
         assert_eq!(s.next_due(), 125);
-        s.sample(125, 5, &stats);
-        assert_eq!(s.records()[0].interval, 0);
-        assert_eq!(s.records()[0].start_cycle, 0);
-        assert_eq!(s.records()[0].end_cycle, 50);
+        s.sample(125, 5, &stats, 0.0, 0, 0);
+        let r = s.take_records();
+        assert_eq!(r[0].interval, 0);
+        assert_eq!(r[0].start_cycle, 0);
+        assert_eq!(r[0].end_cycle, 50);
     }
 
     #[test]
@@ -462,17 +321,5 @@ mod tests {
         let err = parse_jsonl(&text).unwrap_err();
         assert_eq!(err.kind(), crate::PpfErrorKind::CheckpointCorrupt);
         assert!(err.to_string().contains("line 2"), "{err}");
-    }
-
-    #[test]
-    fn sink_writes_atomically_and_reads_back() {
-        let dir = std::env::temp_dir().join("ppf-telemetry-sink-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let sink = JsonlSink::new(dir.join("cell.jsonl"));
-        let records: Vec<IntervalRecord> = (0..3).map(record).collect();
-        sink.write(&records).unwrap();
-        assert!(!sink.path().with_extension("jsonl.tmp").exists());
-        assert_eq!(sink.read().unwrap(), records);
-        std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -3,10 +3,8 @@
 //! validity test for the whole synthetic-workload substitution — if it
 //! drifts, every downstream figure drifts with it.
 
-mod common;
-
-use common::close;
-use ppf::sim::{experiments, run_grid};
+use ppf::sim::experiments::{self, within_band, CALIBRATION_L1_BAND, CALIBRATION_L2_BAND};
+use ppf::sim::run_grid;
 use ppf::workloads::Workload;
 use std::sync::OnceLock;
 
@@ -33,9 +31,7 @@ fn table2_l1_miss_rates_match_paper() {
     for w in Workload::ALL {
         let (l1, _) = measure(w);
         let target = w.spec().expect_l1_miss;
-        // 25% relative or 1.5 points absolute — the paper's own numbers
-        // come from different inputs and 300M-instruction runs.
-        if !close(l1, target, 0.25, 0.015) {
+        if !within_band(l1, target, CALIBRATION_L1_BAND) {
             failures.push(format!("{w}: L1 {l1:.4} vs paper {target:.4}"));
         }
     }
@@ -52,9 +48,7 @@ fn table2_l2_miss_rates_match_paper() {
     for w in Workload::ALL {
         let (_, l2) = measure(w);
         let target = w.spec().expect_l2_miss;
-        // L2 local rates are noisier (small denominators): 35% relative or
-        // 3 points absolute.
-        if !close(l2, target, 0.35, 0.03) {
+        if !within_band(l2, target, CALIBRATION_L2_BAND) {
             failures.push(format!("{w}: L2 {l2:.4} vs paper {target:.4}"));
         }
     }

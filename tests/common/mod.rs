@@ -9,8 +9,7 @@
 #![allow(dead_code)] // each test binary uses a different subset
 
 use ppf_sim::{RunSpec, SimReport, Simulator, WatchdogConfig};
-use ppf_types::telemetry::TelemetryConfig;
-use ppf_types::{FilterKind, SimStats, SystemConfig};
+use ppf_types::{SimStats, SystemConfig};
 use ppf_workloads::Workload;
 
 /// One run of `workload` on `cfg` at `n` instructions, labeled.
@@ -24,30 +23,9 @@ pub fn sim(cfg: SystemConfig, workload: Workload, seed: u64) -> Simulator {
     Simulator::with_seed(cfg, Box::new(workload.stream(seed)), seed).expect("valid config")
 }
 
-/// Run the none/PA/PC filter sweep over every workload on `base` — the
-/// grid behind the Figure 4/5 shape tests. Labels are
-/// `FilterKind::label()`: `"none"`, `"PA"`, `"PC"`.
-pub fn filter_grid(base: SystemConfig, n: u64) -> Vec<SimReport> {
-    let mut grid = Vec::new();
-    for kind in [FilterKind::None, FilterKind::Pa, FilterKind::Pc] {
-        for &w in &Workload::ALL {
-            grid.push(
-                RunSpec::new(kind.label(), base.clone().with_filter(kind), w).instructions(n),
-            );
-        }
-    }
-    ppf_sim::run_grid(grid)
-}
-
 /// The reports in `reports` carrying `label`, in input order.
 pub fn by<'a>(reports: &'a [SimReport], label: &str) -> Vec<&'a SimReport> {
     reports.iter().filter(|r| r.label == label).collect()
-}
-
-/// |measured - target| within max(rel · target, abs) — the calibration
-/// tolerance test.
-pub fn close(measured: f64, target: f64, rel: f64, abs: f64) -> bool {
-    (measured - target).abs() <= (rel * target).max(abs)
 }
 
 /// Slack for the prefetch-census conservation check on `cfg`: warmup
@@ -87,17 +65,18 @@ pub fn wedged_config() -> SystemConfig {
     cfg
 }
 
-/// Run `workload` with optional telemetry attached — the telemetry suite's
-/// "observer, never actor" comparisons all go through this single path.
+/// Run `workload` with telemetry sampled every `interval` cycles, or off
+/// for `None` — the telemetry suite's "observer, never actor" comparisons
+/// all go through this single path.
 pub fn run_with_telemetry(
-    telemetry: Option<TelemetryConfig>,
+    interval: Option<u64>,
     workload: Workload,
     seed: u64,
     n: u64,
 ) -> SimStats {
     let mut s = sim(SystemConfig::paper_default(), workload, seed);
-    if let Some(cfg) = telemetry {
-        s = s.with_telemetry(&cfg).expect("valid telemetry config");
+    if let Some(interval) = interval {
+        s = s.with_telemetry(interval).expect("nonzero interval");
     }
     s.run(n).stats
 }

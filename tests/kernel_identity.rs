@@ -21,7 +21,7 @@
 mod common;
 
 use ppf_sim::{KernelMode, Simulator, WatchdogConfig};
-use ppf_types::telemetry::{IntervalRecord, TelemetryConfig};
+use ppf_types::telemetry::IntervalRecord;
 use ppf_types::{FilterKind, JsonValue, PpfError, SimStats, SystemConfig, ToJson};
 use ppf_workloads::{AdversarySpec, AdversaryStream, AttackKind, FaultSpec, FaultStream, Workload};
 use proptest::prelude::*;
@@ -178,9 +178,7 @@ impl Scenario {
                 stall_window: 20_000,
             });
         if let Some(interval) = self.telemetry_interval {
-            sim = sim
-                .with_telemetry(&TelemetryConfig::every(interval))
-                .expect("valid telemetry config");
+            sim = sim.with_telemetry(interval).expect("nonzero interval");
         }
         let result = sim
             .warmup_checked(self.warmup)

@@ -8,33 +8,15 @@
 
 mod common;
 
-use ppf_types::telemetry::{self, JsonlSink, TelemetryConfig};
-use ppf_types::{SimStats, SystemConfig};
+use ppf_types::telemetry;
+use ppf_types::{write_atomic, SimStats, SystemConfig};
 use ppf_workloads::Workload;
 use proptest::prelude::*;
 
 const N: u64 = 40_000;
 
-fn run_with(telemetry: Option<TelemetryConfig>, workload: Workload, seed: u64) -> SimStats {
-    common::run_with_telemetry(telemetry, workload, seed, N)
-}
-
-#[test]
-fn telemetry_off_and_disabled_and_default_are_identical() {
-    // Three constructions of "off": never attached, attached-but-disabled,
-    // and the default config. All must be bit-identical.
-    let plain = run_with(None, Workload::Em3d, 42);
-    let disabled = run_with(Some(TelemetryConfig::default()), Workload::Em3d, 42);
-    let explicit = run_with(
-        Some(TelemetryConfig {
-            enabled: false,
-            interval_cycles: 123,
-        }),
-        Workload::Em3d,
-        42,
-    );
-    assert_eq!(plain, disabled);
-    assert_eq!(plain, explicit);
+fn run_with(interval: Option<u64>, workload: Workload, seed: u64) -> SimStats {
+    common::run_with_telemetry(interval, workload, seed, N)
 }
 
 proptest! {
@@ -48,7 +30,7 @@ proptest! {
         seed in 0u64..1_000,
     ) {
         let baseline = run_with(None, Workload::Mcf, seed);
-        let sampled = run_with(Some(TelemetryConfig::every(interval)), Workload::Mcf, seed);
+        let sampled = run_with(Some(interval), Workload::Mcf, seed);
         prop_assert_eq!(baseline, sampled);
     }
 }
@@ -56,7 +38,7 @@ proptest! {
 #[test]
 fn real_run_records_round_trip_through_jsonl_sink() {
     let mut sim = common::sim(SystemConfig::paper_default(), Workload::Wave5, 7)
-        .with_telemetry(&TelemetryConfig::every(2_000))
+        .with_telemetry(2_000)
         .unwrap();
     sim.run(N);
     let records = sim.take_telemetry_records();
@@ -66,11 +48,12 @@ fn real_run_records_round_trip_through_jsonl_sink() {
     let text = telemetry::to_jsonl(&records);
     assert_eq!(telemetry::parse_jsonl(&text).unwrap(), records);
 
-    // Disk round trip through the atomic sink.
+    // Disk round trip through the atomic writer every stream takes.
     let dir = std::env::temp_dir().join("ppf-telemetry-integration-test");
     std::fs::create_dir_all(&dir).unwrap();
-    let sink = JsonlSink::new(dir.join("run.jsonl"));
-    sink.write(&records).unwrap();
-    assert_eq!(sink.read().unwrap(), records);
+    let path = dir.join("run.jsonl");
+    write_atomic(&path, &text).unwrap();
+    let back = std::fs::read_to_string(&path).unwrap();
+    assert_eq!(telemetry::parse_jsonl(&back).unwrap(), records);
     std::fs::remove_dir_all(&dir).ok();
 }
