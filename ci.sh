@@ -72,6 +72,10 @@ kernel_identity() {
     # cycle, under optimized codegen too, which reorders the max-with-ready
     # on every hit path.
     cargo test --release -q -p ppf-mem --test proptests
+    # Prefetch properties: every generator's candidates, the shadow
+    # directory against its record-array reference, and the composition's
+    # same-event de-duplication, under optimized codegen too.
+    cargo test --release -q -p ppf-prefetch --test proptests
 }
 
 oracle() {

@@ -27,7 +27,7 @@
 //! the line's PIB is set; fill-ready cycles live in an array that the first
 //! fill carrying a nonzero cycle sizes.
 
-use ppf_types::{CacheConfig, Cycle, LineAddr, PrefetchOrigin};
+use ppf_types::{Cycle, LineAddr, PrefetchOrigin};
 
 /// How a line is being filled.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -131,10 +131,10 @@ pub struct Cache {
 }
 
 impl Cache {
-    /// Build a cache from `cfg` (validated by the caller / `SystemConfig`).
-    pub fn new(cfg: &CacheConfig) -> Self {
-        let sets = cfg.sets();
-        let ways = cfg.ways;
+    /// An empty cache of `sets` sets (a power of two) of `ways` ways each
+    /// (`SystemConfig::validate` checks both). The cache models no timing:
+    /// its hierarchy charges each level's latency and ports.
+    pub fn new(sets: usize, ways: usize) -> Self {
         assert!(sets.is_power_of_two(), "set count must be a power of two");
         assert!(ways > 0);
         let slots = sets * ways;
@@ -414,16 +414,6 @@ mod tests {
     use super::*;
     use ppf_types::{PrefetchSource, SplitMix64};
 
-    fn cfg(size: usize, ways: usize) -> CacheConfig {
-        CacheConfig {
-            size_bytes: size,
-            line_bytes: 32,
-            ways,
-            hit_latency: 1,
-            ports: 1,
-        }
-    }
-
     fn origin(line: LineAddr) -> PrefetchOrigin {
         PrefetchOrigin {
             line,
@@ -436,7 +426,7 @@ mod tests {
 
     #[test]
     fn miss_then_fill_then_hit() {
-        let mut c = Cache::new(&cfg(1024, 1));
+        let mut c = Cache::new(32, 1);
         let l = LineAddr(5);
         assert!(c.probe(l, false).is_none());
         assert!(c.fill(l, FillKind::Demand, 0).is_none());
@@ -449,7 +439,7 @@ mod tests {
     #[test]
     fn direct_mapped_conflict_evicts() {
         // 1KB direct-mapped, 32B lines => 32 sets; lines 1 and 33 collide.
-        let mut c = Cache::new(&cfg(1024, 1));
+        let mut c = Cache::new(32, 1);
         c.fill(LineAddr(1), FillKind::Demand, 0);
         let ev = c
             .fill(LineAddr(33), FillKind::Demand, 0)
@@ -463,7 +453,7 @@ mod tests {
 
     #[test]
     fn prefetch_fill_sets_pib_and_nsp_tag() {
-        let mut c = Cache::new(&cfg(1024, 1));
+        let mut c = Cache::new(32, 1);
         let l = LineAddr(7);
         c.fill(l, FillKind::Prefetch(origin(l)), 0);
         let hit = c.probe(l, false).unwrap();
@@ -479,7 +469,7 @@ mod tests {
 
     #[test]
     fn evicted_prefetched_line_reports_rib() {
-        let mut c = Cache::new(&cfg(1024, 1));
+        let mut c = Cache::new(32, 1);
         let a = LineAddr(2);
         let b = LineAddr(34); // same set
                               // Unreferenced prefetch -> bad.
@@ -499,7 +489,7 @@ mod tests {
 
     #[test]
     fn store_hit_marks_dirty_and_writeback_reported() {
-        let mut c = Cache::new(&cfg(1024, 1));
+        let mut c = Cache::new(32, 1);
         c.fill(LineAddr(3), FillKind::Demand, 0);
         c.probe(LineAddr(3), true);
         let ev = c.fill(LineAddr(35), FillKind::Demand, 0).unwrap();
@@ -509,7 +499,7 @@ mod tests {
     #[test]
     fn lru_prefers_least_recently_used_way() {
         // 2-way, 2 sets: 128 bytes / 32B = 4 lines.
-        let mut c = Cache::new(&cfg(128, 2));
+        let mut c = Cache::new(2, 2);
         // Set 0 holds even line numbers.
         c.fill(LineAddr(0), FillKind::Demand, 0);
         c.fill(LineAddr(2), FillKind::Demand, 0);
@@ -522,7 +512,7 @@ mod tests {
 
     #[test]
     fn refill_of_resident_line_evicts_nothing() {
-        let mut c = Cache::new(&cfg(1024, 1));
+        let mut c = Cache::new(32, 1);
         c.fill(LineAddr(9), FillKind::Demand, 0);
         assert!(c.fill(LineAddr(9), FillKind::Demand, 0).is_none());
         assert_eq!(c.valid_lines(), 1);
@@ -530,7 +520,7 @@ mod tests {
 
     #[test]
     fn demand_refill_of_prefetched_line_counts_as_reference() {
-        let mut c = Cache::new(&cfg(1024, 1));
+        let mut c = Cache::new(32, 1);
         let l = LineAddr(4);
         c.fill(l, FillKind::Prefetch(origin(l)), 0);
         c.fill(l, FillKind::Demand, 0); // demand touched the prefetched line
@@ -541,7 +531,7 @@ mod tests {
 
     #[test]
     fn fill_ready_cycle_is_reported_and_refill_keeps_the_later() {
-        let mut c = Cache::new(&cfg(1024, 1));
+        let mut c = Cache::new(32, 1);
         c.fill(LineAddr(1), FillKind::Demand, 0);
         assert!(c.ready.is_empty(), "a zero cycle does not size the array");
         c.fill(LineAddr(1), FillKind::Demand, 100);
@@ -556,7 +546,7 @@ mod tests {
 
     #[test]
     fn invalidate_returns_report_and_clears() {
-        let mut c = Cache::new(&cfg(1024, 1));
+        let mut c = Cache::new(32, 1);
         assert!(c.invalidate(LineAddr(1)).is_none());
         c.fill(LineAddr(1), FillKind::Demand, 0);
         let ev = c.invalidate(LineAddr(1)).unwrap();
@@ -566,7 +556,7 @@ mod tests {
 
     #[test]
     fn drain_reports_all_and_empties() {
-        let mut c = Cache::new(&cfg(1024, 1));
+        let mut c = Cache::new(32, 1);
         c.fill(LineAddr(1), FillKind::Demand, 0);
         let l2 = LineAddr(2);
         c.fill(l2, FillKind::Prefetch(origin(l2)), 0);
@@ -578,7 +568,7 @@ mod tests {
 
     #[test]
     fn mark_dirty() {
-        let mut c = Cache::new(&cfg(1024, 1));
+        let mut c = Cache::new(32, 1);
         assert!(!c.mark_dirty(LineAddr(8)));
         c.fill(LineAddr(8), FillKind::Demand, 0);
         assert!(c.mark_dirty(LineAddr(8)));
@@ -588,7 +578,7 @@ mod tests {
 
     #[test]
     fn invariants_hold_under_random_workload() {
-        let mut c = Cache::new(&cfg(2048, 4));
+        let mut c = Cache::new(16, 4);
         let mut rng = SplitMix64::new(99);
         for i in 0..5_000u64 {
             let line = LineAddr(rng.below(512));
@@ -616,7 +606,8 @@ mod tests {
     #[test]
     fn paper_l1_geometry() {
         // 8KB direct-mapped with 32B lines = 256 sets of 1 way.
-        let c = Cache::new(&cfg(8 * 1024, 1));
+        let l1 = ppf_types::SystemConfig::paper_default().l1;
+        let c = Cache::new(l1.sets(), l1.ways);
         assert_eq!(c.sets(), 256);
         assert_eq!(c.ways(), 1);
     }

@@ -119,9 +119,9 @@ impl Hierarchy {
     /// Build the hierarchy described by `cfg`.
     pub fn new(cfg: &SystemConfig) -> Self {
         Hierarchy {
-            l1: Cache::new(&cfg.l1),
-            l1i: Cache::new(&cfg.l1i),
-            l2: Cache::new(&cfg.l2),
+            l1: Cache::new(cfg.l1.sets(), cfg.l1.ways),
+            l1i: Cache::new(cfg.l1i.sets(cfg.l1.line_bytes), cfg.l1i.ways),
+            l2: Cache::new(cfg.l2.sets(), cfg.l2.ways),
             buffer: (cfg.buffer.entries > 0).then(|| SideStore::new(cfg.buffer.entries)),
             victim: (cfg.victim.entries > 0).then(|| SideStore::new(cfg.victim.entries)),
             bus: Bus::new(&cfg.mem),

@@ -2,9 +2,10 @@
 //!
 //! Prefetches that survive the pollution filter wait here for a free L1
 //! port (Figure 3: "the prefetch queue contends the L1 cache ports with
-//! normal L1 memory references"). The queue squashes duplicates — "all
-//! duplicate prefetches are squashed automatically with no penalty" (§5.1)
-//! — and drops new requests when full.
+//! normal L1 memory references"). The queue drops new requests when full.
+//! Its owner squashes duplicates before offering one — "all duplicate
+//! prefetches are squashed automatically with no penalty" (§5.1) — by
+//! asking [`PrefetchQueue::contains`] before the filter sees the request.
 
 use ppf_types::{Cycle, LineAddr, PrefetchRequest};
 use std::collections::VecDeque;
@@ -14,13 +15,11 @@ use std::collections::VecDeque;
 pub enum PushOutcome {
     /// Request enqueued.
     Enqueued,
-    /// Same target line already queued: squashed, no penalty.
-    Duplicate,
     /// Queue full: request dropped.
     Overflow,
 }
 
-/// Bounded FIFO of pending prefetches with duplicate squashing.
+/// Bounded FIFO of pending prefetches, at most one per line.
 #[derive(Debug, Clone)]
 pub struct PrefetchQueue {
     q: VecDeque<PrefetchRequest>,
@@ -35,11 +34,6 @@ impl PrefetchQueue {
             q: VecDeque::with_capacity(cap),
             cap,
         }
-    }
-
-    /// Capacity.
-    pub fn capacity(&self) -> usize {
-        self.cap
     }
 
     /// Pending requests.
@@ -58,11 +52,11 @@ impl PrefetchQueue {
         self.q.iter().any(|r| r.line == line)
     }
 
-    /// Offer a request.
+    /// Offer a request for a line not already queued (the caller checks
+    /// [`PrefetchQueue::contains`] first).
     pub fn push(&mut self, req: PrefetchRequest) -> PushOutcome {
-        if self.contains(req.line) {
-            PushOutcome::Duplicate
-        } else if self.q.len() >= self.cap {
+        debug_assert!(!self.contains(req.line), "{:?} already queued", req.line);
+        if self.q.len() >= self.cap {
             PushOutcome::Overflow
         } else {
             self.q.push_back(req);
@@ -80,7 +74,7 @@ impl PrefetchQueue {
         self.q.front()
     }
 
-    /// Drop every pending request (used on pipeline flush ablations).
+    /// Drop every pending request (the warm-up/measurement boundary).
     pub fn clear(&mut self) {
         self.q.clear();
     }
@@ -121,14 +115,6 @@ mod tests {
         assert_eq!(q.pop().unwrap().line, LineAddr(1));
         assert_eq!(q.pop().unwrap().line, LineAddr(2));
         assert!(q.pop().is_none());
-    }
-
-    #[test]
-    fn duplicates_squashed() {
-        let mut q = PrefetchQueue::new(4);
-        q.push(req(5));
-        assert_eq!(q.push(req(5)), PushOutcome::Duplicate);
-        assert_eq!(q.len(), 1);
     }
 
     #[test]

@@ -5,8 +5,7 @@ use ppf_mem::cache::{Cache, FillKind};
 use ppf_mem::hierarchy::{AccessKind, Hierarchy};
 use ppf_mem::queue::{PrefetchQueue, PushOutcome};
 use ppf_types::{
-    CacheConfig, Cycle, LineAddr, PrefetchOrigin, PrefetchRequest, PrefetchSource, SimStats,
-    SystemConfig,
+    Cycle, LineAddr, PrefetchOrigin, PrefetchRequest, PrefetchSource, SimStats, SystemConfig,
 };
 use proptest::prelude::*;
 use std::collections::HashMap;
@@ -75,17 +74,11 @@ proptest! {
         ops in prop::collection::vec(cache_op(), 1..400),
         ways in 1usize..5,
     ) {
-        // 4KB cache; ways varies, sets stay a power of two.
-        let cfg = CacheConfig {
-            size_bytes: 4096,
-            line_bytes: 32,
-            ways,
-            hit_latency: 1,
-            ports: 1,
-        };
-        prop_assume!(cfg.sets().is_power_of_two());
-        let mut c = Cache::new(&cfg);
-        let capacity = cfg.lines();
+        // 4KB of 32-byte lines; ways varies, sets stay a power of two.
+        let sets = 128 / ways;
+        prop_assume!(sets.is_power_of_two());
+        let mut c = Cache::new(sets, ways);
+        let capacity = sets * ways;
         for op in ops {
             match op {
                 CacheOp::Probe(l, w) => { c.probe(LineAddr(l), w); }
@@ -102,14 +95,7 @@ proptest! {
 
     #[test]
     fn fill_then_probe_always_hits(lines in prop::collection::vec(0u64..100_000, 1..50)) {
-        let cfg = CacheConfig {
-            size_bytes: 8192,
-            line_bytes: 32,
-            ways: 1,
-            hit_latency: 1,
-            ports: 1,
-        };
-        let mut c = Cache::new(&cfg);
+        let mut c = Cache::new(256, 1); // 8KB direct-mapped
         for l in lines {
             c.fill(LineAddr(l), FillKind::Demand, 0);
             prop_assert!(c.probe(LineAddr(l), false).is_some(), "just-filled line must hit");
@@ -122,14 +108,7 @@ proptest! {
     ) {
         // Fill-only workload: every prefetch fill is eventually reported
         // either as an eviction or by drain — never twice, never lost.
-        let cfg = CacheConfig {
-            size_bytes: 1024,
-            line_bytes: 32,
-            ways: 2,
-            hit_latency: 1,
-            ports: 1,
-        };
-        let mut c = Cache::new(&cfg);
+        let mut c = Cache::new(16, 2); // 1KB 2-way
         let mut fills = 0u64;
         let mut reports = 0u64;
         for l in lines {
@@ -152,7 +131,6 @@ proptest! {
         cap in 1usize..64,
     ) {
         let mut q = PrefetchQueue::new(cap);
-        let mut pops = 0usize;
         for (i, line) in pushes.iter().enumerate() {
             let req = PrefetchRequest {
                 line: LineAddr(*line),
@@ -161,18 +139,16 @@ proptest! {
                 tenant: 0,
                 depth: 1,
             };
-            match q.push(req) {
-                PushOutcome::Enqueued => {}
-                PushOutcome::Duplicate => prop_assert!(q.contains(LineAddr(*line))),
-                PushOutcome::Overflow => prop_assert_eq!(q.len(), cap),
+            // Like `MemSystem`, offer only a line not already queued.
+            if !q.contains(req.line) && q.push(req) == PushOutcome::Overflow {
+                prop_assert_eq!(q.len(), cap);
             }
             prop_assert!(q.len() <= cap);
-            if i % 3 == 0 && q.pop().is_some() {
-                pops += 1;
+            if i % 3 == 0 {
+                q.pop();
             }
         }
-        let _ = pops;
-        // No duplicate lines inside the queue.
+        // No duplicate lines inside the queue: `contains` saw every one.
         let mut seen = std::collections::HashSet::new();
         while let Some(r) = q.pop() {
             prop_assert!(seen.insert(r.line), "duplicate {:?} in queue", r.line);

@@ -22,9 +22,7 @@
 use crate::event::{b, obj, op, s, u, u_or};
 use crate::Harness;
 use ppf_mem::cache::{Cache, Evicted, FillKind, LineState, ProbeHit};
-use ppf_types::{
-    CacheConfig, Cycle, FromJson, JsonValue, LineAddr, PrefetchOrigin, PrefetchSource, ToJson,
-};
+use ppf_types::{Cycle, FromJson, JsonValue, LineAddr, PrefetchOrigin, PrefetchSource, ToJson};
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct RefLine {
@@ -71,13 +69,13 @@ pub struct RefCache {
 }
 
 impl RefCache {
-    /// Build the reference model for the same geometry as the real cache.
-    pub fn new(cfg: &CacheConfig) -> Self {
-        let sets = cfg.sets();
+    /// Build the reference model for the same geometry as the real cache:
+    /// `sets` sets (a power of two) of `ways` ways.
+    pub fn new(sets: usize, ways: usize) -> Self {
         assert!(sets.is_power_of_two());
         RefCache {
             sets: vec![Vec::new(); sets],
-            ways: cfg.ways,
+            ways,
             set_mask: (sets - 1) as u64,
         }
     }
@@ -195,7 +193,10 @@ impl RefCache {
 
 /// Lockstep harness pairing the real [`Cache`] with [`RefCache`].
 pub struct CacheHarness {
-    cfg: CacheConfig,
+    /// The config's geometry keys, kept for [`Harness::config`].
+    size_bytes: usize,
+    line_bytes: u32,
+    ways: usize,
     real: Cache,
     oracle: RefCache,
 }
@@ -205,25 +206,22 @@ impl CacheHarness {
     /// `{"size_bytes":..,"line_bytes":..,"ways":..,"policy":"Lru"}` (every
     /// cache is LRU; the key names it so a repro states its policy).
     pub fn from_config(config: &JsonValue) -> Result<Self, String> {
-        let cfg = CacheConfig {
-            size_bytes: usize::from_json(
-                config.get("size_bytes").ok_or("cache config: size_bytes")?,
-            )?,
-            line_bytes: u32::from_json(
-                config.get("line_bytes").ok_or("cache config: line_bytes")?,
-            )?,
-            ways: usize::from_json(config.get("ways").ok_or("cache config: ways")?)?,
-            hit_latency: 1,
-            ports: 1,
-        };
+        let size_bytes =
+            usize::from_json(config.get("size_bytes").ok_or("cache config: size_bytes")?)?;
+        let line_bytes =
+            u32::from_json(config.get("line_bytes").ok_or("cache config: line_bytes")?)?;
+        let ways = usize::from_json(config.get("ways").ok_or("cache config: ways")?)?;
         match config.get("policy").and_then(JsonValue::as_str) {
             Some("Lru") => {}
             other => return Err(format!("cache config: bad policy {other:?}")),
         }
+        let sets = size_bytes / line_bytes as usize / ways;
         Ok(CacheHarness {
-            real: Cache::new(&cfg),
-            oracle: RefCache::new(&cfg),
-            cfg,
+            size_bytes,
+            line_bytes,
+            ways,
+            real: Cache::new(sets, ways),
+            oracle: RefCache::new(sets, ways),
         })
     }
 
@@ -265,16 +263,17 @@ impl Harness for CacheHarness {
 
     fn config(&self) -> JsonValue {
         obj(&[
-            ("size_bytes", self.cfg.size_bytes.to_json()),
-            ("line_bytes", self.cfg.line_bytes.to_json()),
-            ("ways", self.cfg.ways.to_json()),
+            ("size_bytes", self.size_bytes.to_json()),
+            ("line_bytes", self.line_bytes.to_json()),
+            ("ways", self.ways.to_json()),
             ("policy", JsonValue::Str("Lru".to_string())),
         ])
     }
 
     fn reset(&mut self) {
-        self.real = Cache::new(&self.cfg);
-        self.oracle = RefCache::new(&self.cfg);
+        let sets = self.real.sets();
+        self.real = Cache::new(sets, self.ways);
+        self.oracle = RefCache::new(sets, self.ways);
     }
 
     fn step(&mut self, event: &JsonValue) -> Result<(), String> {
@@ -333,16 +332,6 @@ impl Harness for CacheHarness {
 mod tests {
     use super::*;
 
-    fn cfg(size: usize, ways: usize) -> CacheConfig {
-        CacheConfig {
-            size_bytes: size,
-            line_bytes: 32,
-            ways,
-            hit_latency: 1,
-            ports: 1,
-        }
-    }
-
     fn origin(line: LineAddr) -> PrefetchOrigin {
         PrefetchOrigin {
             line,
@@ -355,7 +344,7 @@ mod tests {
 
     #[test]
     fn pib_rib_lifecycle_matches_paper() {
-        let mut c = RefCache::new(&cfg(128, 2));
+        let mut c = RefCache::new(2, 2);
         let a = LineAddr(0);
         assert!(c.fill(a, FillKind::Prefetch(origin(a)), 0).is_none());
         let hit = c.probe(a, false).unwrap();
@@ -366,7 +355,7 @@ mod tests {
 
     #[test]
     fn refill_keeps_the_later_ready_cycle_and_eviction_reports_it() {
-        let mut c = RefCache::new(&cfg(64, 1));
+        let mut c = RefCache::new(2, 1);
         c.fill(LineAddr(0), FillKind::Demand, 90);
         c.fill(LineAddr(0), FillKind::Demand, 40);
         assert_eq!(c.probe(LineAddr(0), false).unwrap().ready, 90);

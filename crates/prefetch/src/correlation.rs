@@ -15,7 +15,7 @@
 //! successor, and `X`'s own successors are emitted as prefetch candidates
 //! (most-recent first, up to the configured degree).
 
-use crate::{AccessEvent, Prefetcher};
+use crate::AccessEvent;
 use ppf_types::{LineAddr, PrefetchRequest, PrefetchSource};
 
 /// Successors remembered per entry.
@@ -65,11 +65,6 @@ impl CorrelationPrefetcher {
         self
     }
 
-    /// Table size.
-    pub fn entries(&self) -> usize {
-        self.entries.len()
-    }
-
     #[inline]
     fn slot(&self, line: LineAddr) -> usize {
         (line.0 & self.mask) as usize
@@ -100,14 +95,10 @@ impl CorrelationPrefetcher {
             shifted = out;
         }
     }
-}
 
-impl Prefetcher for CorrelationPrefetcher {
-    fn clone_box(&self) -> Option<Box<dyn Prefetcher>> {
-        Some(Box::new(self.clone()))
-    }
-
-    fn on_access(&mut self, ev: &AccessEvent, out: &mut Vec<PrefetchRequest>) {
+    /// Observe one demand access; append any candidate prefetches to `out`
+    /// without clearing it.
+    pub fn on_access(&mut self, ev: &AccessEvent, out: &mut Vec<PrefetchRequest>) {
         // Correlation tables watch the L1 miss stream.
         if ev.l1_hit {
             return;

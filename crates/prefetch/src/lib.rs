@@ -18,10 +18,11 @@
 //! * [`software`] — helpers for the software prefetch instructions the
 //!   workload streams carry (identified in the LSQ, Figure 3).
 //!
-//! All hardware generators implement [`Prefetcher`], and
-//! [`ComposedPrefetcher`] chains them: the simulator feeds it one
-//! [`AccessEvent`] per demand access and collects candidate
-//! [`PrefetchRequest`]s, which then pass through the pollution filter.
+//! [`ComposedPrefetcher::new`] builds the hardware generators a
+//! [`SystemConfig`](ppf_types::SystemConfig) turns on, and it alone sizes
+//! them. The simulator feeds it one [`AccessEvent`] per demand access and
+//! collects the candidate [`PrefetchRequest`](ppf_types::PrefetchRequest)s,
+//! which then pass through the pollution filter.
 
 #![warn(missing_docs)]
 
@@ -32,7 +33,7 @@ pub mod sdp;
 pub mod software;
 pub mod stride;
 
-use ppf_types::{Addr, LineAddr, Pc, PrefetchRequest};
+use ppf_types::{Addr, LineAddr, Pc};
 
 pub use compose::ComposedPrefetcher;
 pub use correlation::CorrelationPrefetcher;
@@ -62,29 +63,6 @@ pub struct AccessEvent {
     pub l2_accessed: bool,
     /// L2 hit? Meaningful only when `l2_accessed`.
     pub l2_hit: bool,
-    /// Store (vs load)?
-    pub is_store: bool,
-}
-
-/// A hardware prefetch generator. The trait has two methods:
-/// [`Prefetcher::on_access`] trains on one demand access and proposes
-/// candidates, each tagged with its own
-/// [`PrefetchSource`](ppf_types::PrefetchSource), and
-/// [`Prefetcher::clone_box`] copies the generator's training state.
-///
-/// `Send` so a simulator, which owns its generators, can be built on one
-/// thread and run on another.
-pub trait Prefetcher: Send {
-    /// Observe one demand access; append any candidate prefetches to `out`.
-    /// Implementations must not clear `out` (generators are chained).
-    fn on_access(&mut self, ev: &AccessEvent, out: &mut Vec<PrefetchRequest>);
-
-    /// A boxed deep copy of this generator at its current training state,
-    /// or `None` when it is not duplicable (the default). Generators that
-    /// opt in make their machine copyable with `Simulator::try_snapshot`.
-    fn clone_box(&self) -> Option<Box<dyn Prefetcher>> {
-        None
-    }
 }
 
 #[cfg(test)]
@@ -101,7 +79,6 @@ pub(crate) mod test_util {
             nsp_tagged_hit: false,
             l2_accessed: false,
             l2_hit: false,
-            is_store: false,
         }
     }
 

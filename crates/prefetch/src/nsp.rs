@@ -11,11 +11,11 @@
 //! purely a trigger rule. That mirrors the hardware, where NSP is a wire
 //! from the L1 miss/tag-hit logic to the prefetch generator.
 
-use crate::{AccessEvent, Prefetcher};
+use crate::AccessEvent;
 use ppf_types::{PrefetchRequest, PrefetchSource};
 
 /// The tagged next-line prefetcher.
-#[derive(Debug, Default, Clone)]
+#[derive(Debug, Clone)]
 pub struct NextSequencePrefetcher {
     /// Prefetch degree: how many sequential lines to request per trigger.
     /// The paper's NSP uses degree 1; the ablation benches sweep it.
@@ -23,24 +23,15 @@ pub struct NextSequencePrefetcher {
 }
 
 impl NextSequencePrefetcher {
-    /// Degree-1 NSP, as in the paper.
-    pub fn new() -> Self {
-        NextSequencePrefetcher { degree: 1 }
-    }
-
-    /// NSP with a custom prefetch degree (>= 1).
+    /// NSP with prefetch degree `degree` (>= 1; the paper's is 1).
     pub fn with_degree(degree: u32) -> Self {
         assert!(degree >= 1);
         NextSequencePrefetcher { degree }
     }
-}
 
-impl Prefetcher for NextSequencePrefetcher {
-    fn clone_box(&self) -> Option<Box<dyn Prefetcher>> {
-        Some(Box::new(self.clone()))
-    }
-
-    fn on_access(&mut self, ev: &AccessEvent, out: &mut Vec<PrefetchRequest>) {
+    /// Observe one demand access; append any candidate prefetches to `out`
+    /// without clearing it.
+    pub fn on_access(&mut self, ev: &AccessEvent, out: &mut Vec<PrefetchRequest>) {
         let triggered = !ev.l1_hit || ev.nsp_tagged_hit;
         if !triggered {
             return;
@@ -65,7 +56,7 @@ mod tests {
 
     #[test]
     fn miss_triggers_next_line() {
-        let mut p = NextSequencePrefetcher::new();
+        let mut p = NextSequencePrefetcher::with_degree(1);
         let mut out = Vec::new();
         p.on_access(&miss_event(0x100, 10, true), &mut out);
         assert_eq!(out.len(), 1);
@@ -76,7 +67,7 @@ mod tests {
 
     #[test]
     fn plain_hit_is_quiet() {
-        let mut p = NextSequencePrefetcher::new();
+        let mut p = NextSequencePrefetcher::with_degree(1);
         let mut out = Vec::new();
         p.on_access(&event(0x100, 10), &mut out);
         assert!(out.is_empty());
@@ -84,7 +75,7 @@ mod tests {
 
     #[test]
     fn tagged_hit_triggers() {
-        let mut p = NextSequencePrefetcher::new();
+        let mut p = NextSequencePrefetcher::with_degree(1);
         let mut out = Vec::new();
         let mut ev = event(0x100, 20);
         ev.nsp_tagged_hit = true;
@@ -104,7 +95,7 @@ mod tests {
 
     #[test]
     fn appends_rather_than_clearing() {
-        let mut p = NextSequencePrefetcher::new();
+        let mut p = NextSequencePrefetcher::with_degree(1);
         let mut out = vec![PrefetchRequest {
             line: LineAddr(1),
             trigger_pc: 0,

@@ -25,7 +25,7 @@
 //!    (tracked through a small outstanding ring, like the real hardware's
 //!    in-flight confirmation path).
 
-use crate::{AccessEvent, Prefetcher};
+use crate::AccessEvent;
 use ppf_types::{LineAddr, PrefetchRequest, PrefetchSource};
 
 /// Outstanding shadow prefetches awaiting confirmation.
@@ -92,11 +92,6 @@ impl ShadowDirectoryPrefetcher {
         ((h >> 6) as usize, 1 << (h & 63))
     }
 
-    /// Directory sized for the paper's L2 (16384 lines).
-    pub fn paper_default() -> Self {
-        ShadowDirectoryPrefetcher::new(16384)
-    }
-
     /// Directory entry count.
     pub fn entries(&self) -> usize {
         self.tags.len()
@@ -157,14 +152,10 @@ impl ShadowDirectoryPrefetcher {
             self.pending_sig = sig;
         }
     }
-}
 
-impl Prefetcher for ShadowDirectoryPrefetcher {
-    fn clone_box(&self) -> Option<Box<dyn Prefetcher>> {
-        Some(Box::new(self.clone()))
-    }
-
-    fn on_access(&mut self, ev: &AccessEvent, out: &mut Vec<PrefetchRequest>) {
+    /// Observe one demand access; append any candidate prefetch to `out`
+    /// without clearing it.
+    pub fn on_access(&mut self, ev: &AccessEvent, out: &mut Vec<PrefetchRequest>) {
         // Confirmation watches *all* demand accesses: a successful shadow
         // prefetch makes its target hit in the L1, so the "prefetched line
         // was used" signal (the per-line confirmation bit of the patent)
@@ -347,10 +338,5 @@ mod tests {
         // shadow(A) = A.
         assert!(run(&mut p, 0x100, 10, false).is_empty());
         assert!(run(&mut p, 0x100, 10, false).is_empty());
-    }
-
-    #[test]
-    fn paper_default_matches_l2_lines() {
-        assert_eq!(ShadowDirectoryPrefetcher::paper_default().entries(), 16384);
     }
 }

@@ -10,7 +10,7 @@
 //! with the four-state automaton *initial → transient → steady ⇄ no-pred*.
 //! Prefetches are issued only from the *steady* state.
 
-use crate::{AccessEvent, Prefetcher};
+use crate::AccessEvent;
 use ppf_types::{Addr, LineAddr, PrefetchRequest, PrefetchSource};
 
 /// RPT entry automaton state.
@@ -61,11 +61,6 @@ impl StridePrefetcher {
         }
     }
 
-    /// Typical 256-entry RPT for the paper's 32-byte lines.
-    pub fn paper_sized() -> Self {
-        StridePrefetcher::new(256, 32)
-    }
-
     /// Set the lookahead degree (>= 1).
     pub fn with_degree(mut self, degree: i64) -> Self {
         assert!(degree >= 1);
@@ -73,23 +68,14 @@ impl StridePrefetcher {
         self
     }
 
-    /// Table size.
-    pub fn entries(&self) -> usize {
-        self.entries.len()
-    }
-
     #[inline]
     fn slot(&self, pc: u64) -> usize {
         ((pc >> 2) & self.mask) as usize
     }
-}
 
-impl Prefetcher for StridePrefetcher {
-    fn clone_box(&self) -> Option<Box<dyn Prefetcher>> {
-        Some(Box::new(self.clone()))
-    }
-
-    fn on_access(&mut self, ev: &AccessEvent, out: &mut Vec<PrefetchRequest>) {
+    /// Observe one demand access; append any candidate prefetch to `out`
+    /// without clearing it.
+    pub fn on_access(&mut self, ev: &AccessEvent, out: &mut Vec<PrefetchRequest>) {
         let slot = self.slot(ev.pc);
         let e = &mut self.entries[slot];
         if !e.valid || e.pc_tag != ev.pc {
@@ -151,7 +137,7 @@ mod tests {
 
     #[test]
     fn constant_stride_reaches_steady_and_prefetches() {
-        let mut p = StridePrefetcher::paper_sized();
+        let mut p = StridePrefetcher::new(256, 32);
         // Stride of 64 bytes (2 lines): addresses 0, 64, 128, ...
         assert!(access(&mut p, 0x100, 0).is_empty()); // allocate
         assert!(access(&mut p, 0x100, 64).is_empty()); // learn stride (transient path)
@@ -163,7 +149,7 @@ mod tests {
 
     #[test]
     fn irregular_pattern_goes_quiet() {
-        let mut p = StridePrefetcher::paper_sized();
+        let mut p = StridePrefetcher::new(256, 32);
         access(&mut p, 0x100, 0);
         access(&mut p, 0x100, 1000);
         access(&mut p, 0x100, 13);
@@ -175,7 +161,7 @@ mod tests {
 
     #[test]
     fn sub_line_stride_suppressed() {
-        let mut p = StridePrefetcher::paper_sized();
+        let mut p = StridePrefetcher::new(256, 32);
         // 8-byte stride stays within a 32-byte line most accesses: target
         // line == current line must not emit a request.
         access(&mut p, 0x100, 0);
@@ -186,7 +172,7 @@ mod tests {
 
     #[test]
     fn different_pcs_use_different_entries() {
-        let mut p = StridePrefetcher::paper_sized();
+        let mut p = StridePrefetcher::new(256, 32);
         access(&mut p, 0x100, 0);
         access(&mut p, 0x104, 77); // different PC: own entry
         access(&mut p, 0x100, 64);
@@ -196,7 +182,7 @@ mod tests {
 
     #[test]
     fn negative_stride_works() {
-        let mut p = StridePrefetcher::paper_sized();
+        let mut p = StridePrefetcher::new(256, 32);
         access(&mut p, 0x100, 10_000);
         access(&mut p, 0x100, 10_000 - 64);
         let got = access(&mut p, 0x100, 10_000 - 128);
@@ -205,7 +191,7 @@ mod tests {
 
     #[test]
     fn steady_broken_then_relearned() {
-        let mut p = StridePrefetcher::paper_sized();
+        let mut p = StridePrefetcher::new(256, 32);
         access(&mut p, 0x100, 0);
         access(&mut p, 0x100, 64);
         assert!(!access(&mut p, 0x100, 128).is_empty());

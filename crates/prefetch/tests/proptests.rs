@@ -4,10 +4,10 @@
 //! directory it replaced emitted.
 
 use ppf_prefetch::{
-    AccessEvent, ComposedPrefetcher, CorrelationPrefetcher, NextSequencePrefetcher, Prefetcher,
+    AccessEvent, ComposedPrefetcher, CorrelationPrefetcher, NextSequencePrefetcher,
     ShadowDirectoryPrefetcher, StridePrefetcher,
 };
-use ppf_types::{LineAddr, PrefetchRequest, PrefetchSource};
+use ppf_types::{LineAddr, PrefetchRequest, PrefetchSource, SystemConfig};
 use proptest::prelude::*;
 
 #[derive(Debug, Clone)]
@@ -45,7 +45,6 @@ fn event(a: &Access) -> AccessEvent {
         nsp_tagged_hit: a.nsp_tagged,
         l2_accessed: !a.l1_hit,
         l2_hit: a.l2_hit,
-        is_store: false,
     }
 }
 
@@ -168,12 +167,17 @@ fn dense_access() -> impl Strategy<Value = Access> {
     })
 }
 
-fn drive(p: &mut dyn Prefetcher, accesses: &[Access]) -> Vec<(Access, Vec<PrefetchRequest>)> {
+/// Feed `accesses` to a generator's `on_access` and log each access with
+/// the requests it proposed.
+fn drive(
+    mut on_access: impl FnMut(&AccessEvent, &mut Vec<PrefetchRequest>),
+    accesses: &[Access],
+) -> Vec<(Access, Vec<PrefetchRequest>)> {
     let mut log = Vec::new();
     let mut out = Vec::new();
     for a in accesses {
         out.clear();
-        p.on_access(&event(a), &mut out);
+        on_access(&event(a), &mut out);
         log.push((a.clone(), out.clone()));
     }
     log
@@ -185,7 +189,7 @@ proptest! {
     #[test]
     fn nsp_emits_only_forward_neighbours(accesses in prop::collection::vec(access(), 1..200)) {
         let mut p = NextSequencePrefetcher::with_degree(2);
-        for (a, reqs) in drive(&mut p, &accesses) {
+        for (a, reqs) in drive(|ev, out| p.on_access(ev, out), &accesses) {
             for r in reqs {
                 let delta = r.line.0.wrapping_sub(a.line);
                 prop_assert!((1..=2).contains(&delta), "NSP emitted line {delta} away");
@@ -197,8 +201,8 @@ proptest! {
 
     #[test]
     fn nsp_silent_on_untagged_hits(accesses in prop::collection::vec(access(), 1..200)) {
-        let mut p = NextSequencePrefetcher::new();
-        for (a, reqs) in drive(&mut p, &accesses) {
+        let mut p = NextSequencePrefetcher::with_degree(1);
+        for (a, reqs) in drive(|ev, out| p.on_access(ev, out), &accesses) {
             if a.l1_hit && !a.nsp_tagged {
                 prop_assert!(reqs.is_empty());
             }
@@ -208,7 +212,7 @@ proptest! {
     #[test]
     fn sdp_never_prefetches_the_trigger_line(accesses in prop::collection::vec(access(), 1..300)) {
         let mut p = ShadowDirectoryPrefetcher::new(1024);
-        for (a, reqs) in drive(&mut p, &accesses) {
+        for (a, reqs) in drive(|ev, out| p.on_access(ev, out), &accesses) {
             for r in reqs {
                 prop_assert_ne!(r.line, LineAddr(a.line), "self-shadow emitted");
                 prop_assert_eq!(r.source, PrefetchSource::Sdp);
@@ -223,7 +227,7 @@ proptest! {
         // synthesized).
         let mut p = ShadowDirectoryPrefetcher::new(1024);
         let mut seen_misses = std::collections::HashSet::new();
-        for (a, reqs) in drive(&mut p, &accesses) {
+        for (a, reqs) in drive(|ev, out| p.on_access(ev, out), &accesses) {
             for r in &reqs {
                 prop_assert!(
                     seen_misses.contains(&r.line.0),
@@ -242,7 +246,7 @@ proptest! {
     ) {
         let mut p = CorrelationPrefetcher::new(256).with_degree(2);
         let mut seen_misses = std::collections::HashSet::new();
-        for (a, reqs) in drive(&mut p, &accesses) {
+        for (a, reqs) in drive(|ev, out| p.on_access(ev, out), &accesses) {
             for r in &reqs {
                 prop_assert!(seen_misses.contains(&r.line.0));
             }
@@ -256,8 +260,8 @@ proptest! {
     fn stride_targets_are_always_off_the_trigger_line(
         accesses in prop::collection::vec(access(), 1..300),
     ) {
-        let mut p = StridePrefetcher::paper_sized();
-        for (a, reqs) in drive(&mut p, &accesses) {
+        let mut p = StridePrefetcher::new(256, 32);
+        for (a, reqs) in drive(|ev, out| p.on_access(ev, out), &accesses) {
             for r in reqs {
                 prop_assert_ne!(r.line, LineAddr(a.line));
                 prop_assert_eq!(r.source, PrefetchSource::Stride);
@@ -269,11 +273,11 @@ proptest! {
     fn composition_has_no_same_event_duplicates(
         accesses in prop::collection::vec(access(), 1..200),
     ) {
-        let mut c = ComposedPrefetcher::new(vec![
-            Box::new(NextSequencePrefetcher::with_degree(2)),
-            Box::new(ShadowDirectoryPrefetcher::new(256)),
-            Box::new(CorrelationPrefetcher::new(256)),
-        ]);
+        let mut cfg = SystemConfig::paper_default();
+        cfg.prefetch.nsp_degree = 2;
+        cfg.prefetch.stride = true;
+        cfg.prefetch.correlation = true;
+        let mut c = ComposedPrefetcher::new(&cfg);
         let mut out = Vec::new();
         for a in &accesses {
             out.clear();
@@ -308,7 +312,7 @@ proptest! {
     fn generators_are_deterministic(accesses in prop::collection::vec(access(), 1..150)) {
         let run = |accesses: &[Access]| {
             let mut p = ShadowDirectoryPrefetcher::new(512);
-            drive(&mut p, accesses)
+            drive(|ev, out| p.on_access(ev, out), accesses)
                 .into_iter()
                 .map(|(_, reqs)| reqs)
                 .collect::<Vec<_>>()

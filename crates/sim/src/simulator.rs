@@ -22,10 +22,7 @@ use ppf_filter::PollutionFilter;
 use ppf_mem::hierarchy::{AccessKind, Hierarchy};
 use ppf_mem::ports::PortArbiter;
 use ppf_mem::queue::{PrefetchQueue, PushOutcome};
-use ppf_prefetch::{
-    software, AccessEvent, ComposedPrefetcher, CorrelationPrefetcher, NextSequencePrefetcher,
-    Prefetcher, ShadowDirectoryPrefetcher, StridePrefetcher,
-};
+use ppf_prefetch::{software, AccessEvent, ComposedPrefetcher};
 use ppf_types::telemetry::{IntervalRecord, IntervalSampler};
 use ppf_types::{
     tenant_of_addr, Addr, Cycle, LineAddr, Pc, PpfError, PrefetchOrigin, PrefetchRequest,
@@ -139,6 +136,7 @@ pub enum FilterTapEvent {
 }
 
 /// The memory-side half of the machine (everything below the LSQ).
+#[derive(Clone)]
 pub struct MemSystem {
     hierarchy: Hierarchy,
     l1_ports: PortArbiter,
@@ -164,29 +162,12 @@ pub struct MemSystem {
 impl MemSystem {
     /// Build the memory system for `cfg`.
     pub fn new(cfg: &SystemConfig) -> Self {
-        let mut generators: Vec<Box<dyn Prefetcher>> = Vec::new();
-        if cfg.prefetch.nsp {
-            generators.push(Box::new(NextSequencePrefetcher::with_degree(
-                cfg.prefetch.nsp_degree.max(1),
-            )));
-        }
-        if cfg.prefetch.sdp {
-            generators.push(Box::new(ShadowDirectoryPrefetcher::new(
-                cfg.l2.lines().next_power_of_two(),
-            )));
-        }
-        if cfg.prefetch.stride {
-            generators.push(Box::new(StridePrefetcher::new(256, cfg.l1.line_bytes)));
-        }
-        if cfg.prefetch.correlation {
-            generators.push(Box::new(CorrelationPrefetcher::new(4096)));
-        }
         MemSystem {
             hierarchy: Hierarchy::new(cfg),
             l1_ports: PortArbiter::new(cfg.l1.ports),
             queue: PrefetchQueue::new(cfg.prefetch.queue_len),
             filter: PollutionFilter::new(&cfg.filter),
-            hw: ComposedPrefetcher::new(generators),
+            hw: ComposedPrefetcher::new(cfg),
             software_enabled: cfg.prefetch.software,
             line_bytes: cfg.l1.line_bytes,
             scratch: Vec::with_capacity(8),
@@ -195,26 +176,6 @@ impl MemSystem {
             stats: SimStats::default(),
             tap: None,
         }
-    }
-
-    /// A deep copy of the memory system at its current state (caches,
-    /// filter tables, prefetcher training state), or `None` when any
-    /// composed hardware prefetcher is not duplicable.
-    fn try_clone(&self) -> Option<Self> {
-        Some(MemSystem {
-            hierarchy: self.hierarchy.clone(),
-            l1_ports: self.l1_ports.clone(),
-            queue: self.queue.clone(),
-            filter: self.filter.clone(),
-            hw: self.hw.try_clone()?,
-            software_enabled: self.software_enabled,
-            line_bytes: self.line_bytes,
-            scratch: Vec::with_capacity(8),
-            last_conflict_cycle: self.last_conflict_cycle,
-            last_fetch_line: self.last_fetch_line,
-            stats: self.stats.clone(),
-            tap: self.tap.clone(),
-        })
     }
 
     /// Start recording every filter interaction (differential testing).
@@ -327,10 +288,8 @@ impl MemSystem {
             self.stats.prefetches_filtered.bump(req.source);
             return;
         }
-        match self.queue.push(req) {
-            PushOutcome::Enqueued => {}
-            PushOutcome::Duplicate => self.stats.prefetches_duplicate.bump(req.source),
-            PushOutcome::Overflow => self.stats.prefetches_queue_overflow.bump(req.source),
+        if self.queue.push(req) == PushOutcome::Overflow {
+            self.stats.prefetches_queue_overflow.bump(req.source);
         }
     }
 
@@ -435,7 +394,6 @@ impl MemoryPort for MemSystem {
             nsp_tagged_hit: res.l1_probe.map(|p| p.nsp_tagged).unwrap_or(false),
             l2_accessed: res.l2_hit.is_some(),
             l2_hit: res.l2_hit.unwrap_or(false),
-            is_store,
         };
         // Tenant assignment happens exactly here: every prefetch a demand
         // access triggers is charged to the tenant whose address region the
@@ -743,8 +701,9 @@ impl Simulator {
 
     /// A deep copy of the whole machine at its current state — core,
     /// caches, filter tables, prefetcher training state and stream
-    /// position — or `None` when the stream or a prefetcher is not
-    /// duplicable, or when telemetry is attached (samplers are per-run).
+    /// position — or `None` when the stream is not duplicable
+    /// ([`InstStream::clone_box`]) or when telemetry is attached (samplers
+    /// are per-run).
     /// Running the copy on gives exactly the report the original would
     /// give. The grid runner shares no warm-ups (the cell store shares
     /// whole cells instead); the benchmark's `sim.snapshot_ms` probe times
@@ -755,7 +714,7 @@ impl Simulator {
         }
         Some(Simulator {
             core: self.core.clone(),
-            mem: self.mem.try_clone()?,
+            mem: self.mem.clone(),
             stream: self.stream.clone_box()?,
             cfg: self.cfg.clone(),
             label: self.label.clone(),
@@ -1035,23 +994,47 @@ mod tests {
     fn warm_snapshot_run_is_bit_identical_to_fresh_run() {
         // A copy taken right after warm-up must finish with the exact
         // report a fresh end-to-end run produces, and taking the copy must
-        // not perturb the original.
+        // not perturb the original: for every generator, and for both side
+        // stores.
         let (warmup, n) = (12_000, 20_000);
-        let warmed = || {
-            let mut sim = Simulator::with_seed(
-                SystemConfig::paper_default(),
-                Box::new(Workload::Mcf.stream(42)),
-                42,
-            )
-            .expect("valid config");
-            sim.warmup(warmup);
-            sim
-        };
-        let fresh = warmed().run(n);
-        let mut donor = warmed();
-        let mut copy = donor.try_snapshot().expect("paper config is duplicable");
-        assert_eq!(copy.run(n), fresh);
-        assert_eq!(donor.run(n), fresh);
+        let paper = SystemConfig::paper_default;
+        let mut stride = paper();
+        stride.prefetch.stride = true;
+        let mut correlation = paper();
+        correlation.prefetch.correlation = true;
+        let mut degree4_buffer = paper().with_prefetch_buffer();
+        degree4_buffer.prefetch.nsp_degree = 4;
+        let victim = paper().with_victim_cache(8);
+        for cfg in [paper(), stride, correlation, degree4_buffer, victim] {
+            let warmed = || {
+                let mut sim =
+                    Simulator::with_seed(cfg.clone(), Box::new(Workload::Mcf.stream(42)), 42)
+                        .expect("valid config");
+                sim.warmup(warmup);
+                sim
+            };
+            let fresh = warmed().run(n);
+            let mut donor = warmed();
+            let mut copy = donor.try_snapshot().expect("a plain stream is duplicable");
+            assert_eq!(copy.run(n), fresh, "{:?}", cfg.prefetch);
+            assert_eq!(donor.run(n), fresh, "{:?}", cfg.prefetch);
+        }
+    }
+
+    #[test]
+    fn queued_line_is_squashed_before_the_filter() {
+        let mut mem = MemSystem::new(&SystemConfig::paper_default().with_filter(FilterKind::Pa));
+        mem.enable_filter_tap();
+        mem.software_prefetch(0x400, 0x8000, 1);
+        mem.software_prefetch(0x404, 0x8008, 1);
+        assert_eq!(mem.queue_backlog(), 1);
+        assert_eq!(mem.stats.prefetches_duplicate.total(), 1);
+        let tap = mem.take_filter_tap();
+        assert_eq!(tap.len(), 1, "{tap:?}");
+        assert!(matches!(
+            tap[0],
+            FilterTapEvent::Lookup { admitted: true, .. }
+        ));
     }
 
     #[test]

@@ -110,31 +110,55 @@ impl CacheConfig {
 
     /// Validate structural constraints (power-of-two geometry, nonzero).
     pub fn validate(&self) -> Result<(), PpfError> {
-        if !self.line_bytes.is_power_of_two() {
-            return Err(PpfError::config_invalid(format!(
-                "line_bytes {} not a power of two",
-                self.line_bytes
-            )));
-        }
-        if self.ways == 0 || self.ports == 0 {
-            return Err(PpfError::config_invalid("ways and ports must be nonzero"));
-        }
-        if !self
-            .size_bytes
-            .is_multiple_of(self.line_bytes as usize * self.ways)
-        {
-            return Err(PpfError::config_invalid(
-                "size must be divisible by line_bytes * ways",
-            ));
-        }
-        if !self.sets().is_power_of_two() {
-            return Err(PpfError::config_invalid(format!(
-                "set count {} not a power of two",
-                self.sets()
-            )));
+        validate_geometry(self.size_bytes, self.line_bytes, self.ways)?;
+        if self.ports == 0 {
+            return Err(PpfError::config_invalid("ports must be nonzero"));
         }
         Ok(())
     }
+}
+
+/// The L1 instruction cache (Table 1: "L1 I/D 8KB"). It has no line size,
+/// latency or port setting of its own: fetch indexes it in L1D-sized lines,
+/// a hit is free once its line has arrived, and a fetch takes no L1 port.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct InstCacheConfig {
+    /// Total capacity in bytes.
+    pub size_bytes: usize,
+    /// Associativity; 1 = direct-mapped.
+    pub ways: usize,
+}
+
+impl InstCacheConfig {
+    /// Number of sets for `line_bytes`-byte lines (the L1D's).
+    pub fn sets(&self, line_bytes: u32) -> usize {
+        self.size_bytes / line_bytes as usize / self.ways
+    }
+}
+
+/// Check one cache's geometry: a power-of-two line size, nonzero ways, and
+/// a power-of-two set count that divides the capacity exactly.
+fn validate_geometry(size_bytes: usize, line_bytes: u32, ways: usize) -> Result<(), PpfError> {
+    if !line_bytes.is_power_of_two() {
+        return Err(PpfError::config_invalid(format!(
+            "line_bytes {line_bytes} not a power of two"
+        )));
+    }
+    if ways == 0 {
+        return Err(PpfError::config_invalid("ways must be nonzero"));
+    }
+    if !size_bytes.is_multiple_of(line_bytes as usize * ways) {
+        return Err(PpfError::config_invalid(
+            "size must be divisible by line_bytes * ways",
+        ));
+    }
+    let sets = size_bytes / line_bytes as usize / ways;
+    if !sets.is_power_of_two() {
+        return Err(PpfError::config_invalid(format!(
+            "set count {sets} not a power of two"
+        )));
+    }
+    Ok(())
 }
 
 /// Main-memory and bus parameters (Table 1: 150 cycles, 64-byte bus).
@@ -406,9 +430,9 @@ pub struct SystemConfig {
     pub core: CoreConfig,
     /// L1 data cache.
     pub l1: CacheConfig,
-    /// L1 instruction cache (Table 1: "L1 I/D 8KB"). Instruction misses
+    /// L1 instruction cache, with the L1D's line size. Instruction misses
     /// fetch through the same unified L2 and compete for its port.
-    pub l1i: CacheConfig,
+    pub l1i: InstCacheConfig,
     /// Unified L2 cache.
     pub l2: CacheConfig,
     /// Main memory and bus.
@@ -444,12 +468,9 @@ impl SystemConfig {
                 hit_latency: 1,
                 ports: 3,
             },
-            l1i: CacheConfig {
+            l1i: InstCacheConfig {
                 size_bytes: 8 * 1024,
-                line_bytes: 32,
                 ways: 1,
-                hit_latency: 1,
-                ports: 1,
             },
             l2: CacheConfig {
                 size_bytes: 512 * 1024,
@@ -540,20 +561,14 @@ impl SystemConfig {
     /// Validate all structural constraints.
     pub fn validate(&self) -> Result<(), PpfError> {
         self.l1.validate().map_err(|e| e.context("l1"))?;
-        self.l1i.validate().map_err(|e| e.context("l1i"))?;
+        validate_geometry(self.l1i.size_bytes, self.l1.line_bytes, self.l1i.ways)
+            .map_err(|e| e.context("l1i"))?;
         self.l2.validate().map_err(|e| e.context("l2"))?;
         self.mem.validate().map_err(|e| e.context("mem"))?;
         if self.l1.line_bytes != self.l2.line_bytes {
             // Simplification shared with the paper's setup: both levels use
             // 32-byte lines, so no sub-line fill logic is modelled.
             return Err(PpfError::config_invalid("L1 and L2 line sizes must match"));
-        }
-        if self.l1i.line_bytes != self.l1.line_bytes {
-            // Instruction fetch addresses the L1I in L1D-sized lines, so an
-            // L1I with its own line size would simulate a different cache.
-            return Err(PpfError::config_invalid(
-                "L1I and L1D line sizes must match",
-            ));
         }
         if !self.filter.table_entries.is_power_of_two() {
             return Err(PpfError::config_invalid(format!(
@@ -667,6 +682,8 @@ json_struct!(CacheConfig {
     hit_latency,
     ports,
 });
+
+json_struct!(InstCacheConfig { size_bytes, ways });
 
 json_struct!(MemConfig {
     latency,
@@ -817,12 +834,6 @@ mod tests {
         let mut c = SystemConfig::paper_default();
         c.l2.line_bytes = 64;
         assert!(c.validate().is_err());
-
-        // A valid L1I geometry on its own, but fetch would index it in
-        // 32-byte lines.
-        let mut c = SystemConfig::paper_default();
-        c.l1i.line_bytes = 64;
-        assert!(c.validate().is_err(), "L1I line size differs from L1D's");
 
         let mut c = SystemConfig::paper_default();
         c.filter.counter_bits = 0;

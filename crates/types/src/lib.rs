@@ -24,7 +24,8 @@ pub mod telemetry;
 pub use addr::{Addr, Cycle, LineAddr, Pc};
 pub use config::{
     BranchConfig, BufferConfig, CacheConfig, CoreConfig, CounterInit, DiagnosticsConfig,
-    FilterConfig, FilterKind, MemConfig, PrefetchConfig, SystemConfig, VictimConfig,
+    FilterConfig, FilterKind, InstCacheConfig, MemConfig, PrefetchConfig, SystemConfig,
+    VictimConfig,
 };
 pub use error::{PpfError, PpfErrorKind};
 pub use json::{write_atomic, FromJson, JsonError, JsonValue, ToJson};

@@ -4,10 +4,10 @@
 
 mod common;
 
-use common::{assert_census_conserved, census_slack, run_one};
+use common::{assert_census_conserved, census_slack, run_one, sim};
 use ppf::cpu::InstStream;
 use ppf::sim::Simulator;
-use ppf::types::{FilterKind, PrefetchConfig, SystemConfig};
+use ppf::types::{FilterKind, FromJson, JsonValue, PrefetchConfig, SystemConfig, ToJson};
 use ppf::workloads::{trace, Workload};
 
 const N: u64 = 150_000;
@@ -116,4 +116,54 @@ fn all_workloads_complete_on_all_figure_variants() {
             assert!(ipc > 0.05 && ipc < 8.0, "{w}: ipc {ipc}");
         }
     }
+}
+
+#[test]
+fn every_cache_setting_is_read_or_rejected() {
+    // Doubling any one settable field of the L1D, L1I or L2 from the paper
+    // default either fails validation or changes a short run's statistics:
+    // a setting the machine never reads would silently simulate the
+    // default. gcc stresses the L1I, mcf the L1D and the L2.
+    const INSTS: u64 = 300_000;
+    let paper = SystemConfig::paper_default();
+    let stats = |cfg: SystemConfig, w: Workload| sim(cfg, w, 42).run(INSTS).stats;
+    let (gcc, mcf) = (
+        stats(paper.clone(), Workload::Gcc),
+        stats(paper.clone(), Workload::Mcf),
+    );
+    let json = paper.to_json();
+    let mut dead = Vec::new();
+    for (level, workload, default) in [
+        ("l1", Workload::Mcf, &mcf),
+        ("l1i", Workload::Gcc, &gcc),
+        ("l2", Workload::Mcf, &mcf),
+    ] {
+        let Some(JsonValue::Object(fields)) = json.get(level) else {
+            panic!("no {level} object in {json}");
+        };
+        for (field, _) in fields {
+            let cfg = SystemConfig::from_json(&doubled(&json, level, field)).expect("decodes");
+            if cfg.validate().is_ok() && stats(cfg, workload) == *default {
+                dead.push(format!("{level}.{field}"));
+            }
+        }
+    }
+    assert!(dead.is_empty(), "doubling these changes nothing: {dead:?}");
+}
+
+/// `json` with the integer at `level.field` doubled.
+fn doubled(json: &JsonValue, level: &str, field: &str) -> JsonValue {
+    let mut json = json.clone();
+    let JsonValue::Object(levels) = &mut json else {
+        unreachable!("a config is an object")
+    };
+    let (_, JsonValue::Object(fields)) = levels.iter_mut().find(|(k, _)| k == level).unwrap()
+    else {
+        unreachable!("{level} is an object")
+    };
+    let (_, JsonValue::UInt(v)) = fields.iter_mut().find(|(k, _)| k == field).unwrap() else {
+        unreachable!("{level}.{field} is an integer")
+    };
+    *v *= 2;
+    json
 }
